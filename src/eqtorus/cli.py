@@ -188,10 +188,10 @@ def cmd_stability(args) -> int:
             "integrability_possible": kp.integrability_possible,
         })
     elif args.report == "hersch":
+        value, quadrature = st._hersch_certified(args.b0)
         _emit({
             "report": "hersch", "b0": args.b0,
-            "value": st.hersch_second_variation(args.b0),
-            "quadrature": st.hersch_quadrature(args.b0),
+            "value": value, "quadrature": quadrature,
         })
     else:  # index
         point = _point(args)

@@ -144,7 +144,10 @@ def otsuki_map(params_ot: OtsukiParams, k: int = 1, r_t: int = 0):
         raise ValueError("cover degree k must be >= 1")
     point = ModuliPoint(-r_t, k * params_ot.b_t)
     params = classify_params(point, k * params_ot.p_t, k * params_ot.q_t, r_t)
-    assert params.regime is Regime.NONLIMIT
+    if params.regime is not Regime.NONLIMIT:
+        raise ValueError(f"(p, q, r) = ({params.p}, {params.q}, {params.r}) "
+                         f"is in the {params.regime.value} regime; the "
+                         "minimal specialization needs the nonlimit one")
     tau = otsuki_tau_triple(params_ot.m_star)
     return point, params, tau, build_profiles(tau, params, point)
 

@@ -20,11 +20,12 @@ q = 2p and q = 2|r+a|, impossible on the boundary).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import dblquad
-from scipy.sparse import csc_matrix, lil_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import eigsh
 
 from eqtorus.maps import build_circle_map, build_profiles
@@ -198,6 +199,12 @@ def hersch_second_variation(b0: float) -> float:
     against the 2D quadrature to 1e-9; positive for b0^2 < 9/8, which is why
     the one-sided energy comparison fails for these maps.
     """
+    return _hersch_certified(b0)[0]
+
+
+def _hersch_certified(b0: float) -> tuple[float, float]:
+    """(closed form, 2D quadrature) of hersch_second_variation, certified
+    to agree to 1e-9."""
     if not 0.0 < b0 <= 1.0:
         raise ValueError(f"b0={b0!r} outside (0, 1]")
     if math.sqrt(3.0) / (2.0 * b0) > 1.0:
@@ -208,7 +215,7 @@ def hersch_second_variation(b0: float) -> float:
         raise RuntimeError(
             f"second-variation quadrature {quad_val!r} disagrees with the "
             f"closed form {closed!r}")
-    return closed
+    return closed, quad_val
 
 
 # --------------------------------------------------------------------------
@@ -269,62 +276,105 @@ def _frame_coefficients(profiles, y):
     return omega_x, sigma_x, omega_y, sigma_y, rho
 
 
-def _mode_matrix(profiles, l: int, n: int) -> csc_matrix:
+@dataclass(frozen=True)
+class _GridFrame:
+    """Frame coefficients on the n nodes j h of [0, b) and the y-rotation at
+    the midpoints (j + 1/2) h: everything of the second-variation form that
+    does not depend on the Fourier mode l."""
+
+    a: float
+    h: float
+    omega_x: np.ndarray      # (n, 3, 3) at the nodes
+    sigma_x: np.ndarray      # (n, 3) at the nodes
+    sigma_y: np.ndarray      # (n, 3) at the nodes
+    rho: np.ndarray          # (n,) at the nodes
+    omega_y_mid: np.ndarray  # (n, 3, 3) at the midpoints
+
+
+def _grid_frame(profiles, n: int) -> _GridFrame:
+    point = profiles.point
+    h = point.b / n
+    y_nodes = np.arange(n) * h
+    omega_x, sigma_x, _, sigma_y, rho = _frame_coefficients(profiles, y_nodes)
+    omega_y_mid = _frame_coefficients(profiles, y_nodes + 0.5 * h)[2]
+    return _GridFrame(a=point.a, h=h, omega_x=omega_x, sigma_x=sigma_x,
+                      sigma_y=sigma_y, rho=rho, omega_y_mid=omega_y_mid)
+
+
+def _block_indices(n: int, col_shift: int):
+    """COO row/column indices of n 3x3 blocks at block positions
+    (j, (j + col_shift) mod n), entries in C order of an (n, 3, 3) array."""
+    blk = np.arange(n)[:, None, None]
+    rows = 3 * blk + np.arange(3)[None, :, None]
+    cols = 3 * ((blk + col_shift) % n) + np.arange(3)[None, None, :]
+    return (np.broadcast_to(rows, (n, 3, 3)).ravel(),
+            np.broadcast_to(cols, (n, 3, 3)).ravel())
+
+
+def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     """Sparse Hermitian form of the mode-l second variation, mass = identity.
 
     Staggered first differences with midpoint frame rotation keep the
-    derivative part a Gram matrix (no checkerboard null modes); pointwise
-    terms sit on the nodes.  The Floquet wrap carries e^{-2 pi i l a}.
+    derivative part a Gram matrix K = B^H B (no checkerboard null modes);
+    pointwise terms sit on the nodes.  The Floquet wrap carries
+    e^{-2 pi i l a}.
     """
-    point = profiles.point
-    b = point.b
-    h = b / n
-    y_nodes = np.arange(n) * h
-    y_mid = y_nodes + 0.5 * h
-    omega_x, sigma_x, _, sigma_y_node, rho = _frame_coefficients(profiles, y_nodes)
-    omega_y_mid = _frame_coefficients(profiles, y_mid)[2]
-    mu = np.exp(-2j * math.pi * l * point.a)
+    n = frame.rho.size
+    dim = 3 * n
+    eye = np.eye(3)
+    half_omega = 0.5 * frame.omega_y_mid
+    left = half_omega - eye / frame.h
+    right = (half_omega + eye / frame.h).astype(complex)
+    right[-1] *= np.exp(-2j * math.pi * l * frame.a)
+    diag_rows, diag_cols = _block_indices(n, 0)
+    sup_rows, sup_cols = _block_indices(n, 1)
+    B = coo_matrix((np.concatenate([left.ravel(), right.ravel()]),
+                    (np.concatenate([diag_rows, sup_rows]),
+                     np.concatenate([diag_cols, sup_cols]))),
+                   shape=(dim, dim)).tocsc()
 
-    B = lil_matrix((3 * n, 3 * n), dtype=complex)
-    inv_h = 1.0 / h
-    for j in range(n):
-        jn = (j + 1) % n
-        wrap = mu if jn == 0 else 1.0
-        left = -inv_h * np.eye(3) + 0.5 * omega_y_mid[j]
-        right = (inv_h * np.eye(3) + 0.5 * omega_y_mid[j]) * wrap
-        B[3 * j:3 * j + 3, 3 * j:3 * j + 3] = left
-        B[3 * j:3 * j + 3, 3 * jn:3 * jn + 3] += right
-    B = B.tocsc()
-    K = (B.getH() @ B).tolil()
-
-    two_pi_l = 2.0 * math.pi * l
-    for j in range(n):
-        dx = two_pi_l * 1j * np.eye(3) + omega_x[j]
-        P = dx.conjugate().T @ dx
-        P = P + np.outer(sigma_x[j], sigma_x[j])
-        P = P + np.outer(sigma_y_node[j], sigma_y_node[j])
-        P = P - 2.0 * rho[j] * np.eye(3)
-        K[3 * j:3 * j + 3, 3 * j:3 * j + 3] += P
-    return K.tocsc()
+    dx = 2j * math.pi * l * eye + frame.omega_x
+    P = (np.einsum("nki,nkj->nij", dx.conj(), dx)
+         + np.einsum("ni,nj->nij", frame.sigma_x, frame.sigma_x)
+         + np.einsum("ni,nj->nij", frame.sigma_y, frame.sigma_y)
+         - 2.0 * frame.rho[:, None, None] * eye)
+    pointwise = coo_matrix((P.ravel(), (diag_rows, diag_cols)),
+                           shape=(dim, dim))
+    return (B.getH() @ B + pointwise).tocsc()
 
 
-def _mode_spectrum(profiles, l: int, n: int, k_eigs: int, span: float):
+def _mode_spectrum(frame: _GridFrame, l: int, k_eigs: int, span: float):
     """Eigenvalues of the mode-l form nearest zero, certified to cover
-    [-span, span]; k_eigs grows until the coverage holds."""
-    K = _mode_matrix(profiles, l, n)
+    [-span, span]; k_eigs grows until the coverage holds.  Returns the
+    values and how many eigsh calls fell back from the exactly singular
+    shift sigma = 0 to sigma = 1e-7."""
+    K = _mode_matrix(frame, l)
     dim = K.shape[0]
     k = min(k_eigs, dim - 2)
+    shift_retries = 0
     while True:
         try:
             vals = eigsh(K, k=k, sigma=0.0, which="LM",
                          return_eigenvectors=False)
         except RuntimeError:  # an exactly singular shift; nudge it
+            shift_retries += 1
             vals = eigsh(K, k=k, sigma=1e-7, which="LM",
                          return_eigenvectors=False)
         vals = np.sort(vals.real)
         if vals.size >= dim - 2 or np.max(np.abs(vals)) > span:
-            return vals
+            return vals, shift_retries
         k = min(2 * k, dim - 2)
+
+
+def _check_resolutions(resolutions) -> tuple[int, int]:
+    """Exactly two positive integers, coarse first."""
+    pair = tuple(resolutions) if isinstance(resolutions, (tuple, list)) else ()
+    if (len(pair) != 2
+            or not all(isinstance(n, numbers.Integral) for n in pair)
+            or not 0 < pair[0] < pair[1]):
+        raise ValueError(f"resolutions={resolutions!r} must be two positive "
+                         "integers n_lo < n_hi")
+    return int(pair[0]), int(pair[1])
 
 
 def index_nullity_estimate(point: ModuliPoint,
@@ -334,44 +384,58 @@ def index_nullity_estimate(point: ModuliPoint,
     """Energy index and nullity of the (1,1,0) map by Fourier-mode counting.
 
     Each x-Fourier mode gives a one-dimensional quadratic form in the frame
-    components, discretized at the two resolutions; eigenvalues near zero are
-    Richardson-extrapolated across the pair before classification, and the
-    eigen-counts (not values) decide convergence.  Modes l >= 1 count twice
-    (real and imaginary parts).  The mode loop stops once a mode is strictly
-    positive, which the l^2 growth of the x-term makes monotone.
+    components, discretized at the two resolutions n_lo < n_hi; eigenvalues
+    near zero are Richardson-extrapolated across the pair before
+    classification, and the eigen-counts (not values) decide convergence.
+    Modes l >= 1 count twice (real and imaginary parts).  The mode loop stops
+    once a mode is strictly positive, which the l^2 growth of the x-term
+    makes monotone.
+
+    Each per_mode[l] entry carries what its classification rests on:
+    `borderline` (extrapolated values with zero_tol < |v| <= 10 zero_tol),
+    `counts_match` (whether both resolutions saw the same number of values
+    in the window) and `shift_retries` (eigsh calls that fell back from the
+    singular shift 0 to 1e-7).  `converged` is False when any mode has a
+    borderline value or mismatched counts.
     """
+    n_lo, n_hi = _check_resolutions(resolutions)
     params = classify_params(point, 1, 1, 0)
     tau = solve_tau(point, params)
     profiles = build_profiles(tau, params, point)
     span = 4.0 * math.pi**2 * (tau.tau2 + tau.tau3 - tau.tau1) + 10.0
+    frame_lo = _grid_frame(profiles, n_lo)
+    frame_hi = _grid_frame(profiles, n_hi)
+    # second-order scheme: Richardson with ratio s removes the h^2 term
+    s2 = (n_hi / n_lo) ** 2
 
     index = 0
     nullity = 0
     converged = True
     per_mode = {}
-    n_lo, n_hi = resolutions
     for l in range(l_cap + 1):
-        lo = _mode_spectrum(profiles, l, n_lo, 40, span)
-        hi = _mode_spectrum(profiles, l, n_hi, 40, span)
+        lo, retries_lo = _mode_spectrum(frame_lo, l, 40, span)
+        hi, retries_hi = _mode_spectrum(frame_hi, l, 40, span)
         window = 0.5 * span
         lo_w = lo[np.abs(lo) < window]
         hi_w = hi[np.abs(hi) < window]
-        if lo_w.size != hi_w.size:
-            converged = False
-            vals = hi_w
+        counts_match = lo_w.size == hi_w.size
+        if counts_match:
+            vals = (s2 * hi_w - lo_w) / (s2 - 1.0)
         else:
-            # second-order scheme: pairwise Richardson removes the h^2 term
-            vals = (4.0 * hi_w - lo_w) / 3.0
+            vals = hi_w
         neg = int(np.sum(vals < -zero_tol))
         zero = int(np.sum(np.abs(vals) <= zero_tol))
         # classification is converged when no extrapolated eigenvalue sits
         # in the ambiguous band around the +-zero_tol boundary
-        borderline = np.sum((np.abs(vals) > zero_tol)
-                            & (np.abs(vals) <= 10.0 * zero_tol))
-        if borderline:
+        borderline = vals[(np.abs(vals) > zero_tol)
+                          & (np.abs(vals) <= 10.0 * zero_tol)]
+        if borderline.size or not counts_match:
             converged = False
         per_mode[l] = {"negative": neg, "zero": zero,
-                       "smallest": float(vals[0]) if vals.size else None}
+                       "smallest": float(vals[0]) if vals.size else None,
+                       "borderline": [float(v) for v in borderline],
+                       "counts_match": counts_match,
+                       "shift_retries": retries_lo + retries_hi}
         weight = 1 if l == 0 else 2
         index += weight * neg
         nullity += weight * zero

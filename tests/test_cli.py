@@ -137,6 +137,26 @@ class TestStability:
         assert code == 0
         assert doc["det_re"] == pytest.approx(75.0, rel=1e-12)
 
+    def test_index(self, run):
+        code, out, _ = run("stability", "--report", "index",
+                           "--a", "0.3", "--b", "1.4",
+                           "--resolutions", "256,512")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["index"] <= 4
+        assert doc["nullity"] >= 6
+        assert isinstance(doc["converged"], bool)
+        for row in doc["per_mode"].values():
+            assert {"borderline", "counts_match", "shift_retries"} <= row.keys()
+
+    def test_index_single_resolution_rejected(self, run):
+        code, out, err = run("stability", "--report", "index",
+                             "--a", "0.3", "--b", "1.4",
+                             "--resolutions", "512")
+        assert code == 1
+        assert out == ""
+        assert "resolutions" in err and "n_lo < n_hi" in err
+
 
 class TestMeshCommand:
     def test_mesh_file(self, run, tmp_path):

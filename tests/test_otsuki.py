@@ -11,6 +11,7 @@ from eqtorus.maps import build_circle_map, harmonicity_residual
 from eqtorus.otsuki import (
     OMEGA_AT_0,
     OMEGA_AT_1,
+    OtsukiParams,
     conformality_residual,
     omega_fn,
     otsuki_map,
@@ -103,6 +104,11 @@ def torus():
 
 
 class TestOtsukiMap:
+    def test_limit_regime_rejected(self):
+        # p = 1, q = 2 is the first limit case (2p = q): no minimal torus
+        with pytest.raises(ValueError, match="first_limit"):
+            otsuki_map(OtsukiParams(p_t=1, q_t=2, m_star=0.5, b_t=2.0))
+
     def test_conformality(self, torus):
         point, params, tau, prof = torus
         diag, offdiag = conformality_residual(prof)

@@ -1,13 +1,20 @@
 """Jacobi-operator diagnostics: blocks, kernel fields, second variation,
 index/nullity counts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from eqtorus import stability
+from eqtorus.maps import build_profiles
 from eqtorus.stability import (
+    _frame_coefficients,
+    _grid_frame,
+    _GridFrame,
+    _mode_matrix,
     hersch_closed_form,
     hersch_quadrature,
     hersch_second_variation,
@@ -15,7 +22,12 @@ from eqtorus.stability import (
     jacobi_block,
     special_phi0_kernel,
 )
-from eqtorus.tau_solver import InfeasibleParametersError, ModuliPoint
+from eqtorus.tau_solver import (
+    InfeasibleParametersError,
+    ModuliPoint,
+    classify_params,
+    solve_tau,
+)
 
 # boundary data of (p, q, r) = (1, 2, 1) type: (r+a)^2 + b^2 = p^2
 PT_121 = ModuliPoint(-0.5, math.sqrt(0.75))
@@ -132,12 +144,141 @@ class TestHersch:
             hersch_second_variation(1.5)
 
 
+def _profiles_110(a, b):
+    point = ModuliPoint(a, b)
+    params = classify_params(point, 1, 1, 0)
+    return build_profiles(solve_tau(point, params), params, point)
+
+
+def _reference_mode_matrix(profiles, l, n):
+    """The mode-l form built node by node from its definition, dense:
+    B has -I/h + Omega_y(mid)/2 on the block diagonal and I/h + Omega_y(mid)/2
+    one block to the right (the last one wrapping to block 0 with the Floquet
+    phase e^{-2 pi i l a}); K = B^H B plus, on each node's diagonal block,
+    D_x^H D_x + sigma_x sigma_x^T + sigma_y sigma_y^T - 2 rho I with
+    D_x = 2 pi i l I + Omega_x."""
+    b, a = profiles.point.b, profiles.point.a
+    h = b / n
+    y = np.arange(n) * h
+    omega_x, sigma_x, _, sigma_y, rho = _frame_coefficients(profiles, y)
+    omega_y_mid = _frame_coefficients(profiles, y + 0.5 * h)[2]
+    eye = np.eye(3)
+    B = np.zeros((3 * n, 3 * n), dtype=complex)
+    for j in range(n):
+        jn = (j + 1) % n
+        phase = np.exp(-2j * math.pi * l * a) if jn == 0 else 1.0
+        B[3 * j:3 * j + 3, 3 * j:3 * j + 3] += -eye / h + 0.5 * omega_y_mid[j]
+        B[3 * j:3 * j + 3, 3 * jn:3 * jn + 3] += \
+            (eye / h + 0.5 * omega_y_mid[j]) * phase
+    K = B.conj().T @ B
+    for j in range(n):
+        dx = 2j * math.pi * l * eye + omega_x[j]
+        K[3 * j:3 * j + 3, 3 * j:3 * j + 3] += (
+            dx.conj().T @ dx + np.outer(sigma_x[j], sigma_x[j])
+            + np.outer(sigma_y[j], sigma_y[j]) - 2.0 * rho[j] * eye)
+    return K
+
+
+class TestModeMatrix:
+    @pytest.mark.parametrize("a,b", [(0.0, 1.6), (0.3, 1.4), (0.45, 1.25)])
+    def test_matches_node_loop_reference(self, a, b):
+        prof = _profiles_110(a, b)
+        for n in (16, 32):
+            frame = _grid_frame(prof, n)
+            for l in (0, 1, 2):
+                K = _mode_matrix(frame, l).toarray()
+                ref = _reference_mode_matrix(prof, l, n)
+                assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.max(np.abs(K - K.conj().T)) <= \
+                    1e-12 * np.max(np.abs(K))
+
+    def test_wrap_block_carries_the_floquet_phase(self):
+        # constant coefficients make the form block-circulant up to the wrap
+        rng = np.random.default_rng(7)
+        n = 8
+        w = rng.normal(size=(3, 3))
+        frame = _GridFrame(
+            a=0.0, h=0.1,
+            omega_x=np.tile(w - w.T, (n, 1, 1)),
+            sigma_x=np.tile(rng.normal(size=3), (n, 1)),
+            sigma_y=np.tile(rng.normal(size=3), (n, 1)),
+            rho=np.full(n, 0.7),
+            omega_y_mid=np.tile(w.T - w, (n, 1, 1)))
+
+        def coupling(K, j):
+            jn = (j + 1) % n
+            return K[3 * j:3 * j + 3, 3 * jn:3 * jn + 3]
+
+        K0 = _mode_matrix(frame, 0).toarray()
+        interior = coupling(K0, 0)
+        for j in range(1, n):
+            assert np.array_equal(coupling(K0, j), interior)
+        assert np.abs(K0.imag).max() == 0.0
+
+        frame_a = dataclasses.replace(frame, a=0.3)
+        K1 = _mode_matrix(frame_a, 1).toarray()
+        interior = coupling(K1, 0)
+        assert np.allclose(coupling(K1, n - 1),
+                           interior * np.exp(-2j * math.pi * 0.3),
+                           rtol=0.0, atol=1e-12 * np.abs(interior).max())
+
+
+class TestResolutions:
+    @pytest.mark.parametrize("bad", [(512,), (512, 1024, 2048), (512, 512),
+                                     (1024, 512), (0, 512), (-256, 512),
+                                     (256.0, 512), "256,512", 512])
+    def test_rejected(self, bad):
+        with pytest.raises(ValueError, match="resolutions"):
+            index_nullity_estimate(ModuliPoint(0.3, 1.4), resolutions=bad)
+
+    def test_richardson_exact_for_any_ratio(self, monkeypatch):
+        # eigenvalues with a pure h^2 error: extrapolation recovers them
+        exact = np.array([-2.5, -1.0, 0.0, 0.0, 3.0])
+
+        def fake_spectrum(frame, l, k_eigs, span):
+            if l > 0:
+                return np.array([50.0]), 0
+            return exact + 40.0 * frame.h**2, 0
+
+        monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
+        point = ModuliPoint(0.3, 1.4)
+        for res in ((64, 192), (48, 80), (64, 128)):
+            est = index_nullity_estimate(point, resolutions=res,
+                                         zero_tol=1e-9)
+            assert (est.index, est.nullity) == (2, 2)
+            assert est.per_mode[0]["smallest"] == pytest.approx(-2.5,
+                                                                abs=1e-12)
+        # ratio 2 is bit-identical to the (4 hi - lo) / 3 formula
+        h_lo, h_hi = point.b / 64, point.b / 128
+        lo, hi = exact + 40.0 * h_lo**2, exact + 40.0 * h_hi**2
+        assert est.per_mode[0]["smallest"] == ((4.0 * hi - lo) / 3.0)[0]
+
+
+@pytest.fixture(scope="module")
+def reference_estimate():
+    return index_nullity_estimate(ModuliPoint(0.3, 1.4),
+                                  resolutions=(256, 512))
+
+
 class TestIndexNullity:
-    def test_reference_point(self):
-        est = index_nullity_estimate(ModuliPoint(0.3, 1.4),
-                                     resolutions=(256, 512))
+    def test_reference_point(self, reference_estimate):
+        est = reference_estimate
         assert est.index <= 4
         assert est.nullity >= 6
+        assert (est.index, est.nullity) == (3, 7)
+        assert est.converged
+
+    def test_per_mode_diagnostics(self, reference_estimate):
+        for row in reference_estimate.per_mode.values():
+            assert {"negative", "zero", "smallest", "borderline",
+                    "counts_match", "shift_retries"} <= row.keys()
+            assert row["borderline"] == []
+            assert row["counts_match"] is True
+            assert row["shift_retries"] >= 0
+
+    def test_non_dyadic_ratio(self):
+        est = index_nullity_estimate(ModuliPoint(0.3, 1.4),
+                                     resolutions=(256, 768))
         assert (est.index, est.nullity) == (3, 7)
         assert est.converged
 
