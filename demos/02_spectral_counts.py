@@ -3,8 +3,9 @@
 2 by Floquet analysis, mode by mode, and compare with the counting bound.
 
 Run:  python3 demos/02_spectral_counts.py        (a few seconds)
-      python3 demos/02_spectral_counts.py --strict   (adds the ~1 min
-      construction whose count strictly exceeds the bound)
+      python3 demos/02_spectral_counts.py --strict   (adds the construction
+      whose count strictly exceeds the bound: ~3 s more, ~7 s in all on a
+      2-vCPU host)
 """
 
 import sys
@@ -47,8 +48,7 @@ for (a, b), (p, q, r) in CASES:
 if "--strict" in sys.argv[1:]:
     from eqtorus import construct_strict_instance
 
-    print("constructing an instance whose count beats the bound "
-          "(large period, be patient)...")
+    print("constructing an instance whose count beats the bound...")
     point, params, cert = construct_strict_instance()
     rep = assemble_N2(cert["tau"], params, point)
     print(f"   (p,q,r) = ({params.p},{params.q},{params.r}), "

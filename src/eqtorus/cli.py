@@ -55,7 +55,7 @@ def _point(args) -> ModuliPoint:
 def _solve(args):
     point = _point(args)
     params = classify_params(point, args.p, args.q, args.r)
-    tau = solve_tau(point, params, xtol=args.cfg.tol.solver)
+    tau = solve_tau(point, params, xtol=args.tol.solver)
     return point, params, tau
 
 
@@ -104,7 +104,7 @@ def cmd_spectral(args) -> int:
     from eqtorus.spectral import assemble_N2
 
     point, params, tau = _solve(args)
-    rep = assemble_N2(tau, params, point, grid_points=args.grid_points)
+    rep = assemble_N2(tau, params, point)
     _emit({
         "a": point.a, "b": point.b,
         "p": params.p, "q": params.q, "r": params.r,
@@ -252,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectral", help="exact Weyl count N(2) by Floquet modes")
     _add_point_args(sp)
-    sp.add_argument("--grid-points", type=int, default=2000)
     sp.set_defaults(func=cmd_spectral)
 
     sp = sub.add_parser("scan", help="moduli-space scan to CSV")
@@ -306,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.cfg = cfgmod.load_config(args.config) if args.config else \
-        cfgmod.RunConfig(tol=cfgmod.tolerances())
     try:
+        args.tol = (cfgmod.load_config(args.config) if args.config
+                    else cfgmod.tolerances())
         return args.func(args)
     except InfeasibleParametersError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
-"""Run configuration: tolerances, scan grids, output format.
+"""Run configuration: the tolerances.
 
-The three base tolerances can be scaled globally through the environment
+The two base tolerances can be scaled globally through the environment
 variable EQTORUS_TOL_OVERRIDE (a positive multiplier, read at call time), or
-per run from a key=value config file via the CLI.
+set per run from a key=value config file via the CLI.
 """
 
 from __future__ import annotations
@@ -10,36 +10,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-__all__ = ["Tolerances", "RunConfig", "tolerances", "load_config"]
+__all__ = ["Tolerances", "tolerances", "load_config"]
 
 
 @dataclass(frozen=True)
 class Tolerances:
     solver: float = 1e-14      # xtol of the outer m-root find
-    quadrature: float = 1e-12  # epsabs of the integral oracles
     ode_rtol: float = 1e-11    # relative tolerance of the monodromy integrator
 
     def scaled(self, factor: float) -> "Tolerances":
-        return Tolerances(self.solver * factor, self.quadrature * factor,
-                          self.ode_rtol * factor)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tol: Tolerances = Tolerances()
-    a_min: float = 0.0
-    a_max: float = 0.5
-    a_steps: int = 6
-    b_min: float = 1.05
-    b_max: float = 2.5
-    b_steps: int = 6
-    output_format: str = "json"  # json | csv
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.a_steps <= 0 or self.b_steps <= 0:
-            raise ValueError("grid step counts must be positive")
+        return Tolerances(self.solver * factor, self.ode_rtol * factor)
 
 
 def tolerances() -> Tolerances:
@@ -54,22 +34,16 @@ def tolerances() -> Tolerances:
     return base.scaled(f)
 
 
-_FLOAT_KEYS = {"a_min", "a_max", "b_min", "b_max"}
-_INT_KEYS = {"a_steps", "b_steps"}
-_TOL_KEYS = {"solver_tol": "solver", "quadrature_tol": "quadrature",
-             "ode_rtol": "ode_rtol"}
+_KEYS = {"solver_tol": "solver", "ode_rtol": "ode_rtol"}
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a key=value config file mirroring RunConfig.
+def load_config(path: str) -> Tolerances:
+    """Parse a key=value config file over tolerances().
 
-    Recognized keys: solver_tol, quadrature_tol, ode_rtol, a_min, a_max,
-    a_steps, b_min, b_max, b_steps, output_format.  Blank lines and lines
-    starting with '#' are ignored.
+    Recognized keys: solver_tol, ode_rtol.  Blank lines and lines starting
+    with '#' are ignored.
     """
-    cfg = RunConfig(tol=tolerances())
-    tol_kwargs = {}
-    kwargs = {}
+    values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -79,18 +53,7 @@ def load_config(path: str) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key in _TOL_KEYS:
-                tol_kwargs[_TOL_KEYS[key]] = float(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key == "output_format":
-                kwargs[key] = value
-            else:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-    if tol_kwargs:
-        cfg = replace(cfg, tol=replace(cfg.tol, **tol_kwargs))
-    if kwargs:
-        cfg = replace(cfg, **kwargs)
-    return cfg
+            values[_KEYS[key]] = float(value)
+    return replace(tolerances(), **values)

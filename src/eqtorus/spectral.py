@@ -4,9 +4,17 @@
     h(y + b) = e^{-2 pi i l a} h(y),
 
 one problem per Fourier mode l of the torus Laplacian for the conformal
-metric rho(y) g_{a,b}.  An eigenvalue is a lambda where the monodromy matrix
-M(lambda) over one period has trace equal to 2 cos(2 pi l a); in the periodic
-and antiperiodic cases tangencies of the trace with +-2 carry multiplicity 2.
+metric rho(y) g_{a,b}.  rho has period P = b/q, so the monodromy over [0, b]
+is the q-th power of the one-period monodromy M_P(lambda), and the spectrum
+of mode l is the union over j < q of the one-period problems with
+multiplier e^{i phi_j}, phi_j = (2 pi l a + 2 pi j)/q.  Each of those is
+counted exactly by the oscillation theorem for Hill's equation (Magnus &
+Winkler, *Hill's Equation*, 1966; Eastham, *The Spectral Theory of Periodic
+Differential Equations*, 1973): its number of eigenvalues below lambda
+follows from D = tr M_P(lambda) and the zero count of one solution over
+[0, P], so closed spectral gaps count twice by structure.  The adaptive
+monodromy over [0, b] is kept as an independent integrator for the
+certificates at lambda = 2.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -25,7 +33,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from eqtorus.config import tolerances
 from eqtorus.maps import ProfileSet, build_profiles
@@ -56,10 +63,12 @@ TWO_PI = 2.0 * math.pi
 # eigenvalues this close to the threshold are the analytic boundary
 # eigenvalues (the map components), classified "at threshold", not counted
 AT_THRESHOLD_TOL = 1e-7
-# polished |trace - 2 cos phase| below this at a trace extremum marks a
-# closed gap: a double eigenvalue of the (anti)periodic problem
-TANGENCY_TOL = 1e-6
-CLUSTER_TOL = 1e-9
+# eigenvalues are located to brackets of this width
+LAMBDA_XTOL = 1e-11
+# interior points per bracket in one multisection sweep
+MULTISECTION = 63
+# largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
+PERIOD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,32 +76,30 @@ class SLProblem:
     """One Fourier-mode Hill problem with its Floquet boundary phase."""
 
     l: int
-    rho: object  # vectorized y -> rho(y) > 0, period b
+    rho: object  # vectorized y -> rho(y) > 0, period b / q
     b: float
     bc_phase: float           # 2 pi l a mod 2 pi
-    bc_type: str              # periodic | antiperiodic | generic
     rho_max: float
+    q: int = 1                # number of rho periods in [0, b]
 
     @property
     def trace_target(self) -> float:
         return 2.0 * math.cos(self.bc_phase)
+
+    @property
+    def period(self) -> float:
+        return self.b / self.q
 
 
 def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
     """Hill problem of mode l for the metric induced by the given map."""
     point = profiles.point
     la = l * point.a_exact
-    if la.denominator == 1:
-        bc = "periodic"
-    elif (2 * la).denominator == 1:
-        bc = "antiperiodic"
-    else:
-        bc = "generic"
     phase = TWO_PI * float(la - math.floor(la))
     t1, t2, t3 = profiles.tau.taus
     rho_max = 2.0 * math.pi**2 * (t2 + t3 - t1)
     return SLProblem(l=int(l), rho=profiles.rho, b=point.b, bc_phase=phase,
-                     bc_type=bc, rho_max=rho_max)
+                     rho_max=rho_max, q=profiles.params.q)
 
 
 # --------------------------------------------------------------------------
@@ -123,42 +130,35 @@ def monodromy(problem: SLProblem, lam: float, rtol: float | None = None):
     return np.array([[h1, h2], [v1, v2]])
 
 
-def _trace_accurate(problem: SLProblem, lam: float) -> float:
-    M = monodromy(problem, lam)
-    return float(M[0, 0] + M[1, 1])
-
-
 def _rk4_steps(problem: SLProblem, lam_max: float) -> int:
-    # fixed-step RK4 phase error ~ (omega b)^5 / (120 n^4); size n for ~1e-10
+    # fixed-step RK4 phase error ~ (omega P)^5 / (120 n^4); size n for ~1e-10
     omega = math.sqrt(max(lam_max * problem.rho_max,
                           4.0 * math.pi**2 * problem.l**2, 1.0))
-    theta = omega * problem.b
+    theta = omega * problem.period
     n = int((theta**5 / (120.0 * 1e-10)) ** 0.25) + 1
-    return min(max(n, 800), 60000)
+    return max(n, 100)
 
 
-def _trace_grid(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
-    """trace M(lambda) for a whole grid of lambdas at once (fixed-step RK4).
+def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
+    """(tr M_P(lambda), zeros of s in (0, P]) for every lambda in one pass.
 
-    Both fundamental solutions propagate as one (2, n_lam) state, so the
-    whole lambda sweep costs a single pass over the y-mesh.
+    Fixed-step RK4 with step h over one period P = h (rho.size - 1) / 2,
+    with rho sampled at the step nodes and midpoints; s is the solution with
+    s(0) = 0, s'(0) = 1.  Both fundamental solutions propagate as one
+    (2, n_lam) state, so the whole lambda batch costs a single pass.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    n = _rk4_steps(problem, float(np.max(lams)))
-    h = problem.b / n
-    y_nodes = np.linspace(0.0, problem.b, 2 * n + 1)
-    rho = np.asarray(problem.rho(y_nodes), dtype=float)
-    k2 = 4.0 * math.pi**2 * problem.l**2
     nl = lams.size
     H = np.zeros((2, nl))
     V = np.zeros((2, nl))
     H[0] = 1.0
     V[1] = 1.0
+    negative = np.zeros(nl, dtype=bool)
+    zeros = np.zeros(nl, dtype=int)
     h6 = h / 6.0
-    for i in range(n):
-        g0 = k2 - lams * rho[2 * i]
-        gm = k2 - lams * rho[2 * i + 1]
-        g1 = k2 - lams * rho[2 * i + 2]
+    for i in range(0, rho.size - 1, 2):
+        g0 = k2 - lams * rho[i]
+        gm = k2 - lams * rho[i + 1]
+        g1 = k2 - lams * rho[i + 2]
         k1v = g0 * H
         k2h = V + 0.5 * h * k1v
         k2v = gm * (H + 0.5 * h * V)
@@ -168,7 +168,22 @@ def _trace_grid(problem: SLProblem, lams: np.ndarray) -> np.ndarray:
         k4v = g1 * (H + h * k3h)
         H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
         V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return H[0] + V[1]
+        now = H[1] < 0.0
+        zeros += now != negative
+        negative = now
+    return H[0] + V[1], zeros
+
+
+def _floquet_count(D: np.ndarray, zeros: np.ndarray, target) -> np.ndarray:
+    """Eigenvalues below lambda of the one-period problem with multiplier
+    e^{i phi}, target = 2 cos phi, from D = tr M_P(lambda) and the zero
+    count n of s (oscillation theorem for Hill's equation): inside a band
+    n + [D < target] for even n and n + [D > target] for odd n, inside a
+    gap n if sign D = (-1)^n and n + 1 if not."""
+    even = zeros % 2 == 0
+    band = np.where(even, D < target, D > target)
+    gap = np.where(even, D < 0.0, D > 0.0)
+    return zeros + np.where(np.abs(D) < 2.0, band, gap)
 
 
 # --------------------------------------------------------------------------
@@ -185,122 +200,70 @@ class ModeCount:
     warnings: list[str] = field(default_factory=list)
 
 
-def _window_poly(lams, F, i, half: int = 3):
-    lo = max(0, i - half)
-    hi = min(len(lams), i + half + 1)
-    xs = lams[lo:hi]
-    return np.polynomial.polynomial.Polynomial.fit(xs, F[lo:hi], deg=len(xs) - 1)
-
-
-def _poly_real_roots(poly, lo: float, hi: float) -> list[float]:
-    roots = poly.roots()
-    out = [float(r.real) for r in roots
-           if abs(r.imag) < 1e-9 and lo <= r.real <= hi]
-    return sorted(out)
-
-
-def count_below(problem: SLProblem, threshold: float = 2.0,
-                grid_points: int = 2000) -> ModeCount:
+def count_below(problem: SLProblem, threshold: float = 2.0) -> ModeCount:
     """Count eigenvalues strictly below the threshold, with multiplicity.
 
-    Scans trace(M(lambda)) - 2 cos(phase) on a grid over (0, threshold],
-    refines sign changes by bisection on local interpolants of the trace,
-    counts (anti)periodic trace tangencies (closed spectral gaps) with
-    multiplicity 2, and classifies eigenvalues within AT_THRESHOLD_TOL of
-    the threshold as boundary eigenvalues that do not count.  For l = 0 the
-    flat zero mode lambda = 0 is excluded by starting the scan at 1e-9.
-
-    Tangency windows are re-sampled on fine local grids (one batched ODE
-    sweep for all windows) so that the extremal trace value is resolved to
-    integrator accuracy before the closed/open gap decision.
+    rho has period P = b/q, so the mode's spectrum is the union over
+    j < q of the one-period problems with multiplier e^{i phi_j},
+    phi_j = (bc_phase + 2 pi j)/q, and its count below lambda is the sum of
+    their oscillation counts (_floquet_count), minus the constants at
+    l = 0.  The count is an integer from one RK4 sweep over [0, P]; closed
+    gaps come out double by structure.  Evaluated at threshold -+
+    AT_THRESHOLD_TOL it splits the eigenvalues from the boundary
+    eigenvalues at the threshold (the map components, not counted).  Each
+    eigenvalue is located to LAMBDA_XTOL by batched multisection on the
+    count.  Raises ValueError if rho does not have period P.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    out = ModeCount(l=problem.l, count=0)
-    target = problem.trace_target
-    # uniform in sqrt(lambda): eigenvalues of a Hill problem grow ~ j^2, so
-    # this spaces the scan nodes evenly between consecutive eigenvalues
-    lams = np.linspace(math.sqrt(1e-9), math.sqrt(threshold), grid_points) ** 2
-    F = _trace_grid(problem, lams) - target
+    if threshold <= AT_THRESHOLD_TOL:
+        raise ValueError(f"threshold must exceed {AT_THRESHOLD_TOL}")
+    q, P = problem.q, problem.period
+    lo_edge = threshold - AT_THRESHOLD_TOL
+    hi_edge = threshold + AT_THRESHOLD_TOL
+    n = _rk4_steps(problem, hi_edge)
+    y = np.linspace(0.0, P, 2 * n + 1)
+    rho = np.asarray(problem.rho(y), dtype=float)
+    defect = float(np.max(np.abs(problem.rho(y + P) - rho)) / np.max(np.abs(rho)))
+    if not defect <= PERIOD_TOL:
+        raise ValueError(f"rho is not periodic with period b/q = {P:.9g} "
+                         f"(q = {q}): relative defect {defect:.3g}; a wrong "
+                         "q or a tau solve that does not close the profile")
+    k2 = 4.0 * math.pi**2 * problem.l**2
+    targets = 2.0 * np.cos((problem.bc_phase + TWO_PI * np.arange(q)) / q)
 
-    roots: list[float] = []
-    # plain sign changes, refined on the 7-node window interpolant
-    sign = np.sign(F)
-    crossing_cells = [i for i in range(len(lams) - 1)
-                      if sign[i] != 0.0 and sign[i + 1] != 0.0
-                      and sign[i] != sign[i + 1]]
-    for i in crossing_cells:
-        poly = _window_poly(lams, F, i)
-        try:
-            roots.append(float(brentq(poly, lams[i], lams[i + 1], xtol=1e-12)))
-        except ValueError:  # interpolation noise at a grazing crossing
-            roots.append(0.5 * (lams[i] + lams[i + 1]))
+    def counts(lams: np.ndarray) -> np.ndarray:  # shape (q, lams.size)
+        D, zeros = _period_sweep(rho, P / n, k2, lams)
+        return _floquet_count(D, zeros, targets[:, None])
 
-    # candidate tangency windows: local minima of |F| without a crossing;
-    # only the (anti)periodic problems can carry double eigenvalues
-    windows: list[int] = []
-    if problem.bc_type in ("periodic", "antiperiodic"):
-        absF = np.abs(F)
-        for i in range(1, len(lams) - 1):
-            if not (absF[i] <= absF[i - 1] and absF[i] <= absF[i + 1]):
-                continue
-            # 3-point parabola vertex estimate makes the trigger independent
-            # of the (possibly huge) trace curvature
-            curv = F[i + 1] - 2.0 * F[i] + F[i - 1]
-            if curv != 0.0:
-                f_vert = F[i] - (F[i + 1] - F[i - 1]) ** 2 / (8.0 * curv)
-            else:
-                f_vert = F[i]
-            if abs(f_vert) > 1e-3 and absF[i] > 1e-2:
-                continue
-            if any(lams[i - 1] <= r <= lams[i + 1] for r in roots):
-                continue
-            windows.append(i)
-
-    if windows:
-        fine_n = 17
-        fine_grids = [np.linspace(lams[i - 1], lams[i + 1], fine_n)
-                      for i in windows]
-        fine_F = _trace_grid(problem, np.concatenate(fine_grids)) - target
-        for w, i in enumerate(windows):
-            xs = fine_grids[w]
-            ys = fine_F[w * fine_n:(w + 1) * fine_n]
-            poly = np.polynomial.polynomial.Polynomial.fit(xs, ys, deg=8)
-            crossings = _poly_real_roots(poly, xs[0], xs[-1])
-            if crossings:
-                # an open gap narrower than the coarse grid: two real roots
-                roots.extend(crossings)
-                continue
-            verts = _poly_real_roots(poly.deriv(), xs[0], xs[-1])
-            if not verts:
-                continue
-            lam_v = min(verts, key=lambda v: abs(poly(v)))
-            f_v = float(poly(lam_v))
-            if abs(f_v) <= TANGENCY_TOL:
-                roots.extend([lam_v, lam_v])  # closed gap: multiplicity 2
-            elif abs(f_v) <= 1e-4:
-                out.warnings.append(
-                    f"l={problem.l}: near tangency at lambda={lam_v:.9g} "
-                    f"with residual {f_v:.3g} left uncounted")
-
-    roots.sort()
-    for i in range(len(roots) - 1):
-        if 0.0 < roots[i + 1] - roots[i] < CLUSTER_TOL:
-            out.warnings.append(
-                f"l={problem.l}: unresolved multiplicity near {roots[i]:.9g}")
-    if roots:
-        # certify every root against one batched integrator pass
-        residuals = np.abs(_trace_grid(problem, np.array(roots)) - target)
-        bad = residuals > 1e-5 * max(1.0, abs(target))
-        for r, res in zip(np.array(roots)[bad], residuals[bad]):
-            out.warnings.append(
-                f"l={problem.l}: root at {r:.9g} has trace residual {res:.3g}")
-    for r in roots:
-        if r < threshold - AT_THRESHOLD_TOL:
-            out.eigenvalues.append(r)
-        else:
-            out.at_threshold.append(r)
-    out.count = len(out.eigenvalues)
+    # eigenvalues <= 0: only the constants (l = 0, j = 0) at lambda = 0
+    at_zero = np.zeros(q, dtype=int)
+    at_zero[0] = problem.l == 0
+    N = np.column_stack([at_zero, counts(np.array([lo_edge, hi_edge]))])
+    # brackets (lo, hi] with the per-j counts at both ends
+    lo, hi = np.array([0.0, lo_edge]), np.array([lo_edge, hi_edge])
+    n_lo, n_hi = N[:, :-1], N[:, 1:]
+    found = []
+    t = np.linspace(0.0, 1.0, MULTISECTION + 2)
+    while True:
+        mult = (n_hi - n_lo).sum(axis=0)
+        done = hi - lo <= LAMBDA_XTOL
+        found.append(np.repeat(0.5 * (lo + hi)[done], mult[done]))
+        keep = ~done & (mult > 0)
+        if not keep.any():
+            break
+        lo, hi, n_lo, n_hi = lo[keep], hi[keep], n_lo[:, keep], n_hi[:, keep]
+        grid = lo[:, None] + (hi - lo)[:, None] * t
+        inner = counts(grid[:, 1:-1].ravel()).reshape(q, lo.size, MULTISECTION)
+        C = np.concatenate([n_lo[:, :, None], inner, n_hi[:, :, None]], axis=2)
+        # the count is monotone in lambda; integrator noise at a crossing
+        # must neither add nor drop an eigenvalue of the bracket
+        C = np.minimum(np.maximum.accumulate(C, axis=2), n_hi[:, :, None])
+        b_idx, k_idx = np.nonzero((np.diff(C, axis=2) > 0).any(axis=0))
+        lo, hi = grid[b_idx, k_idx], grid[b_idx, k_idx + 1]
+        n_lo, n_hi = C[:, b_idx, k_idx], C[:, b_idx, k_idx + 1]
+    eigs = np.sort(np.concatenate(found))
+    out = ModeCount(l=problem.l, count=int(np.sum(eigs < lo_edge)))
+    out.eigenvalues = [float(x) for x in eigs[:out.count]]
+    out.at_threshold = [float(x) for x in eigs[out.count:]]
     return out
 
 
@@ -331,8 +294,8 @@ def n2_lower_bound(params: MapParams, point: ModuliPoint) -> int:
             + 2 * (math.ceil(2 * abs(rpa) - 1) + delta_zero))
 
 
-def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
-                grid_points: int = 2000) -> SpectrumReport:
+def assemble_N2(tau: TauTriple, params: MapParams,
+                point: ModuliPoint) -> SpectrumReport:
     """Exact N(2) by mode-by-mode Floquet counting.
 
     The mode loop stops at l_max = ceil(sqrt(tau2+tau3-tau1)): beyond it the
@@ -347,7 +310,7 @@ def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
     warnings: list[str] = []
     for l in range(l_max + 1):
         problem = sl_problem(profiles, l)
-        mc = count_below(problem, threshold=2.0, grid_points=grid_points)
+        mc = count_below(problem, threshold=2.0)
         counts.append(mc)
         warnings.extend(mc.warnings)
     n2 = 1 + counts[0].count + 2 * sum(mc.count for mc in counts[1:])
@@ -355,7 +318,8 @@ def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
     certs = {}
     for l in (0, 1):
         problem = sl_problem(profiles, l)
-        certs[l] = abs(_trace_accurate(problem, 2.0) - problem.trace_target)
+        certs[l] = abs(np.trace(monodromy(problem, 2.0))
+                       - problem.trace_target)
     rpa = abs(params.r + point.a_exact)
     ratio_cond = (Fraction(params.p, params.q) ** 2 > Fraction(1, 3)
                   or 16 * rpa**2 < 3 * params.q**2)

@@ -79,6 +79,15 @@ class TestSpectral:
         assert doc["N2"] == 1
         assert doc["equality"] is True
         assert max(doc["trace_certificates"].values()) <= 1e-7
+        assert doc["warnings"] == []
+        assert [m["l"] for m in doc["modes"]] == [0, 1, 2]
+        for mode in doc["modes"]:
+            assert mode.keys() == {"l", "count", "eigenvalues", "at_threshold"}
+
+    def test_grid_points_flag_removed(self, run):
+        with pytest.raises(SystemExit):
+            run("spectral", "--a", "0.3", "--b", "1.4", "--p", "1", "--q", "1",
+                "--r", "0", "--grid-points", "100")
 
 
 class TestScan:
@@ -149,6 +158,13 @@ class TestStability:
         for row in doc["per_mode"].values():
             assert {"borderline", "counts_match", "shift_retries"} <= row.keys()
 
+    def test_index_deterministic(self, run):
+        args = ("stability", "--report", "index", "--a", "0.3", "--b", "1.4")
+        code, out1, _ = run(*args)
+        _, out2, _ = run(*args)
+        assert code == 0
+        assert out1 == out2
+
     def test_index_single_resolution_rejected(self, run):
         code, out, err = run("stability", "--report", "index",
                              "--a", "0.3", "--b", "1.4",
@@ -176,11 +192,22 @@ class TestMeshCommand:
 class TestConfig:
     def test_config_file_parsed(self, run, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver_tol = 1e-13\n# comment\nquadrature_tol = 1e-11\n")
+        cfg.write_text("solver_tol = 1e-13\n# comment\node_rtol = 1e-10\n")
         code, out, _ = run("--config", str(cfg), "solve-tau", "--a", "0",
                            "--b", "2", "--p", "1", "--q", "1", "--r", "0")
         assert code == 0
         assert json.loads(out)["regime"] == "nonlimit"
+
+    @pytest.mark.parametrize("key", ["quadrature_tol", "a_min", "b_steps",
+                                     "output_format"])
+    def test_removed_key_rejected(self, run, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, out, err = run("--config", str(cfg), "solve-tau", "--a", "0",
+                             "--b", "2", "--p", "1", "--q", "1", "--r", "0")
+        assert code == 1
+        assert out == ""
+        assert "unknown config key" in err and key in err
 
     def test_env_override(self, run, monkeypatch):
         monkeypatch.setenv("EQTORUS_TOL_OVERRIDE", "10")

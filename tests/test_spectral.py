@@ -1,14 +1,18 @@
 """Floquet engine tests: monodromy, counting, N(2) assembly, strict instance."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eqtorus.maps import build_profiles
 from eqtorus.spectral import (
+    AT_THRESHOLD_TOL,
     SLProblem,
-    _trace_grid,
+    _period_sweep,
+    _rk4_steps,
     assemble_N2,
     construct_strict_instance,
     count_below,
@@ -19,9 +23,17 @@ from eqtorus.spectral import (
 from eqtorus.tau_solver import ModuliPoint, classify_params, solve_tau
 
 
-def _const_problem(c=1.0, b=1.0, l=0, phase=0.0, bc="periodic"):
+def _const_problem(c=1.0, b=1.0, l=0, phase=0.0):
     return SLProblem(l=l, rho=lambda y: np.full_like(np.asarray(y, float), c),
-                     b=b, bc_phase=phase, bc_type=bc, rho_max=c)
+                     b=b, bc_phase=phase, rho_max=c)
+
+
+def _sweep(problem, lams):
+    """(tr M_P, zeros of s over one period) on count_below's own mesh."""
+    n = _rk4_steps(problem, 2.0 + AT_THRESHOLD_TOL)
+    y = np.linspace(0.0, problem.period, 2 * n + 1)
+    return _period_sweep(problem.rho(y), problem.period / n,
+                         4.0 * math.pi**2 * problem.l**2, np.asarray(lams))
 
 
 def _profiles(a, b, p, q, r):
@@ -29,6 +41,11 @@ def _profiles(a, b, p, q, r):
     params = classify_params(point, p, q, r)
     tau = solve_tau(point, params)
     return point, params, tau, build_profiles(tau, params, point)
+
+
+@pytest.fixture(scope="module")
+def instance():
+    return construct_strict_instance()
 
 
 class TestMonodromy:
@@ -62,14 +79,30 @@ class TestMonodromy:
         want = np.exp(-2j * math.pi * point.a)
         assert min(abs(mults - want)) < 1e-7
 
-    def test_vectorized_grid_matches_adaptive(self):
+    def test_period_sweep_matches_adaptive(self):
+        # one RK4 period against DOP853 over one period, and its q-th power
+        # (tr M^q = 2 T_q(tr M / 2)) against DOP853 over the full [0, b]
         point, params, tau, prof = _profiles(0.25, 2.1, 2, 3, 0)
+        lams = np.array([0.3, 0.9, 1.5, 1.999])
         for l in (0, 1):
             pb = sl_problem(prof, l)
-            lams = np.array([0.3, 0.9, 1.5, 1.999])
-            fast = _trace_grid(pb, lams)
-            slow = [np.trace(monodromy(pb, lam)) for lam in lams]
+            one = dataclasses.replace(pb, b=pb.period, q=1)
+            fast, _ = _sweep(pb, lams)
+            slow = [np.trace(monodromy(one, lam)) for lam in lams]
             np.testing.assert_allclose(fast, slow, atol=1e-9)
+            full = 2.0 * np.polynomial.chebyshev.chebval(
+                fast / 2.0, [0.0] * pb.q + [1.0])
+            slow = [np.trace(monodromy(pb, lam)) for lam in lams]
+            np.testing.assert_allclose(full, slow, atol=1e-8)
+
+    def test_period_sweep_zero_count(self):
+        # rho = c: s(y) = sin(omega y) / omega, omega^2 = c lambda - k^2,
+        # has floor(omega P / pi) zeros in (0, P]
+        pb = _const_problem(c=30.0, b=1.3, l=1)
+        lams = np.array([1.5, 2.0, 3.0, 5.0, 9.0])
+        _, zeros = _sweep(pb, lams)
+        omega = np.sqrt(30.0 * lams - 4.0 * math.pi**2)
+        np.testing.assert_array_equal(zeros, np.floor(omega * 1.3 / math.pi))
 
 
 class TestCountBelow:
@@ -114,6 +147,82 @@ class TestCountBelow:
         for lam in mc.eigenvalues:
             M = monodromy(pb, lam)
             assert np.trace(M) == pytest.approx(pb.trace_target, abs=1e-6)
+
+    def test_map_components_at_threshold(self):
+        # the (1,1,0) map components are eigenfunctions with eigenvalue
+        # exactly 2: two at l = 0 (periodic) and one at l = 1
+        _, _, _, prof = _profiles(0.3, 1.4, 1, 1, 0)
+        mc0 = count_below(sl_problem(prof, 0))
+        mc1 = count_below(sl_problem(prof, 1))
+        assert len(mc0.at_threshold) == 2
+        assert len(mc1.at_threshold) == 1
+        for lam in mc0.at_threshold + mc1.at_threshold:
+            assert lam == pytest.approx(2.0, abs=1e-7)
+
+    def test_rejects_wrong_period(self):
+        # rho has period b but not b/2: claiming q = 2 must fail loudly
+        pb = SLProblem(l=0, rho=lambda y: 3.0 + np.sin(2.0 * math.pi * y),
+                       b=1.0, bc_phase=0.0, rho_max=4.0, q=2)
+        with pytest.raises(ValueError, match="period"):
+            count_below(pb)
+        count_below(dataclasses.replace(pb, q=1))  # the true period passes
+
+
+MIXED_CASES = [
+    (0.25, 2.1, 2, 3, 0), (0.5, 2.0, 2, 3, 1), (0.25, 1.25, 1, 2, 0),
+    (0.0, 1.3, 1, 2, 1), (0.0, 2.0, 1, 1, 0), (0.3, 2.2, 2, 2, 0),
+    (0.1, 3.1, 3, 4, 0), (0.4, 2.0, 2, 4, 1), (0.2, 2.6, 2, 3, -1),
+    (0.3, 1.4, 1, 1, 0),
+]
+
+
+def _hill_oracle(problem, threshold=2.0, nmax=64):
+    """Eigenvalues below and at the threshold without any integrator.
+
+    Fourier (Hill-matrix) Galerkin over one period P = b/q: for each j the
+    multiplier e^{-i phi_j} is carried by e^{i kappa_j y}, kappa_j =
+    -phi_j/P, so A = diag((kappa_j + 2 pi n/P)^2 + 4 pi^2 l^2) and B is the
+    Hermitian Toeplitz matrix of rho's Fourier coefficients, |n| <= nmax.
+    """
+    P = problem.period
+    samples = 8 * nmax
+    coef = np.fft.fft(problem.rho(np.arange(samples) * P / samples)) / samples
+    n = np.arange(-nmax, nmax + 1)
+    B = coef[(n[:, None] - n[None, :]) % samples]
+    eigs = []
+    for j in range(problem.q):
+        kappa = -(problem.bc_phase + 2.0 * math.pi * j) / problem.q / P
+        A = np.diag((kappa + 2.0 * math.pi * n / P) ** 2
+                    + 4.0 * math.pi**2 * problem.l**2)
+        vals = scipy.linalg.eigh(A, B, eigvals_only=True)
+        eigs.extend(vals[vals < threshold + AT_THRESHOLD_TOL])
+    eigs = np.sort(eigs)[1 if problem.l == 0 else 0:]  # drop the constants
+    split = int(np.sum(eigs < threshold - AT_THRESHOLD_TOL))
+    return eigs[:split], eigs[split:]
+
+
+def _assert_matches_oracle(problem):
+    mc = count_below(problem)
+    below, at = _hill_oracle(problem)
+    assert mc.count == len(mc.eigenvalues) == len(below)
+    assert len(mc.at_threshold) == len(at)
+    np.testing.assert_allclose(mc.eigenvalues, below, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(mc.at_threshold, at, rtol=0, atol=1e-8)
+
+
+class TestHillOracle:
+    @pytest.mark.parametrize("case", MIXED_CASES)
+    def test_mixed_cases(self, case):
+        _, _, tau, prof = _profiles(*case)
+        l_max = math.ceil(math.sqrt(tau.tau2 + tau.tau3 - tau.tau1))
+        for l in range(l_max + 1):
+            _assert_matches_oracle(sl_problem(prof, l))
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_strict_instance_modes(self, instance, l):
+        point, params, cert = instance
+        prof = build_profiles(cert["tau"], params, point)
+        _assert_matches_oracle(sl_problem(prof, l))
 
 
 class TestAssembleN2:
@@ -167,22 +276,19 @@ class TestAssembleN2:
 class TestBoundaryConditions:
     def test_classification_from_exact_a(self):
         _, _, _, prof = _profiles(0.5, 2.0, 2, 3, 1)
-        assert sl_problem(prof, 0).bc_type == "periodic"
-        assert sl_problem(prof, 1).bc_type == "antiperiodic"
+        # periodic and antiperiodic phases come out exact, from exact a
+        assert sl_problem(prof, 0).bc_phase == 0.0
+        assert sl_problem(prof, 1).bc_phase == math.pi
+        assert sl_problem(prof, 1).trace_target == -2.0
         _, _, _, prof_q = _profiles(0.25, 2.1, 2, 3, 0)
-        assert sl_problem(prof_q, 1).bc_type == "generic"
-        assert sl_problem(prof_q, 4).bc_type == "periodic"
-        assert sl_problem(prof_q, 2).bc_type == "antiperiodic"
+        assert sl_problem(prof_q, 1).bc_phase not in (0.0, math.pi)
+        assert sl_problem(prof_q, 4).bc_phase == 0.0
+        assert sl_problem(prof_q, 2).bc_phase == math.pi
 
     def test_phase(self):
         _, _, _, prof = _profiles(0.25, 2.1, 2, 3, 0)
         assert sl_problem(prof, 1).bc_phase == pytest.approx(math.pi / 2)
         assert sl_problem(prof, 1).trace_target == pytest.approx(0.0, abs=1e-15)
-
-
-@pytest.fixture(scope="module")
-def instance():
-    return construct_strict_instance()
 
 
 class TestStrictInstance:
@@ -209,6 +315,8 @@ class TestStrictInstance:
         rep = assemble_N2(cert["tau"], params, point)
         assert rep.n2 > rep.bound_rhs
         assert not rep.equality
+        assert (rep.n2, rep.bound_rhs) == (191, 147)
+        assert [mc.count for mc in rep.counts_below_2] == [50, 48, 22, 0]
         # mode 0 carries its full unconditional complement 2p - 2
         assert rep.counts_below_2[0].count == 2 * params.p - 2
         # generic-phase modes have simple, well-separated eigenvalues
@@ -217,3 +325,18 @@ class TestStrictInstance:
                 continue
             gaps = np.diff(mc.eigenvalues)
             assert gaps.size == 0 or float(np.min(gaps)) > 1e-6
+        assert rep.counts_below_2[2].count == cert["mode2_count"]
+        assert rep.warnings == []
+
+    def test_eigenvalues_certified_by_adaptive_monodromy(self, instance):
+        # the DOP853 monodromy over the whole [0, b] = q periods confirms
+        # every located eigenvalue of the three contributing modes; rtol
+        # 1e-9 keeps its own error below 1e-7 at a third less run time
+        point, params, cert = instance
+        prof = build_profiles(cert["tau"], params, point)
+        for l in (0, 1, 2):
+            pb = sl_problem(prof, l)
+            for lam in np.unique(count_below(pb).eigenvalues):
+                M = monodromy(pb, lam, rtol=1e-9)
+                residual = abs(np.trace(M) - pb.trace_target)
+                assert residual <= 1e-6, (l, lam, residual)
