@@ -2,10 +2,11 @@
 """Count the Laplace spectrum of the induced metrics below the critical level
 2 by Floquet analysis, mode by mode, and compare with the counting bound.
 
-Run:  python3 demos/02_spectral_counts.py        (a few seconds)
+Run:  python3 demos/02_spectral_counts.py        (~2 s)
       python3 demos/02_spectral_counts.py --strict   (adds the construction
-      whose count strictly exceeds the bound: ~3 s more, ~7 s in all on a
-      2-vCPU host)
+      whose count strictly exceeds the bound: ~3 s more, ~5.5 s in all on a
+      2-vCPU host; its wide multisection sweeps are bound by arithmetic, so
+      the blocked period sweep does not speed them up)
 """
 
 import sys

@@ -104,7 +104,7 @@ def cmd_spectral(args) -> int:
     from eqtorus.spectral import assemble_N2
 
     point, params, tau = _solve(args)
-    rep = assemble_N2(tau, params, point)
+    rep = assemble_N2(tau, params, point, tol=args.tol)
     _emit({
         "a": point.a, "b": point.b,
         "p": params.p, "q": params.q, "r": params.r,
@@ -130,7 +130,7 @@ def cmd_scan(args) -> int:
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
     b_vals = np.linspace(args.b_min, args.b_max, args.b_steps)
     rows = moduli_scan(a_vals, b_vals, args.p, args.q, args.r,
-                       with_n2=args.with_n2, jobs=args.jobs)
+                       with_n2=args.with_n2, jobs=args.jobs, tol=args.tol)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_scan_csv(rows, fh)
@@ -196,7 +196,7 @@ def cmd_stability(args) -> int:
     else:  # index
         point = _point(args)
         res = tuple(int(s) for s in args.resolutions.split(","))
-        est = st.index_nullity_estimate(point, resolutions=res)
+        est = st.index_nullity_estimate(point, resolutions=res, tol=args.tol)
         _emit({
             "report": "index", "a": point.a, "b": point.b,
             "index": est.index, "nullity": est.nullity,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
+from eqtorus.config import Tolerances, tolerances
 from eqtorus.elliptic import complete_E, complete_K
 from eqtorus.maps import ProfileSet, build_profiles, hopf_constants
 from eqtorus.tau_solver import (
@@ -107,18 +108,33 @@ def functional_value(tau: TauTriple, params: MapParams, point: ModuliPoint,
 def flat_lambda1(point: ModuliPoint) -> float:
     """Normalized first eigenvalue of the flat torus: 4 pi^2 b min |gamma*|^2.
 
-    The dual lattice is spanned by (1, -a/b) and (0, 1/b); the minimum runs
-    over a small integer window, which covers every reduced lattice.  On the
+    The dual lattice vector k (1, -a/b) + j (0, 1/b) has squared length
+    k^2 + (j - k a)^2 / b^2.  Lagrange-Gauss reduction of the integer basis
+    (k, j) = (1, 0), (0, 1) gives a reduced basis u, v, and every shortest
+    vector of a plane lattice is one of +-u, +-v, +-(u + v), +-(u - v), so
+    the minimum over those four is exact for every lattice.  On the
     standard moduli domain the value collapses to 4 pi^2 / b.
     """
     a, b = point.a, point.b
-    best = math.inf
-    for k in range(-2, 3):
-        for j in range(-3, 4):
-            if k == 0 and j == 0:
-                continue
-            best = min(best, k * k + (j - k * a) ** 2 / (b * b))
-    return 4.0 * math.pi**2 * b * best
+
+    def norm2(w):
+        k, j = w
+        return k * k + (j - k * a) ** 2 / (b * b)
+
+    def dot(w, z):
+        return w[0] * z[0] + (w[1] - w[0] * a) * (z[1] - z[0] * a) / (b * b)
+
+    u, v = (1, 0), (0, 1)
+    if norm2(u) > norm2(v):
+        u, v = v, u
+    while True:  # |u| <= |v|; the loop ends once v - mu u is no shorter
+        mu = round(dot(u, v) / norm2(u))
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+        if norm2(v) >= norm2(u):
+            break
+        u, v = v, u
+    candidates = (u, v, (u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1]))
+    return 4.0 * math.pi**2 * b * min(norm2(w) for w in candidates)
 
 
 # --------------------------------------------------------------------------
@@ -204,13 +220,13 @@ SCAN_COLUMNS = ["a", "b", "tau1", "tau2", "tau3", "m", "lambda_bar",
 
 
 def _scan_row(a: float, b: float, p: int, q: int, r: int,
-              with_n2: bool) -> dict:
+              with_n2: bool, tol: Tolerances) -> dict:
     point = ModuliPoint(a, b)
     row = dict.fromkeys(SCAN_COLUMNS)
     row["a"], row["b"] = point.a, point.b
     try:
         params = classify_params(point, p, q, r)
-        tau = solve_tau(point, params)
+        tau = solve_tau(point, params, xtol=tol.solver)
     except InfeasibleParametersError as exc:
         row["status"] = f"infeasible: {exc}"
         return row
@@ -223,7 +239,7 @@ def _scan_row(a: float, b: float, p: int, q: int, r: int,
     if with_n2:
         from eqtorus.spectral import assemble_N2
 
-        row["N2"] = assemble_N2(tau, params, point).n2
+        row["N2"] = assemble_N2(tau, params, point, tol=tol).n2
     else:
         from eqtorus.spectral import n2_lower_bound
 
@@ -237,20 +253,23 @@ def _scan_row(a: float, b: float, p: int, q: int, r: int,
 
 
 def moduli_scan(a_values, b_values, p: int, q: int, r: int,
-                with_n2: bool = False, jobs: int = 1) -> list[dict]:
+                with_n2: bool = False, jobs: int = 1,
+                tol: Tolerances | None = None) -> list[dict]:
     """Grid scan over (a, b); infeasible points are reported per row.
 
     Row order follows the grid index regardless of how work is scheduled.
+    Every row solves at tol (default: tolerances(), read here once).
     """
+    tol = tol or tolerances()
     grid = [(float(a), float(b)) for a in a_values for b in b_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_row, a, b, p, q, r, with_n2)
+            futures = [pool.submit(_scan_row, a, b, p, q, r, with_n2, tol)
                        for a, b in grid]
             return [f.result() for f in futures]
-    return [_scan_row(a, b, p, q, r, with_n2) for a, b in grid]
+    return [_scan_row(a, b, p, q, r, with_n2, tol) for a, b in grid]
 
 
 def write_scan_csv(rows: list[dict], fh) -> None:

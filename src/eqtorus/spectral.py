@@ -12,9 +12,12 @@ counted exactly by the oscillation theorem for Hill's equation (Magnus &
 Winkler, *Hill's Equation*, 1966; Eastham, *The Spectral Theory of Periodic
 Differential Equations*, 1973): its number of eigenvalues below lambda
 follows from D = tr M_P(lambda) and the zero count of one solution over
-[0, P], so closed spectral gaps count twice by structure.  The adaptive
-monodromy over [0, b] is kept as an independent integrator for the
-certificates at lambda = 2.
+[0, P], so closed spectral gaps count twice by structure.  Both come from
+one fixed-step RK4 sweep over [0, P] for a whole batch of lambdas; for a
+small batch the sweep runs about sqrt(n) blocks of the period side by side
+in two passes (_period_sweep), since numpy then pays per call rather than
+per lambda.  The adaptive monodromy over [0, b] is kept as an independent
+integrator for the certificates at lambda = 2.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -34,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from eqtorus.config import tolerances
+from eqtorus.config import Tolerances, tolerances
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.tau_solver import (
     MapParams,
@@ -69,6 +72,9 @@ LAMBDA_XTOL = 1e-11
 MULTISECTION = 63
 # largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
 PERIOD_TOL = 1e-9
+# lambdas x blocks per RK4 step beyond which numpy is bound by arithmetic,
+# not by per-call cost; the period sweep uses no more blocks than this allows
+WIDTH = 2048
 
 
 @dataclass(frozen=True)
@@ -139,39 +145,99 @@ def _rk4_steps(problem: SLProblem, lam_max: float) -> int:
     return max(n, 100)
 
 
+def _rk4_step(H, V, g0, gm, g1, h) -> None:
+    """One RK4 step of size h for (H, V) = (h, h') under h'' = g h, in place,
+    with g at the step's start, middle and end; h = 0 is the identity."""
+    h6 = h / 6.0
+    k1v = g0 * H
+    k2h = V + 0.5 * h * k1v
+    k2v = gm * (H + 0.5 * h * V)
+    k3h = V + 0.5 * h * k2v
+    k3v = gm * (H + 0.5 * h * k2h)
+    k4h = V + h * k3v
+    k4v = g1 * (H + h * k3h)
+    H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
+    V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+
+
 def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
     """(tr M_P(lambda), zeros of s in (0, P]) for every lambda in one pass.
 
-    Fixed-step RK4 with step h over one period P = h (rho.size - 1) / 2,
+    Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
     with rho sampled at the step nodes and midpoints; s is the solution with
-    s(0) = 0, s'(0) = 1.  Both fundamental solutions propagate as one
-    (2, n_lam) state, so the whole lambda batch costs a single pass.
+    s(0) = 0, s'(0) = 1.
+
+    A step over a few lambdas costs numpy's per-call overhead, not its
+    arithmetic, so the n steps are cut into B blocks of L steps each (the
+    last block padded with h = 0 steps, exact identities) and run in two
+    passes of L steps over all blocks at once.  Pass 1 propagates the
+    identity through every block; the ordered product of the block matrices
+    gives D and (s, s') at each block start, and block 0's second column is
+    s itself.  Pass 2 re-propagates s from the later block starts to count
+    its sign changes.  Each node's sign comes from one value only: a block's
+    end node takes the next block's composed start, so a zero on a block
+    boundary counts once.  B = isqrt(n), cut back so that B n_lam stays
+    within WIDTH: a wider batch is bound by arithmetic, which pass 2 would
+    raise by half.  B = 1 is the sequential sweep, one step per iteration.
     """
+    n = (rho.size - 1) // 2
     nl = lams.size
-    H = np.zeros((2, nl))
-    V = np.zeros((2, nl))
+    B = max(1, min(math.isqrt(n), WIDTH // nl))
+    L = -(-n // B)
+    # R[j, b] = rho at node j of block b; from step `full` on, the last
+    # block's steps are padding
+    padded = np.concatenate([rho, np.full(2 * (B * L - n), rho[-1])])
+    R = padded[2 * L * np.arange(B) + np.arange(2 * L + 1)[:, None]]
+    full = n - (B - 1) * L
+    h_tail = np.full((B, 1), h)
+    h_tail[-1] = 0.0
+
+    def step(i, first=0):  # step size of step i in blocks first..
+        return h if i < full else h_tail[first:]
+
+    def g(j, first=0):  # g at node j of blocks first.., shape (blocks, nl)
+        return k2 - lams * R[j, first:, None]
+
+    # pass 1: both fundamental solutions of every block, a (2, B, nl) state
+    H = np.zeros((2, B, nl))
+    V = np.zeros((2, B, nl))
     H[0] = 1.0
     V[1] = 1.0
     negative = np.zeros(nl, dtype=bool)
     zeros = np.zeros(nl, dtype=int)
-    h6 = h / 6.0
-    for i in range(0, rho.size - 1, 2):
-        g0 = k2 - lams * rho[i]
-        gm = k2 - lams * rho[i + 1]
-        g1 = k2 - lams * rho[i + 2]
-        k1v = g0 * H
-        k2h = V + 0.5 * h * k1v
-        k2v = gm * (H + 0.5 * h * V)
-        k3h = V + 0.5 * h * k2v
-        k3v = gm * (H + 0.5 * h * k2h)
-        k4h = V + h * k3v
-        k4v = g1 * (H + h * k3h)
-        H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
-        V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        now = H[1] < 0.0
+    g1 = g(0)
+    for i in range(L):
+        g0, gm, g1 = g1, g(2 * i + 1), g(2 * i + 2)
+        _rk4_step(H, V, g0, gm, g1, step(i))
+        now = H[1, 0] < 0.0
         zeros += now != negative
         negative = now
-    return H[0] + V[1], zeros
+    if B == 1:
+        return H[0, 0] + V[1, 0], zeros
+
+    # compose: M[r, c, b] is entry (r, c) of block b's matrix
+    M = np.stack([H, V])
+    prod = M[:, :, 0]
+    starts = np.empty((2, B - 1, nl))  # (s, s') at the starts of blocks 1..
+    for b in range(1, B):
+        starts[:, b - 1] = prod[:, 1]
+        prod = M[:, 0, b, None] * prod[0] + M[:, 1, b, None] * prod[1]
+
+    # pass 2: s through blocks 1.. from their composed starts
+    Hs, Vs = starts.copy()
+    start_negative = starts[0] < 0.0
+    negative = start_negative
+    changes = np.zeros((B - 1, nl), dtype=int)
+    g1 = g(0, 1)
+    for i in range(L):
+        g0, gm, g1 = g1, g(2 * i + 1, 1), g(2 * i + 2, 1)
+        _rk4_step(Hs, Vs, g0, gm, g1, step(i, 1))
+        now = Hs < 0.0
+        if i == L - 1:
+            now[:-1] = start_negative[1:]
+        changes += now != negative
+        negative = now
+    return prod[0, 0] + prod[1, 1], zeros + changes.sum(axis=0)
 
 
 def _floquet_count(D: np.ndarray, zeros: np.ndarray, target) -> np.ndarray:
@@ -294,15 +360,17 @@ def n2_lower_bound(params: MapParams, point: ModuliPoint) -> int:
             + 2 * (math.ceil(2 * abs(rpa) - 1) + delta_zero))
 
 
-def assemble_N2(tau: TauTriple, params: MapParams,
-                point: ModuliPoint) -> SpectrumReport:
+def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
+                tol: Tolerances | None = None) -> SpectrumReport:
     """Exact N(2) by mode-by-mode Floquet counting.
 
     The mode loop stops at l_max = ceil(sqrt(tau2+tau3-tau1)): beyond it the
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
-    are exact eigenfunctions with eigenvalue 2.
+    are exact eigenfunctions with eigenvalue 2, integrated at tol.ode_rtol
+    (default: tolerances()).
     """
+    tol = tol or tolerances()
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
     l_max = math.ceil(math.sqrt(tau_sum))
@@ -318,7 +386,7 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     certs = {}
     for l in (0, 1):
         problem = sl_problem(profiles, l)
-        certs[l] = abs(np.trace(monodromy(problem, 2.0))
+        certs[l] = abs(np.trace(monodromy(problem, 2.0, rtol=tol.ode_rtol))
                        - problem.trace_target)
     rpa = abs(params.r + point.a_exact)
     ratio_cond = (Fraction(params.p, params.q) ** 2 > Fraction(1, 3)

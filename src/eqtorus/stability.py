@@ -28,6 +28,7 @@ from scipy.integrate import dblquad
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import eigsh
 
+from eqtorus.config import Tolerances, tolerances
 from eqtorus.maps import build_circle_map, build_profiles
 from eqtorus.tau_solver import (
     CIRCLE_TOL,
@@ -382,7 +383,8 @@ def _check_resolutions(resolutions) -> tuple[int, int]:
 def index_nullity_estimate(point: ModuliPoint,
                            resolutions: tuple[int, int] = (512, 1024),
                            zero_tol: float = 1e-5,
-                           l_cap: int = 6) -> IndexNullity:
+                           l_cap: int = 6,
+                           tol: Tolerances | None = None) -> IndexNullity:
     """Energy index and nullity of the (1,1,0) map by Fourier-mode counting.
 
     Each x-Fourier mode gives a one-dimensional quadratic form in the frame
@@ -391,7 +393,7 @@ def index_nullity_estimate(point: ModuliPoint,
     classification, and the eigen-counts (not values) decide convergence.
     Modes l >= 1 count twice (real and imaginary parts).  The mode loop stops
     once a mode is strictly positive, which the l^2 growth of the x-term
-    makes monotone.
+    makes monotone.  The map is solved at tol.solver (default: tolerances()).
 
     Each per_mode[l] entry carries what its classification rests on:
     `borderline` (extrapolated values with zero_tol < |v| <= 10 zero_tol),
@@ -402,7 +404,7 @@ def index_nullity_estimate(point: ModuliPoint,
     """
     n_lo, n_hi = _check_resolutions(resolutions)
     params = classify_params(point, 1, 1, 0)
-    tau = solve_tau(point, params)
+    tau = solve_tau(point, params, xtol=(tol or tolerances()).solver)
     profiles = build_profiles(tau, params, point)
     span = 4.0 * math.pi**2 * (tau.tau2 + tau.tau3 - tau.tau1) + 10.0
     frame_lo = _grid_frame(profiles, n_lo)

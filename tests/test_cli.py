@@ -209,6 +209,39 @@ class TestConfig:
         assert out == ""
         assert "unknown config key" in err and key in err
 
+    def test_ode_rtol_reaches_certificates(self, run, tmp_path):
+        args = ("spectral", "--a", "0.3", "--b", "1.4",
+                "--p", "1", "--q", "1", "--r", "0")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ode_rtol = 1e-4\n")
+        code, out, _ = run(*args)
+        code_cfg, out_cfg, _ = run("--config", str(cfg), *args)
+        assert code == code_cfg == 0
+        doc, doc_cfg = json.loads(out), json.loads(out_cfg)
+        assert doc_cfg["trace_certificates"] != doc["trace_certificates"]
+        assert doc_cfg["modes"] == doc["modes"]  # the counts use no tolerance
+
+    def test_solver_tol_reaches_scan(self, run, tmp_path):
+        # the looser m-root of solver_tol = 1e-3 must show in the m column,
+        # also through the worker processes of --jobs 2
+        args = ("scan", "--p", "1", "--q", "1", "--r", "0",
+                "--a-min", "0.3", "--a-max", "0.3", "--a-steps", "1",
+                "--b-steps", "2")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver_tol = 1e-3\n")
+        code, out, _ = run(*args)
+        code_cfg, out_cfg, _ = run("--config", str(cfg), *args, "--jobs", "2")
+        assert code == code_cfg == 0
+
+        def m_column(csv_text):
+            header, *rows = csv_text.splitlines()
+            col = header.split(",").index("m")
+            return [float(row.split(",")[col]) for row in rows]
+
+        m, m_cfg = m_column(out), m_column(out_cfg)
+        assert len(m) == len(m_cfg) == 2
+        assert all(abs(x - y) > 1e-6 for x, y in zip(m, m_cfg))
+
     def test_env_override(self, run, monkeypatch):
         monkeypatch.setenv("EQTORUS_TOL_OVERRIDE", "10")
         code, out, _ = run("solve-tau", "--a", "0", "--b", "2",

@@ -86,6 +86,33 @@ class TestFlatLambda1:
         assert flat_lambda1(ModuliPoint(0, 2.0)) == pytest.approx(
             2 * math.pi**2, rel=1e-14)
 
+    @staticmethod
+    def _brute_force(point, reach=60):
+        a, b = point.a, point.b
+        return 4 * math.pi**2 * b * min(
+            k * k + (j - k * a) ** 2 / (b * b)
+            for k in range(-reach, reach + 1) for j in range(-reach, reach + 1)
+            if k or j)
+
+    def test_unreduced_lattice(self):
+        # a = 3/10, b = 0.05: the shortest dual vector is (k, j) = (3, 1),
+        # outside a fixed window that covers reduced lattices only
+        pt = ModuliPoint("3/10", 0.05)
+        assert flat_lambda1(pt) == pytest.approx(25.660971442832345, rel=1e-12)
+        assert flat_lambda1(pt) == pytest.approx(self._brute_force(pt),
+                                                 rel=1e-12)
+
+    def test_matches_brute_force(self):
+        # random shears well past |a| = 1/2 and heights below 1: every
+        # shortest dual vector lies inside |k|, |j| <= 60 for b >= 0.05
+        rng = np.random.default_rng(5)
+        shears = rng.uniform(-3.0, 3.0, 60)
+        heights = rng.uniform(0.05, 3.0, 60)
+        for a, b in zip(shears, heights):
+            pt = ModuliPoint(float(a), float(b))
+            assert flat_lambda1(pt) == pytest.approx(self._brute_force(pt),
+                                                     rel=1e-12)
+
 
 class TestXi:
     @pytest.mark.parametrize("m", [0.05, 0.2, 0.5, 0.8, 0.95])

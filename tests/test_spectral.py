@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
+
+from eqtorus import spectral
 
 from eqtorus.maps import build_profiles
 from eqtorus.spectral import (
@@ -103,6 +106,104 @@ class TestMonodromy:
         _, zeros = _sweep(pb, lams)
         omega = np.sqrt(30.0 * lams - 4.0 * math.pi**2)
         np.testing.assert_array_equal(zeros, np.floor(omega * 1.3 / math.pi))
+
+
+def _sequential_sweep(rho, h, k2, lams):
+    """The unblocked period sweep: one RK4 step per iteration over a
+    (2, n_lam) state, counting the sign changes of s node by node."""
+    nl = lams.size
+    H = np.zeros((2, nl))
+    V = np.zeros((2, nl))
+    H[0] = 1.0
+    V[1] = 1.0
+    negative = np.zeros(nl, dtype=bool)
+    zeros = np.zeros(nl, dtype=int)
+    h6 = h / 6.0
+    for i in range(0, rho.size - 1, 2):
+        g0 = k2 - lams * rho[i]
+        gm = k2 - lams * rho[i + 1]
+        g1 = k2 - lams * rho[i + 2]
+        k1v = g0 * H
+        k2h = V + 0.5 * h * k1v
+        k2v = gm * (H + 0.5 * h * V)
+        k3h = V + 0.5 * h * k2v
+        k3v = gm * (H + 0.5 * h * k2h)
+        k4h = V + h * k3v
+        k4v = g1 * (H + h * k3h)
+        H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
+        V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        now = H[1] < 0.0
+        zeros += now != negative
+        negative = now
+    return H[0] + V[1], zeros
+
+
+def _blocks(monkeypatch, n, nl, blocks):
+    """Make _period_sweep cut n steps over nl lambdas into `blocks` blocks."""
+    monkeypatch.setattr(spectral, "WIDTH", blocks * nl)
+    assert max(1, min(math.isqrt(n), spectral.WIDTH // nl)) == blocks
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("n,nl", [(151, 1), (151, 2), (1337, 2),
+                                      (1337, 63), (151, 4096)])
+    @pytest.mark.parametrize("which", ["one", "two", "sqrt"])
+    def test_matches_sequential(self, monkeypatch, n, nl, which):
+        # n = 151 and 1337 leave a padded last block for B = 2 and sqrt(n);
+        # lambdas run from exponential growth (g > 0) to ~20 zeros
+        blocks = {"one": 1, "two": 2, "sqrt": math.isqrt(n)}[which]
+        _blocks(monkeypatch, n, nl, blocks)
+        y = np.linspace(0.0, 1.0, 2 * n + 1)
+        rho = (30.0 + 10.0 * np.sin(2.0 * math.pi * y)
+               + 3.0 * np.cos(6.0 * math.pi * y))
+        k2 = 4.0 * math.pi**2
+        lams = np.sort(np.random.default_rng(nl).uniform(0.1, 150.0, nl))
+        D, zeros = _period_sweep(rho, 1.0 / n, k2, lams)
+        D_seq, zeros_seq = _sequential_sweep(rho, 1.0 / n, k2, lams)
+        np.testing.assert_array_equal(zeros, zeros_seq)
+        scale = np.maximum(np.abs(D_seq), 1.0)
+        assert np.max(np.abs(D - D_seq) / scale) <= 1e-12
+        if blocks == 1:  # one block is the sequential sweep, bit for bit
+            np.testing.assert_array_equal(D, D_seq)
+
+    def test_default_blocks(self):
+        # small batches get sqrt(n) blocks, wide ones a single block
+        n = 1337
+        y = np.linspace(0.0, 1.0, 2 * n + 1)
+        rho = 30.0 + 10.0 * np.sin(2.0 * math.pi * y)
+        for nl in (2, spectral.WIDTH):
+            lams = np.linspace(1.0, 100.0, nl)
+            D, zeros = _period_sweep(rho, 1.0 / n, 0.0, lams)
+            D_seq, zeros_seq = _sequential_sweep(rho, 1.0 / n, 0.0, lams)
+            np.testing.assert_array_equal(zeros, zeros_seq)
+            np.testing.assert_allclose(D, D_seq, rtol=1e-12, atol=1e-12)
+
+    def test_zero_on_block_boundary_counted_once(self, monkeypatch):
+        # rho = 1, k2 = 0: one RK4 step turns (s, s') by the discrete angle
+        # theta(x), x = -lambda h^2.  With L theta = pi for the block length
+        # L = 13, the discrete s vanishes at the 11 block boundaries 13, 26,
+        # ..., 143 (the last block is padded by 6, so node 150 is no zero),
+        # where rounding leaves it +-0.  Each zero must count once, for
+        # lambdas within 64 ulps either side of the crossing and for 32
+        # periods P, each rounding differently
+        n, blocks = 150, 12
+        L = -(-n // blocks)
+        _blocks(monkeypatch, n, 128, blocks)
+
+        def angle(x):
+            c, d = 1.0 + x / 2.0 + x * x / 24.0, 1.0 + x / 6.0
+            return math.acos(c / math.sqrt(c * c - x * d * d))
+
+        x = brentq(lambda x: angle(x) - math.pi / L, -2.0, -1e-6,
+                   xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        rho = np.ones(2 * n + 1)
+        for P in np.linspace(1.0, 2.0, 32):
+            lam = -x * (n / P) ** 2
+            lams = lam + np.arange(-64, 64) * np.spacing(lam)
+            _, zeros = _period_sweep(rho, P / n, 0.0, lams)
+            _, zeros_seq = _sequential_sweep(rho, P / n, 0.0, lams)
+            np.testing.assert_array_equal(zeros_seq, 11)
+            np.testing.assert_array_equal(zeros, 11)
 
 
 class TestCountBelow:

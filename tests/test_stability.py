@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from eqtorus import stability
+from eqtorus.config import Tolerances
 from eqtorus.maps import build_profiles
 from eqtorus.stability import (
     _frame_coefficients,
@@ -275,6 +276,14 @@ class TestIndexNullity:
             assert row["borderline"] == []
             assert row["counts_match"] is True
             assert row["shift_retries"] >= 0
+
+    def test_solver_tolerance_reaches_tau_solve(self, reference_estimate):
+        # a loose m-root (xtol 1e-3) moves the extrapolated eigenvalues
+        loose = index_nullity_estimate(ModuliPoint(0.3, 1.4),
+                                       resolutions=(256, 512),
+                                       tol=Tolerances(solver=1e-3))
+        assert (loose.per_mode[0]["smallest"]
+                != reference_estimate.per_mode[0]["smallest"])
 
     def test_non_dyadic_ratio(self):
         est = index_nullity_estimate(ModuliPoint(0.3, 1.4),
