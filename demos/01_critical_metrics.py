@@ -14,7 +14,6 @@ from eqtorus import (
     ModuliPoint,
     build_profiles,
     classify_params,
-    eval_map,
     flat_lambda1,
     functional_value,
     harmonicity_residual,
@@ -45,8 +44,9 @@ for label, a, b, p, q, r in CASES:
           f"{res[0]:.1e}, {res[1]:.1e}, {res[2]:.1e}")
 
     prof = build_profiles(tau, params, point)
-    u0 = eval_map(prof, 0.0, 0.0)
-    print(f"  u(0,0) = ({u0.z1:.6f}, {u0.z2:.6f}),  |u|-1 = {u0.norm_defect:.1e}")
+    z1, z2 = (complex(z) for z in prof.map_values(0.0, 0.0))
+    defect = abs(abs(z1) ** 2 + abs(z2) ** 2 - 1.0)
+    print(f"  u(0,0) = ({z1:.6f}, {z2:.6f}),  |u|^2-1 = {defect:.1e}")
     print(f"  harmonicity residual (tension field): "
           f"{harmonicity_residual(prof, n=400):.2e}")
 

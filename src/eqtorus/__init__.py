@@ -20,7 +20,6 @@ from eqtorus.functional import flat_lambda1, functional_value, moduli_scan
 from eqtorus.maps import (
     build_circle_map,
     build_profiles,
-    eval_map,
     export_mesh,
     harmonicity_residual,
     hopf_constants,
@@ -53,7 +52,7 @@ __all__ = [
     "ModuliPoint", "MapParams", "TauTriple", "Regime",
     "InfeasibleParametersError", "classify_params", "phi_fn", "solve_n",
     "psi_fn", "solve_tau", "third_limit_asymptote",
-    "build_profiles", "eval_map", "build_circle_map",
+    "build_profiles", "build_circle_map",
     "harmonicity_residual", "hopf_constants", "export_mesh",
     "sl_problem", "count_below", "assemble_N2", "construct_strict_instance",
     "functional_value", "flat_lambda1", "moduli_scan",

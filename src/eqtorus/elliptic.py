@@ -2,9 +2,11 @@
 the torus constructions need.
 
 Everything is routed through Carlson symmetric forms (R_F, R_D, R_J as
-provided by scipy.special), which stay uniformly accurate both for strongly
-negative characteristics n -> -inf and for characteristics approaching the
-Cauchy singularity n -> 1.  Conventions:
+provided by scipy.special).  The complete third-kind integral stays
+accurate for characteristics approaching the Cauchy singularity n -> 1 and,
+through the addition theorem, for strongly negative n; the incomplete one
+loses digits for strongly negative n (about 5e-10 relative at n = -1e12).
+Conventions:
 
 * ``m`` is the *parameter* (modulus squared), ``0 <= m <= 1``,
   ``K(m) = RF(0, 1-m, 1)``.
@@ -19,6 +21,8 @@ argument, and hold no global state.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import ellipj, elliprd, elliprf, elliprj
@@ -71,15 +75,22 @@ def complete_Pi(n: float, m: float) -> float:
     """Complete elliptic integral of the third kind Pi(n | m).
 
     Valid for every n < 1 (both the negative branch and m < n < 1);
-    Pi(0 | m) = K(m).  Computed as K(m) + (n/3) RJ(0, 1-m, 1, 1-n); the
-    fourth Carlson argument 1-n is positive throughout the allowed range.
+    Pi(0 | m) = K(m).  Computed as K(m) + (n/3) RJ(0, 1-m, 1, 1-n) for n > 0;
+    for n < 0 that cancels as n -> -inf, and the addition theorem (DLMF
+    19.7.9 at phi = pi/2) gives, with nu = m/n, the sum of non-negative terms
+    (pi/2) sqrt(n/((1-n)(n-m))) - (nu/3) RJ(0, 1-m, 1, 1-nu).
     """
     n = _check_n(n)
     m = _check_m(m, allow_one=False)
     if n == 0.0:
         return complete_K(m)
     y = 1.0 - m
-    return float(elliprf(0.0, y, 1.0) + (n / 3.0) * elliprj(0.0, y, 1.0, 1.0 - n))
+    if n > 0.0:
+        return float(elliprf(0.0, y, 1.0)
+                     + (n / 3.0) * elliprj(0.0, y, 1.0, 1.0 - n))
+    nu = m / n
+    return float(0.5 * math.pi * math.sqrt(n / ((1.0 - n) * (n - m)))
+                 - (nu / 3.0) * elliprj(0.0, y, 1.0, 1.0 - nu))
 
 
 def incomplete_Pi(n: float, amplitude, m: float):

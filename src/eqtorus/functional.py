@@ -241,13 +241,11 @@ def _scan_row(a: float, b: float, p: int, q: int, r: int,
 
         row["N2"] = assemble_N2(tau, params, point, tol=tol).n2
     else:
-        from eqtorus.spectral import n2_lower_bound
+        from eqtorus.spectral import n2_lower_bound, ratio_condition
 
         # the ratio condition certifies equality with the counting bound,
         # making the Floquet sweep unnecessary for these rows
-        rpa = abs(params.r + point.a_exact)
-        if (3 * params.p**2 > params.q**2
-                or 16 * rpa**2 < 3 * params.q**2):
+        if ratio_condition(params, point):
             row["N2"] = n2_lower_bound(params, point)
     return row
 

@@ -26,21 +26,19 @@ import numpy as np
 
 from eqtorus.elliptic import incomplete_Pi, jacobi_sn_cn_dn_am
 from eqtorus.tau_solver import (
-    CIRCLE_TOL,
     InfeasibleParametersError,
     MapParams,
     ModuliPoint,
     Regime,
     TauTriple,
+    require_circle_boundary,
 )
 
 __all__ = [
     "ProfileSet",
-    "SpherePoint",
     "CircleMap",
     "HopfConstants",
     "build_profiles",
-    "eval_map",
     "build_circle_map",
     "harmonicity_residual",
     "hopf_constants",
@@ -49,18 +47,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of S^3 as a pair of complex coordinates."""
-
-    z1: complex
-    z2: complex
-
-    @property
-    def norm_defect(self) -> float:
-        return abs(abs(self.z1) ** 2 + abs(self.z2) ** 2 - 1.0)
 
 
 class ProfileSet:
@@ -201,12 +187,6 @@ def build_profiles(tau: TauTriple, params: MapParams,
     return ProfileSet(tau, params, point)
 
 
-def eval_map(profiles, x: float, y: float) -> SpherePoint:
-    """Evaluate the map at one flat coordinate pair."""
-    z1, z2 = profiles.map_values(float(x), float(y))
-    return SpherePoint(complex(z1), complex(z2))
-
-
 class CircleMap:
     """Constant-latitude harmonic map on the boundary (r+a)^2 + b^2 = p^2.
 
@@ -215,11 +195,8 @@ class CircleMap:
     """
 
     def __init__(self, point: ModuliPoint, p: int, r: int, phi0: float):
-        gap = (r + point.a) ** 2 + point.b**2 - p * p
-        if abs(gap) > CIRCLE_TOL:
-            raise InfeasibleParametersError(
-                f"(r+a)^2 + b^2 - p^2 = {gap}; the constant-latitude family "
-                "lives only on that boundary")
+        require_circle_boundary(point, p, r, "; the constant-latitude family "
+                                "lives only on that boundary")
         if not 0.0 <= phi0 <= math.pi / 2:
             raise ValueError(f"latitude phi0={phi0} outside [0, pi/2]")
         self.point = point

@@ -2,9 +2,11 @@
 
 A map in the family is minimal iff it is conformal, which pins the data to
 tau1 + tau2 = 1, tau3 = 1 (equivalently n0 = -m/(1-m), n1 = m, so r + a = 0).
-The modulus is then the unique root of
+The winding condition is the theta-branch condition Phi(n0 | m) = pi p/q of
+the tau solve at that characteristic, so the modulus is the unique root of
 
-    Omega(m) = sqrt((2-m)/(1-m)) Pi(-m/(1-m) | m) = pi p~/q~,
+    Omega(m) = Phi(-m/(1-m) | m) = sqrt((2-m)/(1-m)) Pi(-m/(1-m) | m)
+             = pi p~/q~,
 
 with Omega strictly decreasing from sqrt(2) pi/2 at m = 0 to pi/2 at m = 1;
 hence only ratios p~/q~ in (1/2, sqrt(2)/2) occur.  The period follows from
@@ -18,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from eqtorus.elliptic import complete_K, complete_Pi
+from eqtorus.elliptic import complete_K
 from eqtorus.maps import build_profiles
 from eqtorus.tau_solver import (
     InfeasibleParametersError,
@@ -29,6 +30,7 @@ from eqtorus.tau_solver import (
     Regime,
     TauTriple,
     classify_params,
+    phi_fn,
 )
 
 __all__ = [
@@ -43,45 +45,14 @@ __all__ = [
 OMEGA_AT_0 = math.sqrt(2.0) * math.pi / 2.0
 OMEGA_AT_1 = math.pi / 2.0
 
-# below this distance from m = 1 the direct Carlson route starts losing
-# digits to the K - Pi cancellation; switch to the exact tail reformulation
-_ASYMPTOTE_CUT = 1e-9
-
-
-def _omega_tail(eps: float) -> float:
-    """Omega(1 - eps) without cancellation.
-
-    Rescaling the defining integral puts the divergent part into an exact
-    pi: Omega = sqrt(1+eps)/2 * (pi + sqrt(eps) * G(eps)) with (u = sqrt(t))
-
-        G(eps) = 2 int_0^inf [sqrt(1+u^2)/sqrt(1+eps u^2) - 1] du / (eps+u^2),
-
-    whose integrand is O(u) at 0 and O(u^{-2}/sqrt(eps)) at infinity.
-    """
-
-    def g(u: float) -> float:
-        u2 = u * u
-        return 2.0 * ((math.sqrt(1.0 + u2) / math.sqrt(1.0 + eps * u2) - 1.0)
-                      / (eps + u2))
-
-    scale = 1.0 / math.sqrt(eps)
-    G = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, scale)):
-        val, _ = quad(g, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300)
-        G += val
-    # the (scale, inf) piece under u = scale/v becomes bounded on (0, 1]
-    val, _ = quad(lambda v: g(scale / v) * scale / (v * v), 0.0, 1.0,
-                  epsabs=1e-12, epsrel=1e-11, limit=300)
-    G += val
-    return math.sqrt(1.0 + eps) / 2.0 * (math.pi + math.sqrt(eps) * G)
-
 
 def omega_fn(m: float) -> float:
-    """sqrt((2-m)/(1-m)) Pi(-m/(1-m) | m), monotone decreasing on (0, 1).
+    """Omega(m) = Phi(-m/(1-m) | m), strictly decreasing on (0, 1).
 
-    Endpoints are handled by their limits: sqrt(2) pi/2 at m = 0 and pi/2 at
-    m = 1; near m = 1 an exact tail reformulation replaces the cancelling
-    direct form.
+    sqrt((2-m)/(1-m)) is Phi's weight sqrt((1-n)(n-m)/n) at the conformal
+    characteristic n0 = -m/(1-m), so Omega is the theta-branch Phi there and
+    inherits its cancellation-free evaluation as m -> 1 (n0 -> -inf).  The
+    endpoints take their limits, sqrt(2) pi/2 at m = 0 and pi/2 at m = 1.
     """
     m = float(m)
     if not 0.0 <= m <= 1.0:
@@ -90,10 +61,7 @@ def omega_fn(m: float) -> float:
         return OMEGA_AT_0
     if m == 1.0:
         return OMEGA_AT_1
-    eps = 1.0 - m
-    if eps < _ASYMPTOTE_CUT:
-        return _omega_tail(eps)
-    return math.sqrt((2.0 - m) / eps) * complete_Pi(-m / eps, m)
+    return phi_fn(-m / (1.0 - m), m)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ __all__ = [
     "count_below",
     "assemble_N2",
     "n2_lower_bound",
+    "ratio_condition",
     "construct_strict_instance",
 ]
 
@@ -360,6 +361,13 @@ def n2_lower_bound(params: MapParams, point: ModuliPoint) -> int:
             + 2 * (math.ceil(2 * abs(rpa) - 1) + delta_zero))
 
 
+def ratio_condition(params: MapParams, point: ModuliPoint) -> bool:
+    """p/q > 1/sqrt(3) or |r+a|/q < sqrt(3)/4, decided in exact arithmetic;
+    where it holds N(2) equals n2_lower_bound."""
+    rpa = params.r + point.a_exact
+    return 3 * params.p**2 > params.q**2 or 16 * rpa**2 < 3 * params.q**2
+
+
 def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
                 tol: Tolerances | None = None) -> SpectrumReport:
     """Exact N(2) by mode-by-mode Floquet counting.
@@ -388,16 +396,13 @@ def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
         problem = sl_problem(profiles, l)
         certs[l] = abs(np.trace(monodromy(problem, 2.0, rtol=tol.ode_rtol))
                        - problem.trace_target)
-    rpa = abs(params.r + point.a_exact)
-    ratio_cond = (Fraction(params.p, params.q) ** 2 > Fraction(1, 3)
-                  or 16 * rpa**2 < 3 * params.q**2)
     return SpectrumReport(
         counts_below_2=counts,
         n2=n2,
         bound_rhs=bound,
         equality=(n2 == bound),
         sufficient_condition_met=(tau_sum <= 4.0),
-        ratio_condition_met=bool(ratio_cond),
+        ratio_condition_met=ratio_condition(params, point),
         tau_sum=tau_sum,
         trace_certificates=certs,
         warnings=warnings,

@@ -31,10 +31,9 @@ from scipy.sparse.linalg import eigsh
 from eqtorus.config import Tolerances, tolerances
 from eqtorus.maps import build_circle_map, build_profiles
 from eqtorus.tau_solver import (
-    CIRCLE_TOL,
-    InfeasibleParametersError,
     ModuliPoint,
     classify_params,
+    require_circle_boundary,
     solve_tau,
 )
 
@@ -54,11 +53,8 @@ _M1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 
 def _check_boundary(point: ModuliPoint, p: int, r: int) -> float:
-    gap = (r + point.a) ** 2 + point.b**2 - p * p
-    if abs(gap) > CIRCLE_TOL:
-        raise InfeasibleParametersError(
-            f"(r+a)^2 + b^2 - p^2 = {gap}: Jacobi blocks are defined on the "
-            "constant-latitude boundary only")
+    require_circle_boundary(point, p, r, ": Jacobi blocks are defined on the "
+                            "constant-latitude boundary only")
     return r + point.a
 
 
@@ -383,7 +379,6 @@ def _check_resolutions(resolutions) -> tuple[int, int]:
 def index_nullity_estimate(point: ModuliPoint,
                            resolutions: tuple[int, int] = (512, 1024),
                            zero_tol: float = 1e-5,
-                           l_cap: int = 6,
                            tol: Tolerances | None = None) -> IndexNullity:
     """Energy index and nullity of the (1,1,0) map by Fourier-mode counting.
 
@@ -393,7 +388,10 @@ def index_nullity_estimate(point: ModuliPoint,
     classification, and the eigen-counts (not values) decide convergence.
     Modes l >= 1 count twice (real and imaginary parts).  The mode loop stops
     once a mode is strictly positive, which the l^2 growth of the x-term
-    makes monotone.  The map is solved at tol.solver (default: tolerances()).
+    makes monotone, and at the latest at the first l with (l-1)^2 > tau2 +
+    tau3 - tau1: ||Omega_x|| <= 2 pi and 2 rho <= 4 pi^2 (tau2 + tau3 - tau1)
+    make that mode strictly positive, discretized too.  The map is solved at
+    tol.solver (default: tolerances()).
 
     Each per_mode[l] entry carries what its classification rests on:
     `borderline` (extrapolated values with zero_tol < |v| <= 10 zero_tol),
@@ -406,7 +404,9 @@ def index_nullity_estimate(point: ModuliPoint,
     params = classify_params(point, 1, 1, 0)
     tau = solve_tau(point, params, xtol=(tol or tolerances()).solver)
     profiles = build_profiles(tau, params, point)
-    span = 4.0 * math.pi**2 * (tau.tau2 + tau.tau3 - tau.tau1) + 10.0
+    tau_sum = tau.tau2 + tau.tau3 - tau.tau1
+    span = 4.0 * math.pi**2 * tau_sum + 10.0
+    l_positive = math.floor(math.sqrt(tau_sum)) + 2
     frame_lo = _grid_frame(profiles, n_lo)
     frame_hi = _grid_frame(profiles, n_hi)
     # second-order scheme: Richardson with ratio s removes the h^2 term
@@ -416,7 +416,7 @@ def index_nullity_estimate(point: ModuliPoint,
     nullity = 0
     converged = True
     per_mode = {}
-    for l in range(l_cap + 1):
+    for l in range(l_positive + 1):
         lo, retries_lo = _mode_spectrum(frame_lo, l, 40, span)
         hi, retries_hi = _mode_spectrum(frame_hi, l, 40, span)
         window = 0.5 * span

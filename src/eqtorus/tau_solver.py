@@ -18,7 +18,9 @@ Limit cases are detected exactly from the integer data (and from `a` when it
 is given as an exact rational): p/q = 1/2 forces tau1 = 0 (n0 = -inf) and
 |r+a|/q = 1/2 forces tau2 = 1 (n1 = 1).  The theta branch is parametrized
 internally by nu0 = m/n0 <= 0, which stays bounded through the first limit
-case; similarly nu1 = m/n1 in [m, 1].
+case; similarly nu1 = m/n1 in [m, 1].  Phi itself is evaluated in nu0 on
+that branch, by the addition theorem for the third-kind integral, so the
+first limit case is the ordinary point nu0 = 0 of the same formula.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import elliprj
 
 from eqtorus.elliptic import complete_K, complete_Pi
 
@@ -42,6 +45,8 @@ __all__ = [
     "TauTriple",
     "InfeasibleParametersError",
     "classify_params",
+    "circle_gap",
+    "require_circle_boundary",
     "phi_fn",
     "solve_n",
     "psi_fn",
@@ -139,10 +144,10 @@ def classify_params(point: ModuliPoint, p: int, q: int, r: int) -> MapParams:
         raise InfeasibleParametersError(
             f"|r+a|/q = {float(abs(rpa))}/{q} violates |r+a|/q <= 1/2"
         )
-    gap = float(rpa) ** 2 + point.b**2 - p * p
-    if gap <= CIRCLE_TOL:
-        if abs(gap) <= CIRCLE_TOL:
-            return MapParams(p, q, r, Regime.CIRCLE_FAMILY)
+    gap, on_circle = circle_gap(point, p, r)
+    if on_circle:
+        return MapParams(p, q, r, Regime.CIRCLE_FAMILY)
+    if gap < 0.0:
         raise InfeasibleParametersError(
             f"(r+a)^2 + b^2 = {float(rpa)**2 + point.b**2} violates "
             f"(r+a)^2 + b^2 > p^2 = {p * p}"
@@ -160,9 +165,37 @@ def classify_params(point: ModuliPoint, p: int, q: int, r: int) -> MapParams:
     return MapParams(p, q, r, regime)
 
 
+def circle_gap(point: ModuliPoint, p: int, r: int) -> tuple[float, bool]:
+    """(r+a)^2 + b^2 - p^2 and whether it is within CIRCLE_TOL of zero, i.e.
+    on the circle-family boundary; every module decides the boundary here."""
+    gap = float(r + point.a_exact) ** 2 + point.b**2 - p * p
+    return gap, abs(gap) <= CIRCLE_TOL
+
+
+def require_circle_boundary(point: ModuliPoint, p: int, r: int,
+                            reason: str) -> None:
+    """Raise InfeasibleParametersError, its message the gap followed by
+    ``reason``, unless (a, b, p, r) is on the circle-family boundary."""
+    gap, on_circle = circle_gap(point, p, r)
+    if not on_circle:
+        raise InfeasibleParametersError(f"(r+a)^2 + b^2 - p^2 = {gap}{reason}")
+
+
 # --------------------------------------------------------------------------
 # the monotone functions Phi, Psi and their bracketed inversions
 # --------------------------------------------------------------------------
+
+
+def _phi_theta(nu: float, m: float) -> float:
+    """Phi on the theta branch in nu = m/n <= 0.  The addition theorem
+    Pi(n|m) + Pi(m/n|m) = K(m) + (pi/2) sqrt(n/((1-n)(n-m))) (DLMF 19.7.9 at
+    phi = pi/2) gives
+
+        Phi = pi/2 + sqrt(nu (nu-m) (1-nu)) R_J(0, 1-m, 1, 1-nu) / 3:
+
+    nothing cancels as n -> -inf, and nu = 0 (n = -inf) gives pi/2 exactly."""
+    return math.pi / 2 + (math.sqrt(nu * (nu - m) * (1.0 - nu))
+                          * float(elliprj(0.0, 1.0 - m, 1.0, 1.0 - nu)) / 3.0)
 
 
 def phi_fn(n: float, m: float) -> float:
@@ -170,24 +203,38 @@ def phi_fn(n: float, m: float) -> float:
 
     Defined on the two characteristic branches n < 0 and m < n < 1, strictly
     increasing in n on each, with limits pi/2 at n -> -inf and n -> 1,
-    Phi(m|m) = 0 and Phi(0-) = +inf.
+    Phi(m|m) = 0 and Phi(0-) = +inf.  On n < 0 it is evaluated in nu = m/n
+    (_phi_theta), where n = -inf needs no special case.
     """
     m = float(m)
     n = float(n)
     if not 0.0 < m < 1.0:
         raise ValueError(f"m={m!r} must lie in (0, 1)")
-    if n == -math.inf:
-        return math.pi / 2
+    if n < 0.0:
+        return _phi_theta(m / n, m)
     if n == 1.0:
         return math.pi / 2
     if n == m:
         return 0.0
-    if 0.0 <= n <= m:
+    if n <= m:
         raise ValueError(f"characteristic n={n!r} in the excluded band [0, m]")
-    # the Carlson route is uniformly accurate through both endpoints
-    # (n -> 1 and n -> -inf), verified against 40-digit arithmetic
     w = math.sqrt((1.0 - n) * (n - m) / n)
     return w * complete_Pi(n, m)
+
+
+def _theta_nu(target: float, m: float) -> float:
+    """nu0 = m/n0 <= 0 with Phi(n0 | m) = target.  Phi falls in nu from +inf
+    to pi/2 at nu = 0, so at target pi/2 brentq returns the endpoint 0."""
+    if target < math.pi / 2:
+        raise InfeasibleParametersError(
+            f"theta-branch target {target} below pi/2")
+    g = lambda nu: _phi_theta(nu, m) - target
+    lo = -1.0
+    while g(lo) < 0.0:
+        lo *= 4.0
+        if lo < -1e18:  # pragma: no cover - Phi(0-) = +inf guarantees a bracket
+            raise RuntimeError("failed to bracket theta-branch characteristic")
+    return brentq(g, lo, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=300)
 
 
 def solve_n(target: float, branch: str, m: float) -> float:
@@ -201,26 +248,8 @@ def solve_n(target: float, branch: str, m: float) -> float:
     target = float(target)
     half_pi = math.pi / 2
     if branch == "theta":
-        if target < half_pi:
-            raise InfeasibleParametersError(
-                f"theta-branch target {target} below pi/2"
-            )
-        if target == half_pi:
-            return -math.inf
-        # parametrize by nu = m/n in (-inf, 0); Phi is decreasing in nu
-        g = lambda nu: phi_fn(m / nu, m) - target
-        hi = -1e-13
-        while g(hi) > 0.0:  # Phi -> pi/2+ as nu -> 0-, so this terminates
-            hi *= 1e-3
-            if hi > -1e-200:  # pragma: no cover
-                raise RuntimeError("failed to bracket theta-branch characteristic")
-        lo = min(-1.0, hi * 1e3)
-        while g(lo) < 0.0:
-            lo *= 4.0
-            if lo < -1e18:  # pragma: no cover - Phi(0-) = +inf guarantees a bracket
-                raise RuntimeError("failed to bracket theta-branch characteristic")
-        nu = brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=300)
-        return m / nu
+        nu = _theta_nu(target, m)
+        return m / nu if nu < 0.0 else -math.inf
     if branch == "alpha":
         if not 0.0 <= target <= half_pi:
             raise InfeasibleParametersError(
@@ -247,10 +276,9 @@ def solve_n(target: float, branch: str, m: float) -> float:
 
 def _nu_pair(m: float, target_theta: float, target_alpha: float) -> tuple[float, float]:
     """(nu0, nu1) = (m/n0, m/n1) for the two branch targets; nu0 = 0 and
-    nu1 = m encode the sentinels n0 = -inf and n1 = 1."""
-    half_pi = math.pi / 2
-    nu0 = 0.0 if target_theta == half_pi else m / solve_n(target_theta, "theta", m)
-    if target_alpha == half_pi:
+    nu1 = m stand for n0 = -inf and n1 = 1."""
+    nu0 = _theta_nu(target_theta, m)
+    if target_alpha == math.pi / 2:
         nu1 = m
     elif target_alpha == 0.0:
         nu1 = 1.0  # n1 = m
@@ -259,15 +287,29 @@ def _nu_pair(m: float, target_theta: float, target_alpha: float) -> tuple[float,
     return nu0, nu1
 
 
-def psi_fn(m: float, p: int, q: int, r_plus_a: float) -> float:
-    """Psi(m) = (1/n1 - 1/n0) m K(m)^2 with n0, n1 resolved for (p, q, r+a).
+def _branch_targets(point: ModuliPoint,
+                    params: MapParams) -> tuple[float, float]:
+    """The branch targets pi p/q and pi |r+a|/q, exactly pi/2 in the limit
+    cases that params.regime names (pi p/q may round below pi/2)."""
+    reg = params.regime
+    rpa = abs(float(params.r + point.a_exact))
+    if reg in (Regime.FIRST_LIMIT, Regime.HYBRID_LIMIT):
+        target_theta = math.pi / 2
+    else:
+        target_theta = math.pi * params.p / params.q
+    if reg in (Regime.SECOND_LIMIT, Regime.HYBRID_LIMIT):
+        return target_theta, math.pi / 2
+    return target_theta, math.pi * rpa / params.q
+
+
+def psi_fn(m: float, point: ModuliPoint, params: MapParams) -> float:
+    """Psi(m) = (1/n1 - 1/n0) m K(m)^2 with n0, n1 solved for the branch
+    targets of (point, params).
 
     Strictly increasing on (0, 1), with Psi(0+) = pi^2 (p^2 - (r+a)^2)/q^2
-    and Psi(1-) = +inf.
+    and Psi(1-) = +inf; solve_tau roots Psi(m) = pi^2 b^2 / q^2.
     """
-    target_theta = math.pi * p / q
-    target_alpha = math.pi * abs(r_plus_a) / q
-    nu0, nu1 = _nu_pair(m, target_theta, target_alpha)
+    nu0, nu1 = _nu_pair(m, *_branch_targets(point, params))
     return (nu1 - nu0) * complete_K(m) ** 2
 
 
@@ -333,21 +375,10 @@ def solve_tau(point: ModuliPoint, params: MapParams,
         from eqtorus.config import tolerances
 
         xtol = tolerances().solver
-    p, q = params.p, params.q
-    rpa_frac = params.r + point.a_exact
-    rpa = float(rpa_frac)
-    target_theta = math.pi / 2 if 2 * p == q else math.pi * p / q
-    if 2 * abs(rpa_frac) == q:
-        target_alpha = math.pi / 2
-    elif rpa_frac == 0:
-        target_alpha = 0.0
-    else:
-        target_alpha = math.pi * abs(rpa) / q
-    target_psi = (math.pi * point.b / q) ** 2
+    target_psi = (math.pi * point.b / params.q) ** 2
 
     def f(m: float) -> float:
-        nu0, nu1 = _nu_pair(m, target_theta, target_alpha)
-        return (nu1 - nu0) * complete_K(m) ** 2 - target_psi
+        return psi_fn(m, point, params) - target_psi
 
     # expand to a sign-change bracket; Psi is increasing so march toward the
     # endpoint whose limit lies beyond the target
@@ -379,8 +410,9 @@ def solve_tau(point: ModuliPoint, params: MapParams,
                 )
         m_root = brentq(f, lo_b, hi_b, xtol=xtol, rtol=8.9e-16, maxiter=300)
 
-    nu0, nu1 = _nu_pair(m_root, target_theta, target_alpha)
-    return _tau_triple(m_root, nu0, nu1, float(np.sign(rpa)))
+    nu0, nu1 = _nu_pair(m_root, *_branch_targets(point, params))
+    sgn_rpa = float(np.sign(params.r_plus_a(point)))
+    return _tau_triple(m_root, nu0, nu1, sgn_rpa)
 
 
 def third_limit_asymptote(point: ModuliPoint, p: int, q: int, r: int):
@@ -391,13 +423,9 @@ def third_limit_asymptote(point: ModuliPoint, p: int, q: int, r: int):
     phi0 = arccos(sqrt(4 p^2 - q^2) / (2 b)); the taus converge to
     tau1 = tau2 = (4 p^2 - q^2)/(4 b^2), tau3 = p^2/b^2.
     """
-    rpa = r + point.a
-    gap = rpa * rpa + point.b**2 - p * p
-    if abs(gap) > CIRCLE_TOL:
-        raise InfeasibleParametersError(
-            f"(r+a)^2 + b^2 - p^2 = {gap} is not on the circle-family "
-            f"boundary (tolerance {CIRCLE_TOL})"
-        )
+    require_circle_boundary(
+        point, p, r,
+        f" is not on the circle-family boundary (tolerance {CIRCLE_TOL})")
     if 4 * p * p < q * q:
         raise ValueError(f"4 p^2 = {4 * p * p} < q^2 = {q * q}: no limiting latitude")
     b = point.b

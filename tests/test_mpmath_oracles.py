@@ -1,0 +1,80 @@
+"""50-digit mpmath references for the elliptic integrals and the branch
+functions built on them, through the extreme characteristics and moduli the
+tau solve and the Otsuki tori reach: n from -1e15 to -1e-9, n -> 1, and m
+from 1e-15 to 1 - 1.2e-16 (the last double below 1)."""
+
+import math
+
+import mpmath as mp
+import pytest
+
+from eqtorus.elliptic import complete_E, complete_K, complete_Pi
+from eqtorus.otsuki import omega_fn
+from eqtorus.tau_solver import phi_fn
+
+mp.mp.dps = 50
+REL = 1e-13
+
+MODULI = [1e-15, 1e-9, 1e-3, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12,
+          1 - 1.2e-16]
+NEGATIVE_N = [-1e15, -1e12, -1e9, -1e6, -1e3, -1.0, -1e-3, -1e-6, -1e-9]
+# alpha-branch characteristics as fractions of the way from m to 1
+ALPHA_T = [1e-12, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12]
+
+
+def rel_err(value, reference):
+    return float(abs(mp.mpf(value) - reference) / abs(reference))
+
+
+def mp_pi(n, m):
+    return mp.ellippi(mp.mpf(n), mp.mpf(m))
+
+
+def mp_phi(n, m):
+    n, m = mp.mpf(n), mp.mpf(m)
+    return mp.sqrt((1 - n) * (n - m) / n) * mp.ellippi(n, m)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_complete_K_E(m):
+    assert rel_err(complete_K(m), mp.ellipk(mp.mpf(m))) <= REL
+    assert rel_err(complete_E(m), mp.ellipe(mp.mpf(m))) <= REL
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_theta_branch(m):
+    # complete_Pi and phi_fn on n < 0, where K + (n/3) R_J would cancel
+    for n in NEGATIVE_N:
+        assert rel_err(complete_Pi(n, m), mp_pi(n, m)) <= REL, n
+        assert rel_err(phi_fn(n, m), mp_phi(n, m)) <= REL, n
+
+
+@pytest.mark.parametrize("m", MODULI[:-1])
+def test_alpha_branch(m):
+    ns = [m + t * (1.0 - m) for t in ALPHA_T] + [1.0 - 1e-12, 1.0 - 2**-52]
+    for n in ns:
+        if not m < n < 1.0:
+            continue
+        assert rel_err(complete_Pi(n, m), mp_pi(n, m)) <= REL, n
+        assert rel_err(phi_fn(n, m), mp_phi(n, m)) <= REL, n
+
+
+def test_pi_between_zero_and_m():
+    for m in (0.3, 0.9, 1 - 1e-9):
+        for n in (1e-12, 0.5 * m, m):
+            assert rel_err(complete_Pi(n, m), mp_pi(n, m)) <= REL, (n, m)
+
+
+def test_theta_limit_exact():
+    # nu = m/n = 0 leaves pi/2 with nothing added
+    for m in (1e-15, 0.5, 1 - 1.2e-16):
+        assert phi_fn(-math.inf, m) == math.pi / 2
+        assert phi_fn(-1e300, m) == pytest.approx(math.pi / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("m", MODULI + [0.05, 0.2, 0.7, 0.95, 0.99])
+def test_omega(m):
+    M = mp.mpf(m)
+    n0 = -M / (1 - M)
+    reference = mp.sqrt((2 - M) / (1 - M)) * mp.ellippi(n0, M)
+    assert rel_err(omega_fn(m), reference) <= REL

@@ -63,15 +63,6 @@ class TestOmega:
         vals = [omega_fn(m) for m in ms]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
-    def test_tail_matches_direct_at_seam(self):
-        from eqtorus.otsuki import _omega_tail
-        from eqtorus.elliptic import complete_Pi
-
-        for eps in (1e-7, 1e-8):
-            m = 1.0 - eps
-            direct = math.sqrt((2 - m) / eps) * complete_Pi(-m / eps, m)
-            assert _omega_tail(eps) == pytest.approx(direct, abs=5e-11)
-
 
 class TestSolveOtsuki:
     def test_two_thirds(self):

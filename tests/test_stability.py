@@ -16,6 +16,7 @@ from eqtorus.stability import (
     _grid_frame,
     _GridFrame,
     _mode_matrix,
+    _mode_spectrum,
     hersch_closed_form,
     hersch_quadrature,
     hersch_second_variation,
@@ -276,6 +277,26 @@ class TestIndexNullity:
             assert row["borderline"] == []
             assert row["counts_match"] is True
             assert row["shift_retries"] >= 0
+
+    def test_mode_loop_ends_within_positivity_bound(self, reference_estimate):
+        # every mode with (l-1)^2 > tau2 + tau3 - tau1 is strictly positive;
+        # the loop must have stopped at a strictly positive mode by then
+        point = ModuliPoint(0.3, 1.4)
+        params = classify_params(point, 1, 1, 0)
+        tau = solve_tau(point, params)
+        tau_sum = tau.tau2 + tau.tau3 - tau.tau1
+        l_positive = math.floor(math.sqrt(tau_sum)) + 2
+        assert (l_positive - 1) ** 2 > tau_sum >= (l_positive - 2) ** 2
+        last = max(reference_estimate.per_mode)
+        assert last <= l_positive
+        row = reference_estimate.per_mode[last]
+        assert row["negative"] == 0 and row["zero"] == 0
+        assert row["smallest"] > reference_estimate.zero_tol
+        # the bound holds for the discretized form at the first such mode
+        frame = _grid_frame(build_profiles(tau, params, point), 256)
+        vals, _ = _mode_spectrum(frame, l_positive, 6, 0.0)
+        bound = 4.0 * math.pi**2 * ((l_positive - 1) ** 2 - tau_sum)
+        assert vals[0] >= bound > 0.0
 
     def test_solver_tolerance_reaches_tau_solve(self, reference_estimate):
         # a loose m-root (xtol 1e-3) moves the extrapolated eigenvalues

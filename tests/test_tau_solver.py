@@ -14,6 +14,7 @@ from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
     Regime,
+    circle_gap,
     classify_params,
     integral_residuals,
     lattice_integrals,
@@ -79,6 +80,26 @@ class TestClassify:
         # (r+a)^2 + b^2 = p^2 on the boundary: (1-0.6)^2 + 0.84 = 1
         pt = ModuliPoint(-0.6, math.sqrt(0.84))
         assert classify_params(pt, 1, 2, 1).regime is Regime.CIRCLE_FAMILY
+
+    @pytest.mark.parametrize("eps,on_boundary", [(5e-10, True), (5e-9, False)])
+    def test_circle_boundary_decided_once(self, eps, on_boundary):
+        # the regime, the limiting data, the circle map and the Jacobi blocks
+        # all accept exactly the points within CIRCLE_TOL of the boundary
+        from eqtorus.maps import build_circle_map
+        from eqtorus.stability import jacobi_block
+
+        pt = ModuliPoint(0, math.sqrt(1.0 + eps))
+        assert circle_gap(pt, 1, 0) == (pytest.approx(eps, rel=1e-6), on_boundary)
+        regime = classify_params(pt, 1, 2, 0).regime
+        assert (regime is Regime.CIRCLE_FAMILY) == on_boundary
+        for build in (lambda: third_limit_asymptote(pt, 1, 2, 0),
+                      lambda: build_circle_map(pt, 1, 0, 0.5),
+                      lambda: jacobi_block(pt, 1, 0, 0.5, 1, 0)):
+            if on_boundary:
+                build()
+            else:
+                with pytest.raises(InfeasibleParametersError):
+                    build()
 
     def test_violations_named(self):
         with pytest.raises(InfeasibleParametersError, match="p/q"):
@@ -159,15 +180,36 @@ class TestSolveN:
 
 class TestPsi:
     def test_small_m_limit(self):
-        p, q, rpa = 2, 3, 0.25
+        point, (p, q, r) = NONLIMIT
+        params = classify_params(point, p, q, r)
+        rpa = r + point.a
         expected = math.pi**2 * (p * p - rpa * rpa) / q**2
-        assert psi_fn(1e-9, p, q, rpa) == pytest.approx(expected, rel=1e-4)
+        assert psi_fn(1e-9, point, params) == pytest.approx(expected, rel=1e-4)
 
     def test_monotone(self):
-        assert psi_fn(0.3, 1, 1, 0.25) < psi_fn(0.6, 1, 1, 0.25)
+        point = ModuliPoint(0.25, 1.5)
+        params = classify_params(point, 1, 1, 0)
+        assert psi_fn(0.3, point, params) < psi_fn(0.6, point, params)
 
     def test_blowup_towards_one(self):
-        assert psi_fn(1.0 - 1e-9, 1, 1, 0.25) > 100.0
+        point = ModuliPoint(0.25, 1.5)
+        params = classify_params(point, 1, 1, 0)
+        assert psi_fn(1.0 - 1e-9, point, params) > 100.0
+
+    def test_first_limit_target_exact(self):
+        # pi * 11 / 22 rounds below pi/2; the regime makes the target exact,
+        # so Psi is defined here and solve_tau roots it
+        point = ModuliPoint(Fraction(3, 10), 12.0)
+        params = classify_params(point, 11, 22, 0)
+        assert params.regime is Regime.FIRST_LIMIT
+        assert math.pi * 11 / 22 != math.pi / 2
+        tau = solve_tau(point, params)
+        target = (math.pi * point.b / params.q) ** 2
+        assert psi_fn(tau.m, point, params) == pytest.approx(target, rel=1e-12)
+        assert psi_fn(tau.m - 1e-3, point, params) < target
+        assert psi_fn(tau.m + 1e-3, point, params) > target
+        assert tau.tau1 == 0.0
+        assert max(integral_residuals(tau, point, params)) <= 1e-12
 
 
 class TestSolveTau:
@@ -215,10 +257,10 @@ class TestSolveTau:
 
     def test_uniqueness_bracket(self):
         point, (p, q, r) = NONLIMIT
-        _, tau = solve(*NONLIMIT)
+        params, tau = solve(*NONLIMIT)
         target = (math.pi * point.b / q) ** 2
-        below = psi_fn(tau.m - 1e-3, p, q, r + point.a) - target
-        above = psi_fn(tau.m + 1e-3, p, q, r + point.a) - target
+        below = psi_fn(tau.m - 1e-3, point, params) - target
+        above = psi_fn(tau.m + 1e-3, point, params) - target
         assert below < 0 < above
 
     def test_converse_quantization(self):
