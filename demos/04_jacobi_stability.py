@@ -4,8 +4,8 @@ constant-latitude boundary, their non-integrable kernel fields, the positive
 second variation along the first conformal direction, and the index/nullity
 of the interior (1,1,0) maps.
 
-Run:  python3 demos/04_jacobi_stability.py   (~3 s on 2 cores, about 1 s of it
-      in the two index/nullity counts)
+Run:  python3 demos/04_jacobi_stability.py   (~1.7 s on 2 cores, about 0.3 s of
+      it in the two index/nullity counts)
 """
 
 import math

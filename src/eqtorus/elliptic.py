@@ -3,10 +3,9 @@ the torus constructions need.
 
 Everything is routed through Carlson symmetric forms (R_F, R_D, R_J as
 provided by scipy.special).  The complete third-kind integral stays
-accurate for characteristics approaching the Cauchy singularity n -> 1 and,
-through the addition theorem, for strongly negative n; the incomplete one
-loses digits for strongly negative n (about 5e-10 relative at n = -1e12).
-Conventions:
+accurate for characteristics approaching the Cauchy singularity n -> 1, and
+both third-kind integrals, through the addition theorem, for strongly
+negative n.  Conventions:
 
 * ``m`` is the *parameter* (modulus squared), ``0 <= m <= 1``,
   ``K(m) = RF(0, 1-m, 1)``.
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ellipj, elliprd, elliprf, elliprj
+from scipy.special import ellipj, elliprc, elliprd, elliprf, elliprj
 
 __all__ = [
     "complete_K",
@@ -99,7 +98,12 @@ def incomplete_Pi(n: float, amplitude, m: float):
     The amplitude is extended quasi-periodically,
     ``Pi(n; psi + pi | m) = Pi(n; psi | m) + 2 Pi(n | m)``,
     which makes the function odd and globally continuous; at psi = pi/2 it
-    reduces to the complete integral.
+    reduces to the complete integral.  On the principal branch, with
+    s = sin psi, y = 1 - m s^2 and p = 1 - n s^2, it is
+    s RF(cos^2 psi, y, 1) + (n/3) s^3 RJ(cos^2 psi, y, 1, p); for n < -sqrt(m)
+    that cancels, and the addition theorem (DLMF 19.7.9) gives, with
+    nu = m/n and q = 1 - nu s^2, the sum of same-signed terms
+    s RC(cos^2 psi y, p q) - (nu/3) s^3 RJ(cos^2 psi, y, 1, q).
     """
     n = _check_n(n)
     m = _check_m(m, allow_one=False)
@@ -111,9 +115,15 @@ def incomplete_Pi(n: float, amplitude, m: float):
     c2 = np.cos(psi0) ** 2
     y = 1.0 - m * s * s
     p = 1.0 - n * s * s
-    base = s * elliprf(c2, y, 1.0)
-    if n != 0.0:
-        base = base + (n / 3.0) * s**3 * elliprj(c2, y, 1.0, p)
+    if n < -math.sqrt(m):  # |nu| < |n|
+        nu = m / n
+        q = 1.0 - nu * s * s
+        base = (s * elliprc(c2 * y, p * q)
+                - (nu / 3.0) * s**3 * elliprj(c2, y, 1.0, q))
+    else:
+        base = s * elliprf(c2, y, 1.0)
+        if n != 0.0:
+            base = base + (n / 3.0) * s**3 * elliprj(c2, y, 1.0, p)
     out = base + 2.0 * k * complete_Pi(n, m)
     if np.ndim(amplitude) == 0:
         return float(out)

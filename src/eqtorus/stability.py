@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import dblquad
-from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import eigsh
+from scipy.sparse import bsr_matrix, csc_matrix, identity
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from eqtorus.config import Tolerances, tolerances
 from eqtorus.maps import build_circle_map, build_profiles
@@ -229,6 +229,14 @@ class IndexNullity:
     zero_tol: float = 1e-5
 
 
+def _skew(x01, x02, x12):
+    """(n, 3, 3) antisymmetric matrices with upper entries x01, x02, x12."""
+    zero = np.zeros_like(x01)
+    return np.stack([np.stack([zero, x01, x02], -1),
+                     np.stack([-x01, zero, x12], -1),
+                     np.stack([-x02, -x12, zero], -1)], -2)
+
+
 def _frame_coefficients(profiles, y):
     """Pointwise data of the second-variation form in the adapted frame.
 
@@ -248,27 +256,12 @@ def _frame_coefficients(profiles, y):
     dal = profiles.dalpha(y)
     g = (dal - dth) * sc
     hcoef = dth * s2 + dal * c2
-    cd = profiles.tau.c + profiles.tau.d
-    n = y.size
-    omega_x = np.zeros((n, 3, 3))
-    omega_x[:, 0, 1] = 2.0 * math.pi * sc
-    omega_x[:, 1, 0] = -2.0 * math.pi * sc
-    omega_x[:, 1, 2] = -2.0 * math.pi * c2
-    omega_x[:, 2, 1] = 2.0 * math.pi * c2
-    sigma_x = np.zeros((n, 3))
-    sigma_x[:, 0] = -2.0 * math.pi * s2
-    sigma_x[:, 2] = -2.0 * math.pi * sc
-    omega_y = np.zeros((n, 3, 3))
-    omega_y[:, 0, 1] = g
-    omega_y[:, 1, 0] = -g
-    omega_y[:, 0, 2] = -dphi
-    omega_y[:, 2, 0] = dphi
-    omega_y[:, 1, 2] = -hcoef
-    omega_y[:, 2, 1] = hcoef
-    sigma_y = np.zeros((n, 3))
-    sigma_y[:, 0] = -cd
-    sigma_y[:, 1] = -dphi
-    sigma_y[:, 2] = -g
+    cd = np.full_like(c2, profiles.tau.c + profiles.tau.d)
+    zero = np.zeros_like(c2)
+    omega_x = _skew(2.0 * math.pi * sc, zero, -2.0 * math.pi * c2)
+    sigma_x = np.stack([-2.0 * math.pi * s2, zero, -2.0 * math.pi * sc], -1)
+    omega_y = _skew(g, -dphi, -hcoef)
+    sigma_y = np.stack([-cd, -dphi, -g], -1)
     rho = profiles.rho(y)
     return omega_x, sigma_x, omega_y, sigma_y, rho
 
@@ -298,23 +291,14 @@ def _grid_frame(profiles, n: int) -> _GridFrame:
                       sigma_y=sigma_y, rho=rho, omega_y_mid=omega_y_mid)
 
 
-def _block_indices(n: int, col_shift: int):
-    """COO row/column indices of n 3x3 blocks at block positions
-    (j, (j + col_shift) mod n), entries in C order of an (n, 3, 3) array."""
-    blk = np.arange(n)[:, None, None]
-    rows = 3 * blk + np.arange(3)[None, :, None]
-    cols = 3 * ((blk + col_shift) % n) + np.arange(3)[None, None, :]
-    return (np.broadcast_to(rows, (n, 3, 3)).ravel(),
-            np.broadcast_to(cols, (n, 3, 3)).ravel())
-
-
 def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     """Sparse Hermitian form of the mode-l second variation, mass = identity.
 
     Staggered first differences with midpoint frame rotation keep the
     derivative part a Gram matrix K = B^H B (no checkerboard null modes);
     pointwise terms sit on the nodes.  The Floquet wrap carries
-    e^{-2 pi i l a}.
+    e^{-2 pi i l a}.  Mode 0 has neither the phase nor the i of the
+    x-derivative, so its form is real symmetric and returned as real.
     """
     n = frame.rho.size
     dim = 3 * n
@@ -323,11 +307,10 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     left = half_omega - eye / frame.h
     right = (half_omega + eye / frame.h).astype(complex)
     right[-1] *= np.exp(-2j * math.pi * l * frame.a)
-    diag_rows, diag_cols = _block_indices(n, 0)
-    sup_rows, sup_cols = _block_indices(n, 1)
-    B = coo_matrix((np.concatenate([left.ravel(), right.ravel()]),
-                    (np.concatenate([diag_rows, sup_rows]),
-                     np.concatenate([diag_cols, sup_cols]))),
+    # 3x3 blocks: row j holds `left` at column j and `right` at j + 1 mod n
+    B = bsr_matrix((np.stack([left, right], 1).reshape(2 * n, 3, 3),
+                    np.stack([np.arange(n), np.roll(np.arange(n), -1)], 1)
+                    .ravel(), np.arange(0, 2 * n + 1, 2)),
                    shape=(dim, dim)).tocsc()
 
     dx = 2j * math.pi * l * eye + frame.omega_x
@@ -335,34 +318,54 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
          + np.einsum("ni,nj->nij", frame.sigma_x, frame.sigma_x)
          + np.einsum("ni,nj->nij", frame.sigma_y, frame.sigma_y)
          - 2.0 * frame.rho[:, None, None] * eye)
-    pointwise = coo_matrix((P.ravel(), (diag_rows, diag_cols)),
+    pointwise = bsr_matrix((P, np.arange(n), np.arange(n + 1)),
                            shape=(dim, dim))
-    return (B.getH() @ B + pointwise).tocsc()
+    K = (B.getH() @ B + pointwise).tocsc()
+    return K.real if l == 0 else K
 
 
-def _mode_spectrum(frame: _GridFrame, l: int, k_eigs: int, span: float):
-    """Eigenvalues of the mode-l form nearest zero, certified to cover
-    [-span, span]; k_eigs grows until the coverage holds.  Returns the
-    values and how many eigsh calls fell back from the exactly singular
-    shift sigma = 0 to sigma = 1e-7."""
-    K = _mode_matrix(frame, l)
+# Half-width of the inertia window around zero: on the (1,1,0) forms the
+# near-zero cluster (discretized rotations and translation) has |lambda| <=
+# 4.4e-3 at n = 512, ~4x that at n = 256; every other |lambda| >= 14.
+_DELTA = 1.0
+
+
+def _shifted_lu(K: csc_matrix, sigma: float):
+    """Unpivoted LDL^H of K - sigma I and nu(sigma), its number of negative
+    pivots D = diag(U), U = D L^H: by Sylvester's law of inertia, the number
+    of eigenvalues below sigma.  A row swap (SuperLU's answer to an exactly
+    zero pivot) or a pivot below eps ||K - sigma I|| dim raises."""
     dim = K.shape[0]
-    k = min(k_eigs, dim - 2)
+    A = (K - sigma * identity(dim, dtype=K.dtype, format="csc")).tocsc()
+    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    pivots = lu.U.diagonal()
+    floor = np.finfo(float).eps * float(abs(A).sum(axis=1).max()) * dim
+    if (np.any(np.stack([lu.perm_r, lu.perm_c]) != np.arange(dim))
+            or not np.all(np.isfinite(pivots) & (np.abs(pivots) >= floor))):
+        raise RuntimeError(f"LDL^H of K - sigma I at sigma = {sigma!r}: "
+                           "SuperLU pivoted, or a pivot is not finite or "
+                           f"below {floor:.3g}")
+    return lu, int(np.count_nonzero(pivots.real < 0.0))
+
+
+def _mode_spectrum(frame: _GridFrame, l: int):
+    """The lowest eigenvalues of the mode-l form, as many as lie below
+    +_DELTA (at least one), and the inertia (nu(-_DELTA), nu(+_DELTA)).
+    They come from shift-invert at sigma_low = -2 max rho - 1, below the
+    whole spectrum (K >= -2 rho: the other terms are Gram matrices)."""
+    K = _mode_matrix(frame, l)
+    inertia = (_shifted_lu(K, -_DELTA)[1], _shifted_lu(K, _DELTA)[1])
+    sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+    lu, below = _shifted_lu(K, sigma_low)
+    if below:
+        raise RuntimeError(f"mode {l}: {below} eigenvalues < {sigma_low!r}")
     # a fixed ARPACK start vector makes the output reproducible to the bit
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(K.dtype)
-    shift_retries = 0
-    while True:
-        try:
-            vals = eigsh(K, k=k, sigma=0.0, which="LM", v0=v0,
-                         return_eigenvectors=False)
-        except RuntimeError:  # an exactly singular shift; nudge it
-            shift_retries += 1
-            vals = eigsh(K, k=k, sigma=1e-7, which="LM", v0=v0,
-                         return_eigenvectors=False)
-        vals = np.sort(vals.real)
-        if vals.size >= dim - 2 or np.max(np.abs(vals)) > span:
-            return vals, shift_retries
-        k = min(2 * k, dim - 2)
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0]).astype(K.dtype)
+    op = LinearOperator(K.shape, matvec=lu.solve, dtype=K.dtype)
+    vals = eigsh(K, k=max(inertia[1], 1), sigma=sigma_low, which="LM", v0=v0,
+                 OPinv=op, return_eigenvectors=False)
+    return np.sort(vals.real), inertia
 
 
 def _check_resolutions(resolutions) -> tuple[int, int]:
@@ -383,63 +386,59 @@ def index_nullity_estimate(point: ModuliPoint,
     """Energy index and nullity of the (1,1,0) map by Fourier-mode counting.
 
     Each x-Fourier mode gives a one-dimensional quadratic form in the frame
-    components, discretized at the two resolutions n_lo < n_hi; eigenvalues
-    near zero are Richardson-extrapolated across the pair before
-    classification, and the eigen-counts (not values) decide convergence.
-    Modes l >= 1 count twice (real and imaginary parts).  The mode loop stops
-    once a mode is strictly positive, which the l^2 growth of the x-term
-    makes monotone, and at the latest at the first l with (l-1)^2 > tau2 +
-    tau3 - tau1: ||Omega_x|| <= 2 pi and 2 rho <= 4 pi^2 (tau2 + tau3 - tau1)
-    make that mode strictly positive, discretized too.  The map is solved at
-    tol.solver (default: tolerances()).
+    components, discretized at the two resolutions n_lo < n_hi.  The inertia
+    of unpivoted LDL^H factors of K -+ _DELTA I counts its eigenvalues below
+    -+_DELTA; only those below +_DELTA (at least one) are computed, and they
+    are Richardson-extrapolated across the pair before classification.
+    Modes l >= 1 count twice (real and imaginary parts).  The mode loop
+    stops once a mode is strictly positive, which the l^2 growth of the
+    x-term makes monotone, and at the latest at the first l with
+    (l-1)^2 > tau2 + tau3 - tau1: ||Omega_x|| <= 2 pi and 2 rho <= 4 pi^2
+    (tau2 + tau3 - tau1) make that mode strictly positive, discretized too.
+    The map is solved at tol.solver (default: tolerances()).  zero_tol must
+    satisfy 0 < 10 zero_tol < _DELTA.
 
     Each per_mode[l] entry carries what its classification rests on:
     `borderline` (extrapolated values with zero_tol < |v| <= 10 zero_tol),
-    `counts_match` (whether both resolutions saw the same number of values
-    in the window) and `shift_retries` (eigsh calls that fell back from the
-    singular shift 0 to 1e-7).  `converged` is False when any mode has a
-    borderline value or mismatched counts.
+    `inertia` ({"<n>": [nu(-_DELTA), nu(+_DELTA)]} per resolution) and
+    `counts_match` (the inertia agrees at both resolutions).  `converged` is
+    False when any mode has a borderline value or mismatched counts.
     """
     n_lo, n_hi = _check_resolutions(resolutions)
+    if not 0.0 < 10.0 * zero_tol < _DELTA:
+        raise ValueError(f"zero_tol={zero_tol!r} must satisfy "
+                         f"0 < 10 zero_tol < {_DELTA}")
     params = classify_params(point, 1, 1, 0)
     tau = solve_tau(point, params, xtol=(tol or tolerances()).solver)
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
-    span = 4.0 * math.pi**2 * tau_sum + 10.0
     l_positive = math.floor(math.sqrt(tau_sum)) + 2
     frame_lo = _grid_frame(profiles, n_lo)
     frame_hi = _grid_frame(profiles, n_hi)
     # second-order scheme: Richardson with ratio s removes the h^2 term
     s2 = (n_hi / n_lo) ** 2
 
-    index = 0
-    nullity = 0
+    index = nullity = 0
     converged = True
     per_mode = {}
     for l in range(l_positive + 1):
-        lo, retries_lo = _mode_spectrum(frame_lo, l, 40, span)
-        hi, retries_hi = _mode_spectrum(frame_hi, l, 40, span)
-        window = 0.5 * span
-        lo_w = lo[np.abs(lo) < window]
-        hi_w = hi[np.abs(hi) < window]
-        counts_match = lo_w.size == hi_w.size
-        if counts_match:
-            vals = (s2 * hi_w - lo_w) / (s2 - 1.0)
-        else:
-            vals = hi_w
+        lo, inertia_lo = _mode_spectrum(frame_lo, l)
+        hi, inertia_hi = _mode_spectrum(frame_hi, l)
+        counts_match = inertia_lo == inertia_hi
+        vals = (s2 * hi - lo) / (s2 - 1.0) if counts_match else hi
         neg = int(np.sum(vals < -zero_tol))
         zero = int(np.sum(np.abs(vals) <= zero_tol))
         # classification is converged when no extrapolated eigenvalue sits
         # in the ambiguous band around the +-zero_tol boundary
         borderline = vals[(np.abs(vals) > zero_tol)
                           & (np.abs(vals) <= 10.0 * zero_tol)]
-        if borderline.size or not counts_match:
-            converged = False
+        converged &= counts_match and not borderline.size
         per_mode[l] = {"negative": neg, "zero": zero,
-                       "smallest": float(vals[0]) if vals.size else None,
+                       "smallest": float(vals[0]),
                        "borderline": [float(v) for v in borderline],
                        "counts_match": counts_match,
-                       "shift_retries": retries_lo + retries_hi}
+                       "inertia": {str(n_lo): list(inertia_lo),
+                                   str(n_hi): list(inertia_hi)}}
         weight = 1 if l == 0 else 2
         index += weight * neg
         nullity += weight * zero

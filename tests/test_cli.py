@@ -156,7 +156,7 @@ class TestStability:
         assert doc["nullity"] >= 6
         assert isinstance(doc["converged"], bool)
         for row in doc["per_mode"].values():
-            assert {"borderline", "counts_match", "shift_retries"} <= row.keys()
+            assert {"borderline", "counts_match", "inertia"} <= row.keys()
 
     def test_index_deterministic(self, run):
         args = ("stability", "--report", "index", "--a", "0.3", "--b", "1.4")

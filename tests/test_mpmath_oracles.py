@@ -1,14 +1,15 @@
 """50-digit mpmath references for the elliptic integrals and the branch
 functions built on them, through the extreme characteristics and moduli the
 tau solve and the Otsuki tori reach: n from -1e15 to -1e-9, n -> 1, and m
-from 1e-15 to 1 - 1.2e-16 (the last double below 1)."""
+from 1e-15 to 1 - 1.2e-16 (the last double below 1); the incomplete
+third-kind integral over amplitudes on and off the principal branch."""
 
 import math
 
 import mpmath as mp
 import pytest
 
-from eqtorus.elliptic import complete_E, complete_K, complete_Pi
+from eqtorus.elliptic import complete_E, complete_K, complete_Pi, incomplete_Pi
 from eqtorus.otsuki import omega_fn
 from eqtorus.tau_solver import phi_fn
 
@@ -18,6 +19,7 @@ REL = 1e-13
 MODULI = [1e-15, 1e-9, 1e-3, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12,
           1 - 1.2e-16]
 NEGATIVE_N = [-1e15, -1e12, -1e9, -1e6, -1e3, -1.0, -1e-3, -1e-6, -1e-9]
+AMPLITUDES = [1e-8, 0.7, 1.5, -4.0]
 # alpha-branch characteristics as fractions of the way from m to 1
 ALPHA_T = [1e-12, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12]
 
@@ -57,6 +59,17 @@ def test_alpha_branch(m):
             continue
         assert rel_err(complete_Pi(n, m), mp_pi(n, m)) <= REL, n
         assert rel_err(phi_fn(n, m), mp_phi(n, m)) <= REL, n
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_incomplete_pi_negative_n(m):
+    # the addition theorem takes over below n = -sqrt(m): both sides of it
+    seam = -math.sqrt(m)
+    for n in NEGATIVE_N + [seam * (1.0 + 1e-9), seam * (1.0 - 1e-9)]:
+        for psi in AMPLITUDES:
+            reference = mp.ellippi(mp.mpf(n), mp.mpf(psi), mp.mpf(m))
+            assert rel_err(incomplete_Pi(n, psi, m), reference) <= REL, \
+                (n, psi)
 
 
 def test_pi_between_zero_and_m():

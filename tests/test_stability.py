@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csc_matrix
 
 from eqtorus import stability
 from eqtorus.config import Tolerances
@@ -17,6 +18,7 @@ from eqtorus.stability import (
     _GridFrame,
     _mode_matrix,
     _mode_spectrum,
+    _shifted_lu,
     hersch_closed_form,
     hersch_quadrature,
     hersch_second_variation,
@@ -237,10 +239,10 @@ class TestResolutions:
         # eigenvalues with a pure h^2 error: extrapolation recovers them
         exact = np.array([-2.5, -1.0, 0.0, 0.0, 3.0])
 
-        def fake_spectrum(frame, l, k_eigs, span):
+        def fake_spectrum(frame, l):
             if l > 0:
-                return np.array([50.0]), 0
-            return exact + 40.0 * frame.h**2, 0
+                return np.array([50.0]), (0, 0)
+            return exact + 40.0 * frame.h**2, (1, 4)
 
         monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
         point = ModuliPoint(0.3, 1.4)
@@ -254,6 +256,53 @@ class TestResolutions:
         h_lo, h_hi = point.b / 64, point.b / 128
         lo, hi = exact + 40.0 * h_lo**2, exact + 40.0 * h_hi**2
         assert est.per_mode[0]["smallest"] == ((4.0 * hi - lo) / 3.0)[0]
+
+
+def _random_points_110(count, seed):
+    rng = np.random.default_rng(seed)
+    return [ModuliPoint(float(rng.uniform(0.0, 0.5)),
+                        float(rng.uniform(1.05, 2.5))) for _ in range(count)]
+
+
+class TestSpectrumSlicing:
+    """Inertia counts and lowest eigenvalues against dense eigvalsh."""
+
+    @pytest.mark.parametrize(
+        "point", [ModuliPoint(0.3, 1.4)] + _random_points_110(5, seed=11),
+        ids=lambda pt: f"a={pt.a:.3f},b={pt.b:.3f}")
+    def test_inertia_and_lowest_values_match_dense(self, point):
+        prof = _profiles_110(point.a, point.b)
+        for n in (16, 32, 64):
+            frame = _grid_frame(prof, n)
+            sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+            for l in (0, 1, 2):
+                K = _mode_matrix(frame, l)
+                dense = np.linalg.eigvalsh(K.toarray())
+                for sigma in (-1e-2, 1e-2, -1.0, 1.0, sigma_low):
+                    _, below = _shifted_lu(K, sigma)
+                    assert below == int(np.sum(dense < sigma)), (n, l, sigma)
+                vals, inertia = _mode_spectrum(frame, l)
+                assert inertia == (int(np.sum(dense < -1.0)),
+                                   int(np.sum(dense < 1.0)))
+                assert vals.size == max(inertia[1], 1)
+                assert np.max(np.abs(vals - dense[:vals.size])) <= \
+                    1e-10 * max(1.0, np.max(np.abs(vals)))
+
+    @pytest.mark.parametrize("dense", [
+        [[0.0, 1.0], [1.0, 0.0]],                          # zero first pivot
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],  # zero second
+        [[1e-30, 1.0], [1.0, 1.0]],                         # tiny first
+    ])
+    def test_unpivoted_factorization_guarded(self, dense):
+        # an exactly zero pivot makes SuperLU swap rows and a tiny one
+        # leaves the sign count untrustworthy: both raise, naming the shift
+        with pytest.raises(RuntimeError, match="sigma = 0.0"):
+            _shifted_lu(csc_matrix(np.array(dense, dtype=complex)), 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-5, 0.1, 1.0, math.nan])
+    def test_zero_tol_rejected(self, bad):
+        with pytest.raises(ValueError, match="zero_tol"):
+            index_nullity_estimate(ModuliPoint(0.3, 1.4), zero_tol=bad)
 
 
 @pytest.fixture(scope="module")
@@ -273,10 +322,14 @@ class TestIndexNullity:
     def test_per_mode_diagnostics(self, reference_estimate):
         for row in reference_estimate.per_mode.values():
             assert {"negative", "zero", "smallest", "borderline",
-                    "counts_match", "shift_retries"} <= row.keys()
+                    "counts_match", "inertia"} <= row.keys()
             assert row["borderline"] == []
             assert row["counts_match"] is True
-            assert row["shift_retries"] >= 0
+            # nu(-delta) negative values, nu(+delta) - nu(-delta) zero ones
+            assert set(row["inertia"]) == {"256", "512"}
+            for below_minus, below_plus in row["inertia"].values():
+                assert below_minus == row["negative"]
+                assert below_plus - below_minus == row["zero"]
 
     def test_mode_loop_ends_within_positivity_bound(self, reference_estimate):
         # every mode with (l-1)^2 > tau2 + tau3 - tau1 is strictly positive;
@@ -294,7 +347,7 @@ class TestIndexNullity:
         assert row["smallest"] > reference_estimate.zero_tol
         # the bound holds for the discretized form at the first such mode
         frame = _grid_frame(build_profiles(tau, params, point), 256)
-        vals, _ = _mode_spectrum(frame, l_positive, 6, 0.0)
+        vals, _ = _mode_spectrum(frame, l_positive)
         bound = 4.0 * math.pi**2 * ((l_positive - 1) ** 2 - tau_sum)
         assert vals[0] >= bound > 0.0
 
