@@ -104,7 +104,7 @@ def cmd_spectral(args) -> int:
     from eqtorus.spectral import assemble_N2
 
     point, params, tau = _solve(args)
-    rep = assemble_N2(tau, params, point, tol=args.tol)
+    rep = assemble_N2(tau, params, point)
     _emit({
         "a": point.a, "b": point.b,
         "p": params.p, "q": params.q, "r": params.r,

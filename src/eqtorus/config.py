@@ -1,8 +1,8 @@
 """Run configuration: the tolerances.
 
-The two base tolerances can be scaled globally through the environment
-variable EQTORUS_TOL_OVERRIDE (a positive multiplier, read at call time), or
-set per run from a key=value config file via the CLI.
+The base tolerance of the tau solver can be scaled globally through the
+environment variable EQTORUS_TOL_OVERRIDE (a positive multiplier, read at
+call time), or set per run from a key=value config file via the CLI.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ __all__ = ["Tolerances", "tolerances", "load_config"]
 @dataclass(frozen=True)
 class Tolerances:
     solver: float = 1e-14      # xtol of the outer m-root find
-    ode_rtol: float = 1e-11    # relative tolerance of the monodromy integrator
-
-    def scaled(self, factor: float) -> "Tolerances":
-        return Tolerances(self.solver * factor, self.ode_rtol * factor)
 
 
 def tolerances() -> Tolerances:
@@ -31,17 +27,17 @@ def tolerances() -> Tolerances:
     f = float(factor)
     if not f > 0:
         raise ValueError("EQTORUS_TOL_OVERRIDE must be a positive multiplier")
-    return base.scaled(f)
+    return Tolerances(base.solver * f)
 
 
-_KEYS = {"solver_tol": "solver", "ode_rtol": "ode_rtol"}
+_KEYS = {"solver_tol": "solver"}
 
 
 def load_config(path: str) -> Tolerances:
     """Parse a key=value config file over tolerances().
 
-    Recognized keys: solver_tol, ode_rtol.  Blank lines and lines starting
-    with '#' are ignored.
+    Recognized key: solver_tol.  Blank lines and lines starting with '#'
+    are ignored.
     """
     values = {}
     with open(path, encoding="utf-8") as fh:

@@ -239,7 +239,7 @@ def _scan_row(a: float, b: float, p: int, q: int, r: int,
     if with_n2:
         from eqtorus.spectral import assemble_N2
 
-        row["N2"] = assemble_N2(tau, params, point, tol=tol).n2
+        row["N2"] = assemble_N2(tau, params, point).n2
     else:
         from eqtorus.spectral import n2_lower_bound, ratio_condition
 

@@ -16,8 +16,8 @@ follows from D = tr M_P(lambda) and the zero count of one solution over
 one fixed-step RK4 sweep over [0, P] for a whole batch of lambdas; for a
 small batch the sweep runs about sqrt(n) blocks of the period side by side
 in two passes (_period_sweep), since numpy then pays per call rather than
-per lambda.  The adaptive monodromy over [0, b] is kept as an independent
-integrator for the certificates at lambda = 2.
+per lambda.  The same sweep, on a finer mesh, gives the monodromy over
+[0, b] as M_P^q, and with it the certificates at lambda = 2.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -35,9 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from eqtorus.config import Tolerances, tolerances
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.tau_solver import (
     MapParams,
@@ -73,6 +71,10 @@ LAMBDA_XTOL = 1e-11
 MULTISECTION = 63
 # largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
 PERIOD_TOL = 1e-9
+# monodromy runs on this many times the counting mesh: RK4 phase error
+# scales as n^-4, so 4x the steps cut it 256-fold; on the counting mesh the
+# l = 1 certificate at (a, b) = (0, 2) is 8.3e-8, too close to its 1e-7 gate
+MONODROMY_REFINE = 4
 # lambdas x blocks per RK4 step beyond which numpy is bound by arithmetic,
 # not by per-call cost; the period sweep uses no more blocks than this allows
 WIDTH = 2048
@@ -114,27 +116,17 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
 # --------------------------------------------------------------------------
 
 
-def monodromy(problem: SLProblem, lam: float, rtol: float | None = None):
-    """Fundamental solution matrix over [0, b] by adaptive Runge-Kutta.
+def monodromy(problem: SLProblem, lam: float):
+    """Fundamental solution matrix over [0, b], as M_P(lam)^q.
 
     Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
     Wronskian keeps det M = 1, which the caller may use as a health check.
+    One period sweep on MONODROMY_REFINE times the counting mesh gives M_P.
+    Raises ValueError if rho does not have period P.
     """
-    if rtol is None:
-        rtol = tolerances().ode_rtol
-    k2 = 4.0 * math.pi**2 * problem.l**2
-
-    def rhs(y, state):
-        g = k2 - lam * float(problem.rho(y))
-        h1, v1, h2, v2 = state
-        return [v1, g * h1, v2, g * h2]
-
-    sol = solve_ivp(rhs, (0.0, problem.b), [1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=rtol, atol=1e-13, dense_output=False)
-    if not sol.success:  # pragma: no cover
-        raise RuntimeError(f"monodromy integration failed: {sol.message}")
-    h1, v1, h2, v2 = sol.y[:, -1]
-    return np.array([[h1, h2], [v1, v2]])
+    mesh = _period_mesh(problem, lam, MONODROMY_REFINE)
+    M_P, _ = _period_sweep(*mesh, np.array([float(lam)]))
+    return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
 
 
 def _rk4_steps(problem: SLProblem, lam_max: float) -> int:
@@ -144,6 +136,22 @@ def _rk4_steps(problem: SLProblem, lam_max: float) -> int:
     theta = omega * problem.period
     n = int((theta**5 / (120.0 * 1e-10)) ** 0.25) + 1
     return max(n, 100)
+
+
+def _period_mesh(problem: SLProblem, lam_max: float, refine: int = 1):
+    """The (rho, h, k2) arguments of _period_sweep for refine * _rk4_steps
+    RK4 steps over one period P.  Raises ValueError if rho does not have
+    period P."""
+    P = problem.period
+    n = refine * _rk4_steps(problem, lam_max)
+    y = np.linspace(0.0, P, 2 * n + 1)
+    rho = np.asarray(problem.rho(y), dtype=float)
+    defect = float(np.max(np.abs(problem.rho(y + P) - rho)) / np.max(np.abs(rho)))
+    if not defect <= PERIOD_TOL:
+        raise ValueError(f"rho is not periodic with period b/q = {P:.9g} "
+                         f"(q = {problem.q}): relative defect {defect:.3g}; a "
+                         "wrong q or a tau solve that does not close the profile")
+    return rho, P / n, 4.0 * math.pi**2 * problem.l**2
 
 
 def _rk4_step(H, V, g0, gm, g1, h) -> None:
@@ -162,7 +170,8 @@ def _rk4_step(H, V, g0, gm, g1, h) -> None:
 
 
 def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
-    """(tr M_P(lambda), zeros of s in (0, P]) for every lambda in one pass.
+    """(M_P(lambda), zeros of s in (0, P]) for every lambda in one pass;
+    M_P[r, c, k] is entry (r, c) of the one-period matrix at lams[k].
 
     Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
     with rho sampled at the step nodes and midpoints; s is the solution with
@@ -173,7 +182,7 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
     last block padded with h = 0 steps, exact identities) and run in two
     passes of L steps over all blocks at once.  Pass 1 propagates the
     identity through every block; the ordered product of the block matrices
-    gives D and (s, s') at each block start, and block 0's second column is
+    gives M_P and (s, s') at each block start, and block 0's second column is
     s itself.  Pass 2 re-propagates s from the later block starts to count
     its sign changes.  Each node's sign comes from one value only: a block's
     end node takes the next block's composed start, so a zero on a block
@@ -214,7 +223,7 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
         zeros += now != negative
         negative = now
     if B == 1:
-        return H[0, 0] + V[1, 0], zeros
+        return np.stack([H[:, 0], V[:, 0]]), zeros
 
     # compose: M[r, c, b] is entry (r, c) of block b's matrix
     M = np.stack([H, V])
@@ -238,7 +247,7 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
             now[:-1] = start_negative[1:]
         changes += now != negative
         negative = now
-    return prod[0, 0] + prod[1, 1], zeros + changes.sum(axis=0)
+    return prod, zeros + changes.sum(axis=0)
 
 
 def _floquet_count(D: np.ndarray, zeros: np.ndarray, target) -> np.ndarray:
@@ -283,23 +292,15 @@ def count_below(problem: SLProblem, threshold: float = 2.0) -> ModeCount:
     """
     if threshold <= AT_THRESHOLD_TOL:
         raise ValueError(f"threshold must exceed {AT_THRESHOLD_TOL}")
-    q, P = problem.q, problem.period
+    q = problem.q
     lo_edge = threshold - AT_THRESHOLD_TOL
     hi_edge = threshold + AT_THRESHOLD_TOL
-    n = _rk4_steps(problem, hi_edge)
-    y = np.linspace(0.0, P, 2 * n + 1)
-    rho = np.asarray(problem.rho(y), dtype=float)
-    defect = float(np.max(np.abs(problem.rho(y + P) - rho)) / np.max(np.abs(rho)))
-    if not defect <= PERIOD_TOL:
-        raise ValueError(f"rho is not periodic with period b/q = {P:.9g} "
-                         f"(q = {q}): relative defect {defect:.3g}; a wrong "
-                         "q or a tau solve that does not close the profile")
-    k2 = 4.0 * math.pi**2 * problem.l**2
+    mesh = _period_mesh(problem, hi_edge)
     targets = 2.0 * np.cos((problem.bc_phase + TWO_PI * np.arange(q)) / q)
 
     def counts(lams: np.ndarray) -> np.ndarray:  # shape (q, lams.size)
-        D, zeros = _period_sweep(rho, P / n, k2, lams)
-        return _floquet_count(D, zeros, targets[:, None])
+        M, zeros = _period_sweep(*mesh, lams)
+        return _floquet_count(M[0, 0] + M[1, 1], zeros, targets[:, None])
 
     # eigenvalues <= 0: only the constants (l = 0, j = 0) at lambda = 0
     at_zero = np.zeros(q, dtype=int)
@@ -368,17 +369,16 @@ def ratio_condition(params: MapParams, point: ModuliPoint) -> bool:
     return 3 * params.p**2 > params.q**2 or 16 * rpa**2 < 3 * params.q**2
 
 
-def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
-                tol: Tolerances | None = None) -> SpectrumReport:
+def assemble_N2(tau: TauTriple, params: MapParams,
+                point: ModuliPoint) -> SpectrumReport:
     """Exact N(2) by mode-by-mode Floquet counting.
 
     The mode loop stops at l_max = ceil(sqrt(tau2+tau3-tau1)): beyond it the
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
-    are exact eigenfunctions with eigenvalue 2, integrated at tol.ode_rtol
-    (default: tolerances()).
+    are exact eigenfunctions with eigenvalue 2, from monodromy: the period
+    sweep of the count on a finer mesh.
     """
-    tol = tol or tolerances()
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
     l_max = math.ceil(math.sqrt(tau_sum))
@@ -394,7 +394,7 @@ def assemble_N2(tau: TauTriple, params: MapParams, point: ModuliPoint,
     certs = {}
     for l in (0, 1):
         problem = sl_problem(profiles, l)
-        certs[l] = abs(np.trace(monodromy(problem, 2.0, rtol=tol.ode_rtol))
+        certs[l] = abs(np.trace(monodromy(problem, 2.0))
                        - problem.trace_target)
     return SpectrumReport(
         counts_below_2=counts,

@@ -192,14 +192,14 @@ class TestMeshCommand:
 class TestConfig:
     def test_config_file_parsed(self, run, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver_tol = 1e-13\n# comment\node_rtol = 1e-10\n")
+        cfg.write_text("solver_tol = 1e-13\n# comment\n")
         code, out, _ = run("--config", str(cfg), "solve-tau", "--a", "0",
                            "--b", "2", "--p", "1", "--q", "1", "--r", "0")
         assert code == 0
         assert json.loads(out)["regime"] == "nonlimit"
 
     @pytest.mark.parametrize("key", ["quadrature_tol", "a_min", "b_steps",
-                                     "output_format"])
+                                     "output_format", "ode_rtol"])
     def test_removed_key_rejected(self, run, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
@@ -208,18 +208,6 @@ class TestConfig:
         assert code == 1
         assert out == ""
         assert "unknown config key" in err and key in err
-
-    def test_ode_rtol_reaches_certificates(self, run, tmp_path):
-        args = ("spectral", "--a", "0.3", "--b", "1.4",
-                "--p", "1", "--q", "1", "--r", "0")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("ode_rtol = 1e-4\n")
-        code, out, _ = run(*args)
-        code_cfg, out_cfg, _ = run("--config", str(cfg), *args)
-        assert code == code_cfg == 0
-        doc, doc_cfg = json.loads(out), json.loads(out_cfg)
-        assert doc_cfg["trace_certificates"] != doc["trace_certificates"]
-        assert doc_cfg["modes"] == doc["modes"]  # the counts use no tolerance
 
     def test_solver_tol_reaches_scan(self, run, tmp_path):
         # the looser m-root of solver_tol = 1e-3 must show in the m column,

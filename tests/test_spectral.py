@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from eqtorus import spectral
@@ -14,8 +15,8 @@ from eqtorus.maps import build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
     SLProblem,
+    _period_mesh,
     _period_sweep,
-    _rk4_steps,
     assemble_N2,
     construct_strict_instance,
     count_below,
@@ -31,12 +32,28 @@ def _const_problem(c=1.0, b=1.0, l=0, phase=0.0):
                      b=b, bc_phase=phase, rho_max=c)
 
 
+def _dop853(problem, lam, rtol):
+    """Fundamental solution matrix over [0, b] by adaptive Runge-Kutta: the
+    integrator-independent oracle for monodromy and the period sweep."""
+    k2 = 4.0 * math.pi**2 * problem.l**2
+
+    def rhs(y, state):
+        g = k2 - lam * float(problem.rho(y))
+        h1, v1, h2, v2 = state
+        return [v1, g * h1, v2, g * h2]
+
+    sol = solve_ivp(rhs, (0.0, problem.b), [1.0, 0.0, 0.0, 1.0],
+                    method="DOP853", rtol=rtol, atol=1e-13, dense_output=False)
+    if not sol.success:  # pragma: no cover
+        raise RuntimeError(f"monodromy integration failed: {sol.message}")
+    h1, v1, h2, v2 = sol.y[:, -1]
+    return np.array([[h1, h2], [v1, v2]])
+
+
 def _sweep(problem, lams):
-    """(tr M_P, zeros of s over one period) on count_below's own mesh."""
-    n = _rk4_steps(problem, 2.0 + AT_THRESHOLD_TOL)
-    y = np.linspace(0.0, problem.period, 2 * n + 1)
-    return _period_sweep(problem.rho(y), problem.period / n,
-                         4.0 * math.pi**2 * problem.l**2, np.asarray(lams))
+    """(M_P, zeros of s over one period) on count_below's own mesh."""
+    return _period_sweep(*_period_mesh(problem, 2.0 + AT_THRESHOLD_TOL),
+                         np.asarray(lams))
 
 
 def _profiles(a, b, p, q, r):
@@ -82,6 +99,20 @@ class TestMonodromy:
         want = np.exp(-2j * math.pi * point.a)
         assert min(abs(mults - want)) < 1e-7
 
+    @pytest.mark.parametrize("case", [(0.25, 2.1, 2, 3, 0),
+                                      (0.1, 3.1, 3, 4, 0)])
+    def test_matrix_matches_adaptive(self, case):
+        # every entry over [0, b] = q periods, against DOP853: pins the
+        # row/column layout of the period matrix and its q-th power
+        prof = _profiles(*case)[3]
+        for l in (0, 1):
+            pb = sl_problem(prof, l)
+            for lam in (0.7, 1.37, 2.0):
+                M = monodromy(pb, lam)
+                want = _dop853(pb, lam, 1e-13)
+                scale = max(1.0, float(np.linalg.norm(want)))
+                np.testing.assert_allclose(M, want, rtol=0, atol=1e-9 * scale)
+
     def test_period_sweep_matches_adaptive(self):
         # one RK4 period against DOP853 over one period, and its q-th power
         # (tr M^q = 2 T_q(tr M / 2)) against DOP853 over the full [0, b]
@@ -90,12 +121,13 @@ class TestMonodromy:
         for l in (0, 1):
             pb = sl_problem(prof, l)
             one = dataclasses.replace(pb, b=pb.period, q=1)
-            fast, _ = _sweep(pb, lams)
-            slow = [np.trace(monodromy(one, lam)) for lam in lams]
+            M, _ = _sweep(pb, lams)
+            fast = M[0, 0] + M[1, 1]
+            slow = [np.trace(_dop853(one, lam, 1e-11)) for lam in lams]
             np.testing.assert_allclose(fast, slow, atol=1e-9)
             full = 2.0 * np.polynomial.chebyshev.chebval(
                 fast / 2.0, [0.0] * pb.q + [1.0])
-            slow = [np.trace(monodromy(pb, lam)) for lam in lams]
+            slow = [np.trace(_dop853(pb, lam, 1e-11)) for lam in lams]
             np.testing.assert_allclose(full, slow, atol=1e-8)
 
     def test_period_sweep_zero_count(self):
@@ -158,7 +190,8 @@ class TestBlockedSweep:
                + 3.0 * np.cos(6.0 * math.pi * y))
         k2 = 4.0 * math.pi**2
         lams = np.sort(np.random.default_rng(nl).uniform(0.1, 150.0, nl))
-        D, zeros = _period_sweep(rho, 1.0 / n, k2, lams)
+        M, zeros = _period_sweep(rho, 1.0 / n, k2, lams)
+        D = M[0, 0] + M[1, 1]
         D_seq, zeros_seq = _sequential_sweep(rho, 1.0 / n, k2, lams)
         np.testing.assert_array_equal(zeros, zeros_seq)
         scale = np.maximum(np.abs(D_seq), 1.0)
@@ -173,7 +206,8 @@ class TestBlockedSweep:
         rho = 30.0 + 10.0 * np.sin(2.0 * math.pi * y)
         for nl in (2, spectral.WIDTH):
             lams = np.linspace(1.0, 100.0, nl)
-            D, zeros = _period_sweep(rho, 1.0 / n, 0.0, lams)
+            M, zeros = _period_sweep(rho, 1.0 / n, 0.0, lams)
+            D = M[0, 0] + M[1, 1]
             D_seq, zeros_seq = _sequential_sweep(rho, 1.0 / n, 0.0, lams)
             np.testing.assert_array_equal(zeros, zeros_seq)
             np.testing.assert_allclose(D, D_seq, rtol=1e-12, atol=1e-12)
@@ -246,7 +280,7 @@ class TestCountBelow:
         pb = sl_problem(prof, 0)
         mc = count_below(pb)
         for lam in mc.eigenvalues:
-            M = monodromy(pb, lam)
+            M = _dop853(pb, lam, 1e-11)
             assert np.trace(M) == pytest.approx(pb.trace_target, abs=1e-6)
 
     def test_map_components_at_threshold(self):
@@ -266,6 +300,8 @@ class TestCountBelow:
                        b=1.0, bc_phase=0.0, rho_max=4.0, q=2)
         with pytest.raises(ValueError, match="period"):
             count_below(pb)
+        with pytest.raises(ValueError, match="period"):
+            monodromy(pb, 1.0)
         count_below(dataclasses.replace(pb, q=1))  # the true period passes
 
 
@@ -324,6 +360,37 @@ class TestHillOracle:
         point, params, cert = instance
         prof = build_profiles(cert["tau"], params, point)
         _assert_matches_oracle(sl_problem(prof, l))
+
+
+SPECTRAL_110_POINTS = [
+    (0.0, 1.2), (0.0, 2.0), (0.1, 1.1), (0.15, 1.6), (0.25, 1.3),
+    (0.3, 1.4), (0.35, 1.9), (0.4, 1.05), (0.5, 1.2), (0.5, 2.0),
+]
+# the 20 instances of acceptance criterion 4: the (1,1,0) points and the
+# mixed sample, two of which repeat among the points
+CRITERION_4 = list(dict.fromkeys(
+    [(a, b, 1, 1, 0) for a, b in SPECTRAL_110_POINTS] + MIXED_CASES))
+
+
+def _assert_certificates_match_adaptive(prof):
+    # tr M_b(2), which the certificates compare with 2 cos(2 pi l a), to
+    # 1e-9 of DOP853 at rtol 1e-13: two orders inside the 1e-7 gate
+    for l in (0, 1):
+        pb = sl_problem(prof, l)
+        got = np.trace(monodromy(pb, 2.0))
+        want = np.trace(_dop853(pb, 2.0, 1e-13))
+        assert abs(got - want) <= 1e-9, (l, got - want)
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("case", CRITERION_4)
+    def test_criterion_4_instances(self, case):
+        _assert_certificates_match_adaptive(_profiles(*case)[3])
+
+    def test_strict_instance(self, instance):
+        point, params, cert = instance
+        _assert_certificates_match_adaptive(
+            build_profiles(cert["tau"], params, point))
 
 
 class TestAssembleN2:
@@ -438,6 +505,6 @@ class TestStrictInstance:
         for l in (0, 1, 2):
             pb = sl_problem(prof, l)
             for lam in np.unique(count_below(pb).eigenvalues):
-                M = monodromy(pb, lam, rtol=1e-9)
+                M = _dop853(pb, lam, 1e-9)
                 residual = abs(np.trace(M) - pb.trace_target)
                 assert residual <= 1e-6, (l, lam, residual)
