@@ -4,8 +4,8 @@ mesh.  All commands print JSON (schema "1") except scan, which streams CSV.
 Exit codes: 0 success, 2 infeasible parameters (with the violated inequality
 named on stderr), 1 internal error.  The --a flag accepts exact rationals
 ("1/4") as well as decimals; the distinction matters because the limit-case
-classification is discontinuous in a.  Tolerances scale globally through the
-EQTORUS_TOL_OVERRIDE environment variable or per run via --config.
+classification is discontinuous in a.  No tolerance is settable: every one
+is a constant of the module that uses it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from eqtorus import config as cfgmod
 from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
@@ -55,7 +54,7 @@ def _point(args) -> ModuliPoint:
 def _solve(args):
     point = _point(args)
     params = classify_params(point, args.p, args.q, args.r)
-    tau = solve_tau(point, params, xtol=args.tol.solver)
+    tau = solve_tau(point, params)
     return point, params, tau
 
 
@@ -127,10 +126,14 @@ def cmd_spectral(args) -> int:
 def cmd_scan(args) -> int:
     from eqtorus.functional import moduli_scan, write_scan_csv
 
+    for flag, steps in (("--a-steps", args.a_steps),
+                        ("--b-steps", args.b_steps)):
+        if steps < 1:
+            raise ValueError(f"{flag} must be at least 1, got {steps}")
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
     b_vals = np.linspace(args.b_min, args.b_max, args.b_steps)
     rows = moduli_scan(a_vals, b_vals, args.p, args.q, args.r,
-                       with_n2=args.with_n2, jobs=args.jobs, tol=args.tol)
+                       with_n2=args.with_n2, jobs=args.jobs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_scan_csv(rows, fh)
@@ -196,7 +199,7 @@ def cmd_stability(args) -> int:
     else:  # index
         point = _point(args)
         res = tuple(int(s) for s in args.resolutions.split(","))
-        est = st.index_nullity_estimate(point, resolutions=res, tol=args.tol)
+        est = st.index_nullity_estimate(point, resolutions=res)
         _emit({
             "report": "index", "a": point.a, "b": point.b,
             "index": est.index, "nullity": est.nullity,
@@ -237,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="eqtorus",
         description="Equivariant harmonic tori in S^3 and their critical metrics")
-    ap.add_argument("--config", help="key=value run-config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve-tau", help="solve the defining integral system")
@@ -306,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tol = (cfgmod.load_config(args.config) if args.config
-                    else cfgmod.tolerances())
         return args.func(args)
     except InfeasibleParametersError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)

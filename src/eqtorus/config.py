@@ -1,55 +1,23 @@
-"""Run configuration: the tolerances.
+"""The one tolerance of the tau solver, as a read-only record.
 
-The base tolerance of the tau solver can be scaled globally through the
-environment variable EQTORUS_TOL_OVERRIDE (a positive multiplier, read at
-call time), or set per run from a key=value config file via the CLI.
+Every numerical tolerance in eqtorus is a constant of the code that uses
+it; nothing sets one at run time.  Tolerances records the xtol of the
+outer m-root find in tau_solver.solve_tau, so that a run can store the
+value it was computed at.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
-__all__ = ["Tolerances", "tolerances", "load_config"]
+__all__ = ["Tolerances", "tolerances"]
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    solver: float = 1e-14      # xtol of the outer m-root find
+    solver: float = field(default=1e-14, init=False)  # xtol of the m-root
 
 
 def tolerances() -> Tolerances:
-    """Base tolerances with the EQTORUS_TOL_OVERRIDE multiplier applied."""
-    base = Tolerances()
-    factor = os.environ.get("EQTORUS_TOL_OVERRIDE")
-    if factor is None:
-        return base
-    f = float(factor)
-    if not f > 0:
-        raise ValueError("EQTORUS_TOL_OVERRIDE must be a positive multiplier")
-    return Tolerances(base.solver * f)
-
-
-_KEYS = {"solver_tol": "solver"}
-
-
-def load_config(path: str) -> Tolerances:
-    """Parse a key=value config file over tolerances().
-
-    Recognized key: solver_tol.  Blank lines and lines starting with '#'
-    are ignored.
-    """
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[_KEYS[key]] = float(value)
-    return replace(tolerances(), **values)
+    """The tolerances eqtorus computes at."""
+    return Tolerances()

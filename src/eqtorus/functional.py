@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from eqtorus.config import Tolerances, tolerances
 from eqtorus.elliptic import complete_E, complete_K
 from eqtorus.maps import ProfileSet, build_profiles, hopf_constants
 from eqtorus.tau_solver import (
@@ -80,12 +79,12 @@ def lambda_bar_closed_form(tau: TauTriple, params: MapParams,
             + 8.0 * math.pi * params.q * math.sqrt(t3 - t1) * complete_E(tau.m))
 
 
-def lambda_bar_quadrature(profiles: ProfileSet, epsabs: float = 1e-11) -> float:
+def lambda_bar_quadrature(profiles: ProfileSet) -> float:
     """2 * int_0^b rho dy by adaptive quadrature over one latitude period."""
     b = profiles.point.b
     per = b / profiles.params.q
     val, _ = quad(lambda y: float(profiles.rho(y)), 0.0, per,
-                  epsabs=epsabs, epsrel=1e-12, limit=200)
+                  epsabs=1e-11, epsrel=1e-12, limit=200)
     return 2.0 * val * profiles.params.q
 
 
@@ -220,13 +219,13 @@ SCAN_COLUMNS = ["a", "b", "tau1", "tau2", "tau3", "m", "lambda_bar",
 
 
 def _scan_row(a: float, b: float, p: int, q: int, r: int,
-              with_n2: bool, tol: Tolerances) -> dict:
+              with_n2: bool) -> dict:
     point = ModuliPoint(a, b)
     row = dict.fromkeys(SCAN_COLUMNS)
     row["a"], row["b"] = point.a, point.b
     try:
         params = classify_params(point, p, q, r)
-        tau = solve_tau(point, params, xtol=tol.solver)
+        tau = solve_tau(point, params)
     except InfeasibleParametersError as exc:
         row["status"] = f"infeasible: {exc}"
         return row
@@ -251,23 +250,20 @@ def _scan_row(a: float, b: float, p: int, q: int, r: int,
 
 
 def moduli_scan(a_values, b_values, p: int, q: int, r: int,
-                with_n2: bool = False, jobs: int = 1,
-                tol: Tolerances | None = None) -> list[dict]:
+                with_n2: bool = False, jobs: int = 1) -> list[dict]:
     """Grid scan over (a, b); infeasible points are reported per row.
 
     Row order follows the grid index regardless of how work is scheduled.
-    Every row solves at tol (default: tolerances(), read here once).
     """
-    tol = tol or tolerances()
     grid = [(float(a), float(b)) for a in a_values for b in b_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_row, a, b, p, q, r, with_n2, tol)
+            futures = [pool.submit(_scan_row, a, b, p, q, r, with_n2)
                        for a, b in grid]
             return [f.result() for f in futures]
-    return [_scan_row(a, b, p, q, r, with_n2, tol) for a, b in grid]
+    return [_scan_row(a, b, p, q, r, with_n2) for a, b in grid]
 
 
 def write_scan_csv(rows: list[dict], fh) -> None:

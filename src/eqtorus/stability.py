@@ -1,7 +1,8 @@
 """Second-variation diagnostics: Fourier blocks of the Jacobi operator on
 the constant-latitude maps, their kernel at the distinguished latitude, the
 conformal-direction second variation, and a discretized index/nullity count
-for the generic (1,1,0) maps.
+for the generic (1,1,0) maps, read from the inertia of shifted LDL^H factors
+and certified by Richardson-extrapolated eigenvalues to within ZERO_TOL.
 
 For the constant-latitude map at (r+a)^2 + b^2 = p^2 the Jacobi operator has
 constant coefficients in the orthonormal frame
@@ -28,7 +29,6 @@ from scipy.integrate import dblquad
 from scipy.sparse import bsr_matrix, csc_matrix, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from eqtorus.config import Tolerances, tolerances
 from eqtorus.maps import build_circle_map, build_profiles
 from eqtorus.tau_solver import (
     ModuliPoint,
@@ -226,7 +226,6 @@ class IndexNullity:
     nullity: int
     converged: bool
     per_mode: dict = field(default_factory=dict)
-    zero_tol: float = 1e-5
 
 
 def _skew(x01, x02, x12):
@@ -328,6 +327,8 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
 # near-zero cluster (discretized rotations and translation) has |lambda| <=
 # 4.4e-3 at n = 512, ~4x that at n = 256; every other |lambda| >= 14.
 _DELTA = 1.0
+# An extrapolated value of the zero cluster must be this close to 0.
+ZERO_TOL = 1e-5
 
 
 def _shifted_lu(K: csc_matrix, sigma: float):
@@ -380,36 +381,32 @@ def _check_resolutions(resolutions) -> tuple[int, int]:
 
 
 def index_nullity_estimate(point: ModuliPoint,
-                           resolutions: tuple[int, int] = (512, 1024),
-                           zero_tol: float = 1e-5,
-                           tol: Tolerances | None = None) -> IndexNullity:
+                           resolutions: tuple[int, int] = (512, 1024)
+                           ) -> IndexNullity:
     """Energy index and nullity of the (1,1,0) map by Fourier-mode counting.
 
     Each x-Fourier mode gives a one-dimensional quadratic form in the frame
     components, discretized at the two resolutions n_lo < n_hi.  The inertia
-    of unpivoted LDL^H factors of K -+ _DELTA I counts its eigenvalues below
-    -+_DELTA; only those below +_DELTA (at least one) are computed, and they
-    are Richardson-extrapolated across the pair before classification.
+    of unpivoted LDL^H factors of K -+ _DELTA I at n_hi gives the counts:
+    nu(-_DELTA) negative eigenvalues and nu(+_DELTA) - nu(-_DELTA) in the
+    zero cluster.  Only the eigenvalues below +_DELTA (at least one) are
+    computed, Richardson-extrapolated across the pair when the inertia
+    agrees at both resolutions, and used to certify the zero cluster.
     Modes l >= 1 count twice (real and imaginary parts).  The mode loop
-    stops once a mode is strictly positive, which the l^2 growth of the
-    x-term makes monotone, and at the latest at the first l with
+    stops at the first mode with nu(+_DELTA) = 0, which the l^2 growth of
+    the x-term makes final, and at the latest at the first l with
     (l-1)^2 > tau2 + tau3 - tau1: ||Omega_x|| <= 2 pi and 2 rho <= 4 pi^2
     (tau2 + tau3 - tau1) make that mode strictly positive, discretized too.
-    The map is solved at tol.solver (default: tolerances()).  zero_tol must
-    satisfy 0 < 10 zero_tol < _DELTA.
 
     Each per_mode[l] entry carries what its classification rests on:
-    `borderline` (extrapolated values with zero_tol < |v| <= 10 zero_tol),
-    `inertia` ({"<n>": [nu(-_DELTA), nu(+_DELTA)]} per resolution) and
+    `borderline` (the zero-cluster values with |v| > ZERO_TOL), `inertia`
+    ({"<n>": [nu(-_DELTA), nu(+_DELTA)]} per resolution) and
     `counts_match` (the inertia agrees at both resolutions).  `converged` is
     False when any mode has a borderline value or mismatched counts.
     """
     n_lo, n_hi = _check_resolutions(resolutions)
-    if not 0.0 < 10.0 * zero_tol < _DELTA:
-        raise ValueError(f"zero_tol={zero_tol!r} must satisfy "
-                         f"0 < 10 zero_tol < {_DELTA}")
     params = classify_params(point, 1, 1, 0)
-    tau = solve_tau(point, params, xtol=(tol or tolerances()).solver)
+    tau = solve_tau(point, params)
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
     l_positive = math.floor(math.sqrt(tau_sum)) + 2
@@ -426,12 +423,10 @@ def index_nullity_estimate(point: ModuliPoint,
         hi, inertia_hi = _mode_spectrum(frame_hi, l)
         counts_match = inertia_lo == inertia_hi
         vals = (s2 * hi - lo) / (s2 - 1.0) if counts_match else hi
-        neg = int(np.sum(vals < -zero_tol))
-        zero = int(np.sum(np.abs(vals) <= zero_tol))
-        # classification is converged when no extrapolated eigenvalue sits
-        # in the ambiguous band around the +-zero_tol boundary
-        borderline = vals[(np.abs(vals) > zero_tol)
-                          & (np.abs(vals) <= 10.0 * zero_tol)]
+        neg, below_plus = inertia_hi
+        zero = below_plus - neg
+        cluster = vals[neg:below_plus]
+        borderline = cluster[np.abs(cluster) > ZERO_TOL]
         converged &= counts_match and not borderline.size
         per_mode[l] = {"negative": neg, "zero": zero,
                        "smallest": float(vals[0]),
@@ -442,7 +437,7 @@ def index_nullity_estimate(point: ModuliPoint,
         weight = 1 if l == 0 else 2
         index += weight * neg
         nullity += weight * zero
-        if neg == 0 and zero == 0:
+        if below_plus == 0:
             break
     return IndexNullity(index=index, nullity=nullity, converged=converged,
-                        per_mode=per_mode, zero_tol=zero_tol)
+                        per_mode=per_mode)

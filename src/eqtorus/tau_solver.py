@@ -36,6 +36,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import elliprj
 
+from eqtorus.config import Tolerances
 from eqtorus.elliptic import complete_K, complete_Pi
 
 __all__ = [
@@ -357,24 +358,19 @@ def _tau_triple(m: float, nu0: float, nu1: float, sgn_rpa: float) -> TauTriple:
     return TauTriple(tau1, tau2, tau3, m, n0, n1, A, c, d)
 
 
-def solve_tau(point: ModuliPoint, params: MapParams,
-              xtol: float | None = None) -> TauTriple:
+def solve_tau(point: ModuliPoint, params: MapParams) -> TauTriple:
     """Solve the three integral conditions for (tau1, tau2, tau3).
 
     Outer bracketed root find on m in (0, 1) against Psi(m) = pi^2 b^2/q^2
-    (monotone, so the bracket is guaranteed for feasible input), with the
-    characteristics n0, n1 re-solved at every m.  Limit cases return tau1 = 0
-    / tau2 = 1 exactly.
+    to xtol Tolerances.solver (monotone, so the bracket is guaranteed for
+    feasible input), with the characteristics n0, n1 re-solved at every m.
+    Limit cases return tau1 = 0 / tau2 = 1 exactly.
     """
     if params.regime is Regime.CIRCLE_FAMILY:
         raise InfeasibleParametersError(
             "circle-family parameters have no tau triple; use the constant-"
             "latitude map family instead"
         )
-    if xtol is None:
-        from eqtorus.config import tolerances
-
-        xtol = tolerances().solver
     target_psi = (math.pi * point.b / params.q) ** 2
 
     def f(m: float) -> float:
@@ -397,7 +393,8 @@ def solve_tau(point: ModuliPoint, params: MapParams,
                     "Psi(m) exceeds the target down to m ~ 0; parameters "
                     "violate (r+a)^2 + b^2 > p^2"
                 )
-        m_root = brentq(f, lo_b, hi_b, xtol=xtol, rtol=8.9e-16, maxiter=300)
+        m_root = brentq(f, lo_b, hi_b, xtol=Tolerances.solver, rtol=8.9e-16,
+                        maxiter=300)
     else:
         lo_b = mid
         hi_b = 0.75
@@ -408,7 +405,8 @@ def solve_tau(point: ModuliPoint, params: MapParams,
                     "root of Psi(m) lies beyond m = 1 - 1e-12; b is too "
                     "large to resolve"
                 )
-        m_root = brentq(f, lo_b, hi_b, xtol=xtol, rtol=8.9e-16, maxiter=300)
+        m_root = brentq(f, lo_b, hi_b, xtol=Tolerances.solver, rtol=8.9e-16,
+                        maxiter=300)
 
     nu0, nu1 = _nu_pair(m_root, *_branch_targets(point, params))
     sgn_rpa = float(np.sign(params.r_plus_a(point)))
@@ -441,7 +439,7 @@ def third_limit_asymptote(point: ModuliPoint, p: int, q: int, r: int):
 
 
 def _cubic_quad(weight: Callable[[float], float], tau1: float, tau2: float,
-                tau3: float, epsabs: float) -> float:
+                tau3: float) -> float:
     """integral of weight(t) / sqrt((t-tau1)(tau2-t)(tau3-t)) over [tau1,tau2]
     via t = tau1 + (tau2-tau1) sin^2 s, which removes both endpoint roots."""
 
@@ -451,28 +449,28 @@ def _cubic_quad(weight: Callable[[float], float], tau1: float, tau2: float,
         t = tau1 + dt * math.sin(s) ** 2
         return 2.0 * weight(t) / math.sqrt(tau3 - t)
 
-    val, _ = quad(g, 0.0, math.pi / 2, epsabs=epsabs, epsrel=1e-13, limit=200)
+    val, _ = quad(g, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-13, limit=200)
     return val
 
 
-def lattice_integrals(tau1: float, tau2: float, tau3: float,
-                      epsabs: float = 1e-12) -> tuple[float, float, float]:
+def lattice_integrals(tau1: float, tau2: float,
+                      tau3: float) -> tuple[float, float, float]:
     """Adaptive quadrature of the three defining integrals.
 
     The second (resp. third) integrand is improper when tau1 = 0 (resp.
     tau2 = 1); those are returned as their limits, pi.
     """
-    one = _cubic_quad(lambda t: 1.0, tau1, tau2, tau3, epsabs)
+    one = _cubic_quad(lambda t: 1.0, tau1, tau2, tau3)
     if tau1 == 0.0:
         two = math.pi
     else:
         w2 = math.sqrt(tau1 * tau2 * tau3)
-        two = _cubic_quad(lambda t: w2 / t, tau1, tau2, tau3, epsabs)
+        two = _cubic_quad(lambda t: w2 / t, tau1, tau2, tau3)
     if tau2 == 1.0:
         three = math.pi
     else:
         w3 = math.sqrt((1.0 - tau1) * (1.0 - tau2) * (tau3 - 1.0))
-        three = _cubic_quad(lambda t: w3 / (1.0 - t), tau1, tau2, tau3, epsabs)
+        three = _cubic_quad(lambda t: w3 / (1.0 - t), tau1, tau2, tau3)
     return one, two, three
 
 

@@ -1,11 +1,21 @@
-"""CLI surface: exit codes, JSON schema, determinism, config plumbing."""
+"""CLI surface: exit codes, JSON schema, determinism, removed options."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from eqtorus.cli import main
+from eqtorus.cli import build_parser, main
+from eqtorus.config import Tolerances, tolerances
+from eqtorus.functional import lambda_bar_quadrature, moduli_scan
+from eqtorus.stability import index_nullity_estimate
+from eqtorus.tau_solver import (
+    ModuliPoint,
+    classify_params,
+    lattice_integrals,
+    solve_tau,
+)
 
 
 @pytest.fixture()
@@ -103,6 +113,16 @@ class TestScan:
         assert len(lines) == 5
         assert all(line.endswith("ok") for line in lines[1:])
 
+    @pytest.mark.parametrize("flag,steps", [("--a-steps", "0"),
+                                            ("--b-steps", "0"),
+                                            ("--b-steps", "-1")])
+    def test_empty_grid_rejected(self, run, flag, steps):
+        code, out, err = run("scan", "--p", "1", "--q", "1", "--r", "0",
+                             flag, steps)
+        assert code == 1
+        assert out == ""
+        assert flag in err and steps in err
+
 
 class TestOtsuki:
     def test_mesh_written(self, run, tmp_path):
@@ -190,56 +210,84 @@ class TestMeshCommand:
 
 
 class TestConfig:
-    def test_config_file_parsed(self, run, tmp_path):
+    """The run configuration is deleted: nothing sets a tolerance."""
+
+    SOLVE = ("solve-tau", "--a", "0", "--b", "2", "--p", "1", "--q", "1",
+             "--r", "0")
+
+    def _config_run(self, run, capsys, cfg):
+        with pytest.raises(SystemExit) as exc:
+            run("--config", str(cfg), *self.SOLVE)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        return captured.err
+
+    def test_config_file_parsed(self, run, capsys, tmp_path):
+        # the --config flag is gone: argparse exits before any file is read
         cfg = tmp_path / "run.cfg"
         cfg.write_text("solver_tol = 1e-13\n# comment\n")
-        code, out, _ = run("--config", str(cfg), "solve-tau", "--a", "0",
-                           "--b", "2", "--p", "1", "--q", "1", "--r", "0")
-        assert code == 0
-        assert json.loads(out)["regime"] == "nonlimit"
+        assert "usage: eqtorus" in self._config_run(run, capsys, cfg)
+        assert "--config" not in build_parser().format_help()
 
     @pytest.mark.parametrize("key", ["quadrature_tol", "a_min", "b_steps",
                                      "output_format", "ode_rtol"])
-    def test_removed_key_rejected(self, run, tmp_path, key):
+    def test_removed_key_rejected(self, run, capsys, tmp_path, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
-        code, out, err = run("--config", str(cfg), "solve-tau", "--a", "0",
-                             "--b", "2", "--p", "1", "--q", "1", "--r", "0")
-        assert code == 1
-        assert out == ""
-        assert "unknown config key" in err and key in err
-
-    def test_solver_tol_reaches_scan(self, run, tmp_path):
-        # the looser m-root of solver_tol = 1e-3 must show in the m column,
-        # also through the worker processes of --jobs 2
-        args = ("scan", "--p", "1", "--q", "1", "--r", "0",
-                "--a-min", "0.3", "--a-max", "0.3", "--a-steps", "1",
-                "--b-steps", "2")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver_tol = 1e-3\n")
-        code, out, _ = run(*args)
-        code_cfg, out_cfg, _ = run("--config", str(cfg), *args, "--jobs", "2")
-        assert code == code_cfg == 0
-
-        def m_column(csv_text):
-            header, *rows = csv_text.splitlines()
-            col = header.split(",").index("m")
-            return [float(row.split(",")[col]) for row in rows]
-
-        m, m_cfg = m_column(out), m_column(out_cfg)
-        assert len(m) == len(m_cfg) == 2
-        assert all(abs(x - y) > 1e-6 for x, y in zip(m, m_cfg))
+        self._config_run(run, capsys, cfg)
+        assert key not in dataclasses.asdict(tolerances())
 
     def test_env_override(self, run, monkeypatch):
-        monkeypatch.setenv("EQTORUS_TOL_OVERRIDE", "10")
-        code, out, _ = run("solve-tau", "--a", "0", "--b", "2",
-                           "--p", "1", "--q", "1", "--r", "0")
+        # EQTORUS_TOL_OVERRIDE is not read: output is byte-identical
+        monkeypatch.delenv("EQTORUS_TOL_OVERRIDE", raising=False)
+        unset = run(*self.SOLVE)
+        monkeypatch.setenv("EQTORUS_TOL_OVERRIDE", "1e7")
+        code, out, err = run(*self.SOLVE)
+        assert (code, out, err) == unset
         assert code == 0
         assert max(json.loads(out)["residuals"].values()) <= 1e-8
 
     def test_bad_env_override(self, monkeypatch):
+        # a value the old override rejected has nothing to reject now
         monkeypatch.setenv("EQTORUS_TOL_OVERRIDE", "-1")
-        from eqtorus.config import tolerances
+        assert dataclasses.asdict(tolerances()) == {"solver": 1e-14}
 
-        with pytest.raises(ValueError):
-            tolerances()
+
+def _rejects(keyword, call):
+    def check():
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{keyword}'"):
+            call()
+    return check
+
+
+def _tolerances_record():
+    assert dataclasses.asdict(tolerances()) == {"solver": 1e-14}
+    with pytest.raises(TypeError, match="solver"):
+        Tolerances(solver=1e-3)
+
+
+_POINT = ModuliPoint(0.3, 1.4)
+_PARAMS = classify_params(_POINT, 1, 1, 0)
+REMOVED_OPTIONS = {
+    "solve_tau_xtol": _rejects(
+        "xtol", lambda: solve_tau(_POINT, _PARAMS, xtol=1e-3)),
+    "moduli_scan_tol": _rejects(
+        "tol", lambda: moduli_scan([0.3], [1.4], 1, 1, 0, tol=None)),
+    "index_tol": _rejects(
+        "tol", lambda: index_nullity_estimate(_POINT, tol=None)),
+    "lattice_integrals_epsabs": _rejects(
+        "epsabs", lambda: lattice_integrals(0.2, 0.6, 1.5, epsabs=1e-12)),
+    "lambda_bar_quadrature_epsabs": _rejects(
+        "epsabs", lambda: lambda_bar_quadrature(None, epsabs=1e-11)),
+    "tolerances_record": _tolerances_record,
+}
+
+
+@pytest.mark.parametrize("option", sorted(REMOVED_OPTIONS))
+def test_removed_options(option):
+    # no tolerance keyword is left, and tolerances() only records; the
+    # --config flag and the environment variable are pinned in TestConfig,
+    # the zero_tol keyword in test_stability's test_zero_tol_rejected
+    REMOVED_OPTIONS[option]()

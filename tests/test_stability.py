@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from scipy.sparse import csc_matrix
 
 from eqtorus import stability
-from eqtorus.config import Tolerances
 from eqtorus.maps import build_profiles
 from eqtorus.stability import (
     _frame_coefficients,
@@ -237,19 +236,19 @@ class TestResolutions:
 
     def test_richardson_exact_for_any_ratio(self, monkeypatch):
         # eigenvalues with a pure h^2 error: extrapolation recovers them
-        exact = np.array([-2.5, -1.0, 0.0, 0.0, 3.0])
+        exact = np.array([-2.5, -1.5, 0.0, 0.0, 3.0])
 
         def fake_spectrum(frame, l):
             if l > 0:
                 return np.array([50.0]), (0, 0)
-            return exact + 40.0 * frame.h**2, (1, 4)
+            return exact + 40.0 * frame.h**2, (2, 4)
 
         monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
         point = ModuliPoint(0.3, 1.4)
         for res in ((64, 192), (48, 80), (64, 128)):
-            est = index_nullity_estimate(point, resolutions=res,
-                                         zero_tol=1e-9)
+            est = index_nullity_estimate(point, resolutions=res)
             assert (est.index, est.nullity) == (2, 2)
+            assert est.converged
             assert est.per_mode[0]["smallest"] == pytest.approx(-2.5,
                                                                 abs=1e-12)
         # ratio 2 is bit-identical to the (4 hi - lo) / 3 formula
@@ -301,8 +300,10 @@ class TestSpectrumSlicing:
 
     @pytest.mark.parametrize("bad", [0.0, -1e-5, 0.1, 1.0, math.nan])
     def test_zero_tol_rejected(self, bad):
-        with pytest.raises(ValueError, match="zero_tol"):
+        # zero_tol is the constant stability.ZERO_TOL, not a keyword
+        with pytest.raises(TypeError, match="zero_tol"):
             index_nullity_estimate(ModuliPoint(0.3, 1.4), zero_tol=bad)
+        assert stability.ZERO_TOL == 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -344,20 +345,26 @@ class TestIndexNullity:
         assert last <= l_positive
         row = reference_estimate.per_mode[last]
         assert row["negative"] == 0 and row["zero"] == 0
-        assert row["smallest"] > reference_estimate.zero_tol
+        assert row["smallest"] > stability.ZERO_TOL
         # the bound holds for the discretized form at the first such mode
         frame = _grid_frame(build_profiles(tau, params, point), 256)
         vals, _ = _mode_spectrum(frame, l_positive)
         bound = 4.0 * math.pi**2 * ((l_positive - 1) ** 2 - tau_sum)
         assert vals[0] >= bound > 0.0
 
-    def test_solver_tolerance_reaches_tau_solve(self, reference_estimate):
-        # a loose m-root (xtol 1e-3) moves the extrapolated eigenvalues
-        loose = index_nullity_estimate(ModuliPoint(0.3, 1.4),
-                                       resolutions=(256, 512),
-                                       tol=Tolerances(solver=1e-3))
-        assert (loose.per_mode[0]["smallest"]
-                != reference_estimate.per_mode[0]["smallest"])
+    def test_counts_from_inertia_at_borderline_point(self):
+        # at (0.45, 1.25) the l = 1 zero value extrapolates to 1.02e-5, just
+        # above ZERO_TOL: the inertia still counts it, and it is flagged
+        est = index_nullity_estimate(ModuliPoint(0.45, 1.25),
+                                     resolutions=(256, 512))
+        assert (est.index, est.nullity) == (3, 7)
+        assert not est.converged
+        row = est.per_mode[1]
+        assert (row["negative"], row["zero"]) == (1, 2)
+        assert row["inertia"] == {"256": [1, 3], "512": [1, 3]}
+        assert row["borderline"] == [pytest.approx(1.0233e-5, rel=1e-3)]
+        assert all(not other["borderline"]
+                   for l, other in est.per_mode.items() if l != 1)
 
     def test_non_dyadic_ratio(self):
         est = index_nullity_estimate(ModuliPoint(0.3, 1.4),
