@@ -58,6 +58,13 @@ def _solve(args):
     return point, params, tau
 
 
+def _require_positive(*flags) -> None:
+    """Reject a grid size below 1, naming its flag: (flag, value) pairs."""
+    for flag, steps in flags:
+        if steps < 1:
+            raise ValueError(f"{flag} must be at least 1, got {steps}")
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -126,10 +133,7 @@ def cmd_spectral(args) -> int:
 def cmd_scan(args) -> int:
     from eqtorus.functional import moduli_scan, write_scan_csv
 
-    for flag, steps in (("--a-steps", args.a_steps),
-                        ("--b-steps", args.b_steps)):
-        if steps < 1:
-            raise ValueError(f"{flag} must be at least 1, got {steps}")
+    _require_positive(("--a-steps", args.a_steps), ("--b-steps", args.b_steps))
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
     b_vals = np.linspace(args.b_min, args.b_max, args.b_steps)
     rows = moduli_scan(a_vals, b_vals, args.p, args.q, args.r,
@@ -147,6 +151,7 @@ def cmd_otsuki(args) -> int:
     from eqtorus.maps import export_mesh, harmonicity_residual
     from eqtorus.otsuki import conformality_residual, otsuki_map, solve_otsuki
 
+    _require_positive(("--nx", args.nx), ("--ny", args.ny))
     ot = solve_otsuki(args.pt, args.qt)
     point, params, tau, prof = otsuki_map(ot, k=args.k, r_t=args.rt)
     diag, offdiag = conformality_residual(prof)
@@ -211,6 +216,7 @@ def cmd_stability(args) -> int:
 def cmd_mesh(args) -> int:
     from eqtorus.maps import build_profiles, export_mesh
 
+    _require_positive(("--nx", args.nx), ("--ny", args.ny))
     point, params, tau = _solve(args)
     prof = build_profiles(tau, params, point)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -209,6 +209,22 @@ class TestMeshCommand:
         assert norm == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("flag,size", [("--nx", "0"), ("--ny", "-1")])
+@pytest.mark.parametrize("command", [
+    ("mesh", "--a", "1/4", "--b", "2.1", "--p", "2", "--q", "3", "--r", "0",
+     "--out"),
+    ("otsuki", "--pt", "2", "--qt", "3", "--mesh"),
+], ids=["mesh", "otsuki"])
+def test_empty_mesh_rejected(run, tmp_path, command, flag, size):
+    target = tmp_path / "old.jsonl"
+    target.write_text("earlier output\n")
+    code, out, err = run(*command, str(target), flag, size)
+    assert code == 1
+    assert out == ""
+    assert flag in err and size in err
+    assert target.read_text() == "earlier output\n"
+
+
 class TestConfig:
     """The run configuration is deleted: nothing sets a tolerance."""
 

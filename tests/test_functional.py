@@ -2,10 +2,13 @@
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from eqtorus import functional
 from eqtorus.functional import (
     flat_lambda1,
     functional_value,
@@ -19,13 +22,56 @@ from eqtorus.functional import (
 )
 from eqtorus.maps import build_profiles
 from eqtorus.otsuki import otsuki_map, solve_otsuki
-from eqtorus.tau_solver import ModuliPoint, classify_params, solve_tau
+from eqtorus.tau_solver import (
+    InfeasibleParametersError,
+    ModuliPoint,
+    classify_params,
+    solve_tau,
+)
 
 
 def _solve(a, b, p, q, r):
     point = ModuliPoint(a, b)
     params = classify_params(point, p, q, r)
     return point, params, solve_tau(point, params)
+
+
+# the scan benchmark's seed-0 grid: a-columns of three families, 15 b each
+SCAN_FAMILIES = [(1, 1, 0), (1, 2, 0), (2, 3, 1)]
+SCAN_A = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+SCAN_B = np.linspace(0.9, 3.0, 15)
+
+MIXED_CASES = [
+    (0.25, 2.1, 2, 3, 0), (0.5, 2.0, 2, 3, 1), (0.25, 1.25, 1, 2, 0),
+    (0.0, 1.3, 1, 2, 1), (0.0, 2.0, 1, 1, 0), (0.3, 2.2, 2, 2, 0),
+    (0.1, 3.1, 3, 4, 0), (0.4, 2.0, 2, 4, 1), (0.2, 2.6, 2, 3, -1),
+    (0.3, 1.4, 1, 1, 0),
+]
+
+
+def _feasible(cases):
+    """(case, point, params, tau) for each case that is not infeasible."""
+    out = []
+    for case in cases:
+        try:
+            out.append((case, *_solve(*case)))
+        except InfeasibleParametersError:
+            pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def scan_grid():
+    return _feasible([(a, float(b), *pqr) for pqr in SCAN_FAMILIES
+                      for a in SCAN_A for b in SCAN_B])
+
+
+def _quad_oracle(profiles):
+    """The adaptive QUADPACK value the Gauss-Legendre rule replaced."""
+    per = profiles.point.b / profiles.params.q
+    val, _ = quad(lambda y: float(profiles.rho(y)), 0.0, per,
+                  epsabs=1e-11, epsrel=1e-12, limit=200)
+    return 2.0 * val * profiles.params.q
 
 
 class TestFunctionalValue:
@@ -70,6 +116,29 @@ class TestFunctionalValue:
         point, params, tau = _solve(0.3, 1.4, 1, 1, 0)
         fv = functional_value(tau, params, point, with_n2=True)
         assert fv.n2 == 1
+
+
+class TestGaussLegendre:
+    def test_matches_adaptive_oracle(self, scan_grid):
+        cases = scan_grid + _feasible(
+            [(a, b, 1, 1, 0) for a in (0.0, 0.3, 0.5) for b in (3.0, 4.0, 4.4)]
+            + MIXED_CASES)
+        profiles = [build_profiles(tau, params, point)
+                    for _, point, params, tau in cases]
+        profiles += [otsuki_map(solve_otsuki(pt, qt))[3]
+                     for pt, qt in ((2, 3), (3, 5), (99, 197))]
+        assert len(profiles) == 231 + 9 + 10 + 3
+        for prof in profiles:
+            assert lambda_bar_quadrature(prof) == pytest.approx(
+                _quad_oracle(prof), rel=1e-13, abs=0)
+
+    def test_unsettled_integrand_raises(self):
+        rng = np.random.default_rng(0)
+        noise = SimpleNamespace(
+            point=SimpleNamespace(b=2.0), params=SimpleNamespace(q=1),
+            rho=lambda y: rng.standard_normal(np.shape(y)))
+        with pytest.raises(RuntimeError, match="4096 panels"):
+            lambda_bar_quadrature(noise)
 
 
 class TestFlatLambda1:
@@ -202,6 +271,30 @@ class TestScan:
             vals = [row["lambda_bar"] for row in rows
                     if row["a"] == a and row["status"] == "ok"]
             assert all(x > y + 1e-9 for x, y in zip(vals, vals[1:]))
+
+    def test_printed_values_are_functional_value(self, scan_grid):
+        want = {case: functional_value(tau, params, point)
+                for case, point, params, tau in scan_grid}
+        for p, q, r in SCAN_FAMILIES:
+            for row in moduli_scan(SCAN_A, SCAN_B, p, q, r):
+                if row["status"] != "ok":
+                    continue
+                fv = want.pop((row["a"], row["b"], p, q, r))
+                assert row["lambda_bar"] == fv.lambda_bar
+                assert row["flat_value"] == fv.flat_value
+                assert row["petrides_floor"] == fv.petrides_floor
+        assert not want
+
+    def test_no_quadrature(self, monkeypatch):
+        def refuse(profiles):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(functional, "lambda_bar_quadrature", refuse)
+        point, params, tau = _solve(0.3, 1.4, 1, 1, 0)
+        with pytest.raises(AssertionError, match="quadrature called"):
+            functional_value(tau, params, point)
+        rows = moduli_scan(np.linspace(0.0, 0.5, 3), [1.3, 1.8], 1, 1, 0)
+        assert [row["status"] for row in rows] == ["ok"] * 6
 
     def test_monotone_in_a(self):
         rows = moduli_scan(np.linspace(0.05, 0.45, 5), [1.7], 1, 1, 0)
