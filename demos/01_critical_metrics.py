@@ -62,7 +62,7 @@ for a in (0.0, 0.25, 0.5):
         params = classify_params(point, 1, 1, 0)
         tau = solve_tau(point, params)
         fv = functional_value(tau, params, point)
-        hc = hopf_constants(build_profiles(tau, params, point))
+        hc = hopf_constants(tau)
         assert fv.beats_both
         print(f"{a:>5} {b:>5} {fv.lambda_bar:>12.6f} {fv.flat_value:>10.6f} "
               f"{8 * math.pi:>8.4f} {hc.h_re:>9.5f} {hc.h_im:>9.5f}")

@@ -238,7 +238,7 @@ def hopf_derivative_check(point: ModuliPoint, h: float = 1e-4) -> dict:
     dE_db = richardson(lambda t: _energy(ModuliPoint(a, t)), b)
     params = classify_params(point, 1, 1, 0)
     tau = solve_tau(point, params)
-    hc = hopf_constants(build_profiles(tau, params, point))
+    hc = hopf_constants(tau)
     return {
         "dE_da": dE_da,
         "dE_db": dE_db,
@@ -274,7 +274,7 @@ def _scan_row(a: float, b: float, p: int, q: int, r: int,
     except InfeasibleParametersError as exc:
         row["status"] = f"infeasible: {exc}"
         return row
-    hc = hopf_constants(build_profiles(tau, params, point))
+    hc = hopf_constants(tau)
     row.update(tau1=tau.tau1, tau2=tau.tau2, tau3=tau.tau3, m=tau.m,
                lambda_bar=lambda_bar_closed_form(tau, params, point),
                flat_value=flat_lambda1(point), petrides_floor=PETRIDES_FLOOR,

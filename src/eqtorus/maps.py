@@ -1,16 +1,19 @@
 """Profiles and evaluators for the equivariant harmonic maps into S^3.
 
 A map is (cos phi(y) e^{i theta(y)}, sin phi(y) e^{i(2 pi x + alpha(y))}) on
-the plane, descending to the torus R^2 / (Z(1,0) + Z(a,b)).  The latitude
-profile runs through four branches depending on which limit case holds; the
-universal quantities are
+the plane, descending to the torus R^2 / (Z(1,0) + Z(a,b)).  With sn, cn, dn
+at (w y | m), w = 2 pi sqrt(tau3 - tau1), and D = tau2 - tau1,
 
-    cos^2 phi(y) = tau1 + (tau2 - tau1) sn^2(w y | m),   w = 2 pi sqrt(tau3 - tau1),
-    rho(y)       = 2 pi^2 (tau1 + tau2 + tau3 - 2 cos^2 phi(y)),
+    cos^2 phi = tau1 + D sn^2,   sin^2 phi = (1 - tau2) + D cn^2,
+    rho(y)    = 2 pi^2 (tau1 + tau2 + tau3 - 2 cos^2 phi(y)).
 
-and the angular profiles integrate the first-order relations
-theta' = c / cos^2 phi, alpha' = d / sin^2 phi into incomplete third-kind
-integrals with quasi-periodically extended amplitude.
+ProfileSet.latitude alone takes the roots (signed in the limit cases) and
+their first two y-derivatives, in closed form.  The angular profiles
+integrate the first integrals theta' = c / cos^2 phi, alpha' = d / sin^2 phi
+into incomplete third-kind integrals with quasi-periodically extended
+amplitude.  They also make z1'' = ((cos phi)'' - theta'^2 cos phi) e^{i theta}
+and z2'' = ((sin phi)'' - alpha'^2 sin phi) e^{i psi}, so harmonicity_residual
+checks every map with closed-form second derivatives.
 
 The constant-latitude ("circle") family lives on the boundary
 (r+a)^2 + b^2 = p^2 and is exactly harmonic with constant energy density.
@@ -90,29 +93,39 @@ class ProfileSet:
         sn = self._sn_cn_dn_am(y)[0]
         return self.tau.tau1 + self._dt * sn * sn
 
+    def latitude(self, y):
+        """((cos phi, sin phi), their y-derivatives, their second ones), the
+        one place that decides these roots and their signs (DLMF 22.13): the
+        signed sqrt(D) sn or sqrt(D) cn where the regime makes tau1 or 1 - tau2
+        exactly zero, elsewhere the positive roots of the module's squares."""
+        sn, cn, dn, _ = self._sn_cn_dn_am(y)
+        w, m, dt, reg = self.w, self.tau.m, self._dt, self.params.regime
+
+        def root(const, signed, f, df, d2f):
+            # sqrt(const + D f^2) and its derivatives, from (r^2)' = 2 D f f'
+            if signed:
+                return tuple(math.sqrt(dt) * v for v in (f, df, d2f))
+            r = np.sqrt(const + dt * f * f)
+            dr = dt * f * df / r
+            return r, dr, (dt * (df * df + f * d2f) - dr * dr) / r
+
+        cos = root(self.tau.tau1,
+                   reg in (Regime.FIRST_LIMIT, Regime.HYBRID_LIMIT),
+                   sn, w * cn * dn, -w * w * sn * (dn * dn + m * cn * cn))
+        sin = root(1.0 - self.tau.tau2,
+                   reg in (Regime.SECOND_LIMIT, Regime.HYBRID_LIMIT),
+                   cn, -w * sn * dn, -w * w * cn * (dn * dn - m * sn * sn))
+        return tuple(zip(cos, sin))
+
     def cos_sin_phi(self, y):
         """(cos phi, sin phi) with the branch-correct signs."""
-        t1, t2, _ = self.tau.taus
-        sn, cn, _, _ = self._sn_cn_dn_am(y)
-        reg = self.params.regime
-        if reg is Regime.NONLIMIT:
-            c2 = t1 + self._dt * sn * sn
-            return np.sqrt(c2), np.sqrt(1.0 - c2)
-        if reg is Regime.FIRST_LIMIT:
-            cphi = math.sqrt(t2) * sn
-            return cphi, np.sqrt(1.0 - cphi * cphi)
-        if reg is Regime.SECOND_LIMIT:
-            sphi = math.sqrt(1.0 - t1) * cn
-            return np.sqrt(1.0 - sphi * sphi), sphi
-        # hybrid: phi = pi/2 - am, so cos phi = sn, sin phi = cn
-        return sn, cn
+        return self.latitude(y)[0]
 
     def phi(self, y):
-        cphi, sphi = self.cos_sin_phi(y)
         if self.params.regime is Regime.HYBRID_LIMIT:
             # unwrapped: phi = pi/2 - am(w y | m), monotone in y
-            am = self._sn_cn_dn_am(y)[3]
-            return math.pi / 2 - am
+            return math.pi / 2 - self._sn_cn_dn_am(y)[3]
+        cphi, sphi = self.cos_sin_phi(y)
         return np.arctan2(sphi, cphi)
 
     def theta(self, y):
@@ -133,19 +146,8 @@ class ProfileSet:
     # -- derivatives (closed forms) --------------------------------------
 
     def dphi(self, y):
-        t1, t2, _ = self.tau.taus
-        sn, cn, dn, _ = self._sn_cn_dn_am(y)
-        reg = self.params.regime
-        if reg is Regime.NONLIMIT:
-            c2 = t1 + self._dt * sn * sn
-            return -self._dt * self.w * sn * cn * dn / np.sqrt(c2 * (1.0 - c2))
-        if reg is Regime.FIRST_LIMIT:
-            rt = math.sqrt(t2)
-            return -rt * self.w * cn * dn / np.sqrt(1.0 - t2 * sn * sn)
-        if reg is Regime.SECOND_LIMIT:
-            rt = math.sqrt(1.0 - t1)
-            return rt * self.w * (-sn) * dn / np.sqrt(1.0 - (1.0 - t1) * cn * cn)
-        return -self.w * dn
+        (cphi, sphi), (dcphi, dsphi), _ = self.latitude(y)
+        return cphi * dsphi - sphi * dcphi
 
     def dtheta(self, y):
         if self.tau.c == 0.0:
@@ -155,26 +157,32 @@ class ProfileSet:
     def dalpha(self, y):
         if self.tau.d == 0.0:
             return np.zeros_like(np.asarray(y, dtype=float))
-        return self.tau.d / (1.0 - self.cos2_phi(y))
+        return self.tau.d / self.cos_sin_phi(y)[1] ** 2
 
-    # -- the map and its y-derivative ------------------------------------
+    # -- the map and its y-derivatives -----------------------------------
+
+    def _phases(self, x, y):
+        """(e^{i theta}, e^{i psi}) with psi = 2 pi x + alpha(y)."""
+        psi = TWO_PI * np.asarray(x, dtype=float) + self.alpha(y)
+        return np.exp(1j * self.theta(y)), np.exp(1j * psi)
 
     def map_values(self, x, y):
         """(z1, z2) complex arrays at flat coordinates (x, y)."""
         cphi, sphi = self.cos_sin_phi(y)
-        th = self.theta(y)
-        al = self.alpha(y)
-        psi = TWO_PI * np.asarray(x, dtype=float) + al
-        return cphi * np.exp(1j * th), sphi * np.exp(1j * psi)
+        e1, e2 = self._phases(x, y)
+        return cphi * e1, sphi * e2
 
     def dy_values(self, x, y):
-        cphi, sphi = self.cos_sin_phi(y)
-        th, al = self.theta(y), self.alpha(y)
-        dphi, dth, dal = self.dphi(y), self.dtheta(y), self.dalpha(y)
-        psi = TWO_PI * np.asarray(x, dtype=float) + al
-        dz1 = (-dphi * sphi + 1j * dth * cphi) * np.exp(1j * th)
-        dz2 = (dphi * cphi + 1j * dal * sphi) * np.exp(1j * psi)
-        return dz1, dz2
+        (cphi, sphi), (dcphi, dsphi), _ = self.latitude(y)
+        e1, e2 = self._phases(x, y)
+        return ((dcphi + 1j * self.dtheta(y) * cphi) * e1,
+                (dsphi + 1j * self.dalpha(y) * sphi) * e2)
+
+    def d2y_values(self, x, y):
+        (cphi, sphi), _, (d2cphi, d2sphi) = self.latitude(y)
+        e1, e2 = self._phases(x, y)
+        return ((d2cphi - self.dtheta(y) ** 2 * cphi) * e1,
+                (d2sphi - self.dalpha(y) ** 2 * sphi) * e2)
 
     def dx_values(self, x, y):
         z2 = self.map_values(x, y)[1]
@@ -248,35 +256,21 @@ def _stack4(z1, z2):
     return np.stack([z1.real, z1.imag, z2.real, z2.imag])
 
 
-def harmonicity_residual(map_like, n: int = 1000, h: float = 1e-4) -> float:
+def harmonicity_residual(map_like, n: int = 1000) -> float:
     """Max norm of the tension field against the sphere constraint.
 
-    Evaluates |d2u/dx2 + d2u/dy2 + 2 e(u) u| on an n-point y-grid; the x
-    second derivative is analytic (-4 pi^2 z2), the y one comes from the
-    map's exact formula when available and a 4th-order five-point stencil
-    otherwise.  Equivariance makes the residual independent of x.
+    Evaluates |d2u/dx2 + d2u/dy2 + 2 e(u) u| on an n-point y-grid with both
+    second derivatives in closed form: -4 pi^2 z2 in x and the map's
+    d2y_values in y.  Equivariance makes the residual independent of x.
     """
     b = map_like.point.b
     y = np.linspace(0.0, b, n, endpoint=False) + 0.31 * b / n
-    x = 0.0
-    z1, z2 = map_like.map_values(x, y)
-    if hasattr(map_like, "d2y_values"):
-        d2y1, d2y2 = map_like.d2y_values(x, y)
-    else:
-        stencil = [(-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)]
-        d2y1 = np.zeros_like(z1)
-        d2y2 = np.zeros_like(z2)
-        for k, wgt in stencil:
-            zz1, zz2 = map_like.map_values(x, y + k * h)
-            d2y1 += wgt * zz1
-            d2y2 += wgt * zz2
-        d2y1 /= 12.0 * h * h
-        d2y2 /= 12.0 * h * h
+    z1, z2 = map_like.map_values(0.0, y)
+    d2y1, d2y2 = map_like.d2y_values(0.0, y)
     rho = map_like.rho(y)
     res1 = d2y1 + 2.0 * rho * z1
     res2 = d2y2 - 4.0 * math.pi**2 * z2 + 2.0 * rho * z2
-    norms = np.sqrt(np.abs(res1) ** 2 + np.abs(res2) ** 2)
-    return float(np.max(norms))
+    return float(np.max(np.sqrt(np.abs(res1) ** 2 + np.abs(res2) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -287,9 +281,9 @@ class HopfConstants:
     h_im: float
 
 
-def hopf_constants(profiles: ProfileSet) -> HopfConstants:
-    return HopfConstants(h_re=math.pi**2 - profiles.tau.A / 4.0,
-                         h_im=-math.pi * profiles.tau.d + 0.0)
+def hopf_constants(tau: TauTriple) -> HopfConstants:
+    return HopfConstants(h_re=math.pi**2 - tau.A / 4.0,
+                         h_im=-math.pi * tau.d + 0.0)
 
 
 def hopf_grid_residual(map_like, n: int = 64):

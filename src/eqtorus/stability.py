@@ -3,6 +3,8 @@ the constant-latitude maps, their kernel at the distinguished latitude, the
 conformal-direction second variation, and a discretized index/nullity count
 for the generic (1,1,0) maps, read from the inertia of shifted LDL^H factors
 and certified by Richardson-extrapolated eigenvalues to within ZERO_TOL.
+Its frame takes the signed cos phi, sin phi of ProfileSet.latitude, and
+is (-1)^q-periodic on the lattice in the second limit (see _grid_frame).
 
 For the constant-latitude map at (r+a)^2 + b^2 = p^2 the Jacobi operator has
 constant coefficients in the orthonormal frame
@@ -32,6 +34,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from eqtorus.maps import build_circle_map, build_profiles
 from eqtorus.tau_solver import (
     ModuliPoint,
+    Regime,
     classify_params,
     require_circle_boundary,
     solve_tau,
@@ -247,12 +250,10 @@ def _frame_coefficients(profiles, y):
         Q(V) = int |D_x f|^2 + |sigma_x . f|^2 + |D_y f|^2 + |sigma_y . f|^2
                - 2 rho |f|^2.
     """
-    c2 = profiles.cos2_phi(y)
-    s2 = 1.0 - c2
-    sc = np.sqrt(c2 * s2)
-    dphi = profiles.dphi(y)
-    dth = profiles.dtheta(y)
-    dal = profiles.dalpha(y)
+    (cphi, sphi), (dcphi, dsphi), _ = profiles.latitude(y)
+    c2, s2, sc = cphi * cphi, sphi * sphi, sphi * cphi
+    dphi = cphi * dsphi - sphi * dcphi
+    dth, dal = profiles.dtheta(y), profiles.dalpha(y)
     g = (dal - dth) * sc
     hcoef = dth * s2 + dal * c2
     cd = np.full_like(c2, profiles.tau.c + profiles.tau.d)
@@ -261,8 +262,7 @@ def _frame_coefficients(profiles, y):
     sigma_x = np.stack([-2.0 * math.pi * s2, zero, -2.0 * math.pi * sc], -1)
     omega_y = _skew(g, -dphi, -hcoef)
     sigma_y = np.stack([-cd, -dphi, -g], -1)
-    rho = profiles.rho(y)
-    return omega_x, sigma_x, omega_y, sigma_y, rho
+    return omega_x, sigma_x, omega_y, sigma_y, profiles.rho(y)
 
 
 @dataclass(frozen=True)
@@ -273,6 +273,7 @@ class _GridFrame:
 
     a: float
     h: float
+    flip: float              # e2 at (a, b) is flip times e2 at (0, 0)
     omega_x: np.ndarray      # (n, 3, 3) at the nodes
     sigma_x: np.ndarray      # (n, 3) at the nodes
     sigma_y: np.ndarray      # (n, 3) at the nodes
@@ -281,13 +282,17 @@ class _GridFrame:
 
 
 def _grid_frame(profiles, n: int) -> _GridFrame:
-    point = profiles.point
+    point, params = profiles.point, profiles.params
     h = point.b / n
     y_nodes = np.arange(n) * h
     omega_x, sigma_x, _, sigma_y, rho = _frame_coefficients(profiles, y_nodes)
     omega_y_mid = _frame_coefficients(profiles, y_nodes + 0.5 * h)[2]
-    return _GridFrame(a=point.a, h=h, omega_x=omega_x, sigma_x=sigma_x,
-                      sigma_y=sigma_y, rho=rho, omega_y_mid=omega_y_mid)
+    # second limit: sin phi = sqrt(1 - tau1) cn gains (-1)^q over b while
+    # alpha stays frozen, so e2 at (a, b) is (-1)^q e2 at (0, 0)
+    odd = params.regime is Regime.SECOND_LIMIT and params.q % 2
+    return _GridFrame(a=point.a, h=h, flip=-1.0 if odd else 1.0,
+                      omega_x=omega_x, sigma_x=sigma_x, sigma_y=sigma_y,
+                      rho=rho, omega_y_mid=omega_y_mid)
 
 
 def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
@@ -296,8 +301,8 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     Staggered first differences with midpoint frame rotation keep the
     derivative part a Gram matrix K = B^H B (no checkerboard null modes);
     pointwise terms sit on the nodes.  The Floquet wrap carries
-    e^{-2 pi i l a}.  Mode 0 has neither the phase nor the i of the
-    x-derivative, so its form is real symmetric and returned as real.
+    e^{-2 pi i l a}, times frame.flip on e2 and i e2.  Mode 0 has no phase
+    and no i in its x-derivative, so its form is real and returned as real.
     """
     n = frame.rho.size
     dim = 3 * n
@@ -306,6 +311,7 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     left = half_omega - eye / frame.h
     right = (half_omega + eye / frame.h).astype(complex)
     right[-1] *= np.exp(-2j * math.pi * l * frame.a)
+    right[-1, :, 1:] *= frame.flip
     # 3x3 blocks: row j holds `left` at column j and `right` at j + 1 mod n
     B = bsr_matrix((np.stack([left, right], 1).reshape(2 * n, 3, 3),
                     np.stack([np.arange(n), np.roll(np.arange(n), -1)], 1)

@@ -136,6 +136,16 @@ class TestOtsuki:
         assert len(recs) == 24
         assert doc["conformality_residual_diag"] <= 1e-8
 
+    def test_harmonic_near_m_one(self, run):
+        # m* = 1 - 1.2e-6: the printed residual comes from the closed-form
+        # second derivatives (a difference stencil printed 6.0e-5)
+        code, out, _ = run("otsuki", "--pt", "99", "--qt", "197")
+        doc = json.loads(out)
+        assert code == 0
+        assert 1.0 - doc["m_star"] < 2e-6
+        assert doc["harmonicity_residual"] <= 1e-10
+        assert doc["conformality_residual_diag"] <= 1e-8
+
     def test_bad_ratio_exit_2(self, run):
         code, _, err = run("otsuki", "--pt", "3", "--qt", "4")
         assert code == 2

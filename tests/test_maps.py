@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,46 @@ class TestProfiles:
              + (c * c - d * d + A) * t - c * c) / (4 * math.pi**2)
         np.testing.assert_allclose(dC * dC, 16 * math.pi**2 * P, atol=1e-6)
 
+    def test_d2y_matches_differenced_dy(self, built):
+        for name in CASES:
+            point, params, tau, prof = built[name]
+            y = np.linspace(0.013, point.b, 97)
+            h = 1e-5 * point.b
+            x = 0.37
+            for d2, up, down in zip(prof.d2y_values(x, y),
+                                    prof.dy_values(x, y + h),
+                                    prof.dy_values(x, y - h)):
+                fd = (up - down) / (2 * h)
+                err = np.max(np.abs(d2 - fd))
+                assert err <= 1e-6 * np.max(np.abs(d2)), name
+
+    def test_latitude_signs_and_unit_norm(self, built):
+        # cos phi is signed where tau1 = 0, sin phi where tau2 = 1
+        signed = {"first": (True, False), "second": (False, True),
+                  "hybrid": (True, True)}
+        for name in CASES:
+            point, params, tau, prof = built[name]
+            y = np.linspace(0.0, point.b, 401)
+            cphi, sphi = prof.cos_sin_phi(y)
+            np.testing.assert_allclose(cphi**2 + sphi**2, 1.0, atol=1e-14)
+            np.testing.assert_allclose(cphi**2, prof.cos2_phi(y), atol=1e-14)
+            for values, is_signed in zip((cphi, sphi),
+                                         signed.get(name, (False, False))):
+                assert (np.min(values) < -0.1) == is_signed, name
+
+    def test_latitude_derivatives_match_finite_differences(self, built):
+        for name in CASES:
+            point, params, tau, prof = built[name]
+            y = np.linspace(0.013, point.b, 97)
+            h = 1e-5 * point.b
+            lat, up, down = (prof.latitude(y + s) for s in (0.0, h, -h))
+            for k in (0, 1):
+                for j in (0, 1):  # cos phi, sin phi
+                    fd = (up[k][j] - down[k][j]) / (2 * h)
+                    exact = lat[k + 1][j]
+                    assert (np.max(np.abs(exact - fd))
+                            <= 1e-6 * np.max(np.abs(exact))), name
+
     def test_dphi_matches_finite_differences(self, built):
         for name in CASES:
             point, params, tau, prof = built[name]
@@ -198,27 +239,46 @@ class TestCircleMap:
 class TestHarmonicity:
     def test_reference_map_residual(self, built):
         point, params, tau, prof = built["nonlimit"]
-        assert harmonicity_residual(prof) <= 1e-6
+        assert harmonicity_residual(prof) <= 1e-10
 
     def test_all_regimes_small(self, built):
         for name in CASES:
             _, _, _, prof = built[name]
-            assert harmonicity_residual(prof, n=500) <= 1e-4, name
+            assert harmonicity_residual(prof, n=500) <= 1e-10, name
+
+    @pytest.mark.parametrize("b", [1.4, 3.0, 3.5])
+    def test_one_one_zero_as_m_nears_one(self, b):
+        # 1 - m reaches 1.5e-7 at b = 3
+        point = ModuliPoint(0.3, b)
+        params = classify_params(point, 1, 1, 0)
+        prof = build_profiles(solve_tau(point, params), params, point)
+        assert harmonicity_residual(prof, n=500) <= 1e-10
 
     def test_corrupted_tau_fails(self, built):
         point, params, tau, prof = built["nonlimit"]
-        from dataclasses import replace
-
         bad = replace(tau, tau3=tau.tau3 + 0.01)
         bad_prof = build_profiles(bad, params, point)
         assert harmonicity_residual(bad_prof) > 1e-3
+
+    def test_tau3_error_of_1e9_detected(self, built):
+        # a difference stencil with h = 1e-4 read 5.4e-7 on the sound map
+        # and 6.4e-7 with tau3 off by 1e-9: it could not tell them apart
+        point, params, tau, prof = built["nonlimit"]
+        bad = replace(tau, tau3=tau.tau3 + 1e-9)
+        bad_prof = build_profiles(bad, params, point)
+        assert harmonicity_residual(bad_prof) > max(
+            1e-8, 1e3 * harmonicity_residual(prof))
+
+    def test_no_step_keyword(self, built):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'h'"):
+            harmonicity_residual(built["nonlimit"][3], n=500, h=1e-4)
 
 
 class TestHopf:
     def test_closed_form_matches_derivative_grid(self, built):
         for name in CASES:
             _, _, tau, prof = built[name]
-            hc = hopf_constants(prof)
+            hc = hopf_constants(tau)
             re4, im4, spread = hopf_grid_residual(prof)
             assert spread <= 1e-8, name
             assert re4 == pytest.approx(hc.h_re, abs=1e-9)
@@ -229,11 +289,11 @@ class TestHopf:
         point = ModuliPoint(0.0, 2.0)
         params = classify_params(point, 1, 1, 0)
         tau = solve_tau(point, params)
-        assert hopf_constants(build_profiles(tau, params, point)).h_im == 0.0
+        assert hopf_constants(tau).h_im == 0.0
 
     def test_generic_one_one_zero_positive(self, built):
         _, _, tau, prof = built["one_one_zero"]
-        assert hopf_constants(prof).h_im > 0.0
+        assert hopf_constants(tau).h_im > 0.0
 
 
 class TestMeshExport:

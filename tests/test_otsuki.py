@@ -120,14 +120,22 @@ class TestOtsukiMap:
 
     def test_harmonic(self, torus):
         _, _, _, prof = torus
-        assert harmonicity_residual(prof, n=400) <= 1e-5
+        assert harmonicity_residual(prof, n=400) <= 1e-10
+
+    @pytest.mark.parametrize("pq", [(2, 3), (3, 5), (5, 8), (7, 10), (12, 17),
+                                    (70, 99), (99, 197)])
+    def test_harmonic_up_to_m_near_one(self, pq):
+        # 99/197 has m* = 1 - 1.2e-6: the closed-form second derivatives
+        # stay exact where a difference stencil measured itself (6e-5)
+        _, _, _, prof = otsuki_map(solve_otsuki(*pq))
+        assert harmonicity_residual(prof, n=500) <= 1e-10
 
     def test_hopf_differential_vanishes(self, torus):
         # minimality means the Hopf differential is zero: A = 4 pi^2, d = 0
         from eqtorus.maps import hopf_constants
 
-        _, _, _, prof = torus
-        hc = hopf_constants(prof)
+        _, _, tau, _ = torus
+        hc = hopf_constants(tau)
         assert hc.h_re == pytest.approx(0.0, abs=1e-12)
         assert hc.h_im == 0.0
 

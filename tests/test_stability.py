@@ -157,7 +157,8 @@ def _reference_mode_matrix(profiles, l, n):
     """The mode-l form built node by node from its definition, dense:
     B has -I/h + Omega_y(mid)/2 on the block diagonal and I/h + Omega_y(mid)/2
     one block to the right (the last one wrapping to block 0 with the Floquet
-    phase e^{-2 pi i l a}); K = B^H B plus, on each node's diagonal block,
+    phase e^{-2 pi i l a}, times the frame flip in the e2 and i e2 columns);
+    K = B^H B plus, on each node's diagonal block,
     D_x^H D_x + sigma_x sigma_x^T + sigma_y sigma_y^T - 2 rho I with
     D_x = 2 pi i l I + Omega_x."""
     b, a = profiles.point.b, profiles.point.a
@@ -166,13 +167,14 @@ def _reference_mode_matrix(profiles, l, n):
     omega_x, sigma_x, _, sigma_y, rho = _frame_coefficients(profiles, y)
     omega_y_mid = _frame_coefficients(profiles, y + 0.5 * h)[2]
     eye = np.eye(3)
+    flip = np.diag([1.0, *2 * [round(_numeric_flip(profiles))]])
     B = np.zeros((3 * n, 3 * n), dtype=complex)
     for j in range(n):
         jn = (j + 1) % n
-        phase = np.exp(-2j * math.pi * l * a) if jn == 0 else 1.0
+        phase = np.exp(-2j * math.pi * l * a) * flip if jn == 0 else eye
         B[3 * j:3 * j + 3, 3 * j:3 * j + 3] += -eye / h + 0.5 * omega_y_mid[j]
         B[3 * j:3 * j + 3, 3 * jn:3 * jn + 3] += \
-            (eye / h + 0.5 * omega_y_mid[j]) * phase
+            (eye / h + 0.5 * omega_y_mid[j]) @ phase
     K = B.conj().T @ B
     for j in range(n):
         dx = 2j * math.pi * l * eye + omega_x[j]
@@ -183,7 +185,8 @@ def _reference_mode_matrix(profiles, l, n):
 
 
 class TestModeMatrix:
-    @pytest.mark.parametrize("a,b", [(0.0, 1.6), (0.3, 1.4), (0.45, 1.25)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.6), (0.3, 1.4), (0.45, 1.25),
+                                     (0.5, 1.4)])
     def test_matches_node_loop_reference(self, a, b):
         prof = _profiles_110(a, b)
         for n in (16, 32):
@@ -201,7 +204,7 @@ class TestModeMatrix:
         n = 8
         w = rng.normal(size=(3, 3))
         frame = _GridFrame(
-            a=0.0, h=0.1,
+            a=0.0, h=0.1, flip=1.0,
             omega_x=np.tile(w - w.T, (n, 1, 1)),
             sigma_x=np.tile(rng.normal(size=3), (n, 1)),
             sigma_y=np.tile(rng.normal(size=3), (n, 1)),
@@ -224,6 +227,60 @@ class TestModeMatrix:
         assert np.allclose(coupling(K1, n - 1),
                            interior * np.exp(-2j * math.pi * 0.3),
                            rtol=0.0, atol=1e-12 * np.abs(interior).max())
+
+        # an antiperiodic frame negates the e2 and i e2 columns of the wrap
+        K0_flip = _mode_matrix(dataclasses.replace(frame, flip=-1.0), 0)
+        wrap = coupling(K0_flip.toarray(), n - 1)
+        ref = coupling(K0, n - 1)
+        assert np.array_equal(wrap[:, 0], ref[:, 0])
+        assert np.array_equal(wrap[:, 1:], -ref[:, 1:])
+
+
+def _numeric_flip(profiles):
+    """Re <e2(0, 0), e2(a, b)> with e2 = (-sin phi e^{i theta}, cos phi
+    e^{i psi}) built from the profiles: +-1 for a lattice (anti)periodic
+    frame."""
+    y = np.array([0.0, profiles.point.b])
+    cphi, sphi = profiles.cos_sin_phi(y)
+    psi = np.array([0.0, 2.0 * math.pi * profiles.point.a]) + profiles.alpha(y)
+    e2 = np.stack([-sphi * np.exp(1j * profiles.theta(y)),
+                   cphi * np.exp(1j * psi)])
+    return np.vdot(e2[:, 0], e2[:, 1]).real
+
+
+class TestSignedFrame:
+    # (1,1,0) is second-limit at a = 1/2: sin phi = sqrt(1 - tau1) cn changes
+    # sign over [0, b) and alpha is frozen, so (e2, i e2) is antiperiodic
+    @pytest.mark.parametrize("a,b,pqr,flip", [
+        (0.0, 1.6, (1, 1, 0), 1.0), (0.3, 1.4, (1, 1, 0), 1.0),
+        (0.45, 1.25, (1, 1, 0), 1.0), (0.5, 1.4, (1, 1, 0), -1.0),
+        (0.5, 2.0, (2, 3, 1), -1.0), (0.0, 2.5, (2, 2, 1), 1.0),
+        (0.25, 1.25, (1, 2, 0), 1.0), (0.0, 1.3, (1, 2, 1), 1.0)])
+    def test_frame_flip(self, a, b, pqr, flip):
+        point = ModuliPoint(a, b)
+        params = classify_params(point, *pqr)
+        prof = build_profiles(solve_tau(point, params), params, point)
+        assert _grid_frame(prof, 8).flip == flip
+        assert _numeric_flip(prof) == pytest.approx(flip, abs=1e-9)
+
+    def test_sin_cos_product_is_signed(self):
+        prof = _profiles_110(0.5, 1.4)
+        y = np.linspace(0.0, prof.point.b, 64, endpoint=False)
+        omega_x = _frame_coefficients(prof, y)[0]
+        sc = omega_x[:, 0, 1] / (2.0 * math.pi)
+        cphi, sphi = prof.cos_sin_phi(y)
+        np.testing.assert_allclose(sc, sphi * cphi, rtol=0.0, atol=1e-15)
+        assert sc.min() < -0.1 < 0.1 < sc.max()
+
+    @pytest.mark.parametrize("resolutions", [(256, 512), (512, 1024)])
+    def test_index_at_second_limit(self, resolutions):
+        # the six rotational Jacobi fields force nullity >= 6; an unsigned
+        # sin phi cos phi gave (7, 0) with converged True here
+        est = index_nullity_estimate(ModuliPoint(0.5, 1.4),
+                                     resolutions=resolutions)
+        assert not (est.converged and est.nullity < 6)
+        assert (est.index, est.nullity) == (3, 7)
+        assert est.converged
 
 
 class TestResolutions:
