@@ -308,8 +308,8 @@ def hopf_grid_residual(map_like, n: int = 64):
 def export_mesh(map_like, nx: int, ny: int, fh) -> int:
     """Write an nx-by-ny vertex grid as JSON lines; returns the record count.
 
-    One record per vertex: x, y, re_z1, im_z1, re_z2, im_z2, serialized at
-    17 significant digits.  ``fh`` is an open text file handle.
+    One record per vertex: x, y, re_z1, im_z1, re_z2, im_z2, each as its
+    double's shortest round-trip repr.  ``fh`` is an open text file handle.
     """
     b = map_like.point.b
     count = 0
@@ -321,12 +321,12 @@ def export_mesh(map_like, nx: int, ny: int, fh) -> int:
         z2 = np.broadcast_to(z2, ys.shape)
         for j in range(ny):
             rec = {
-                "x": float(f"{x:.17g}"),
-                "y": float(f"{ys[j]:.17g}"),
-                "re_z1": float(f"{z1[j].real:.17g}"),
-                "im_z1": float(f"{z1[j].imag:.17g}"),
-                "re_z2": float(f"{z2[j].real:.17g}"),
-                "im_z2": float(f"{z2[j].imag:.17g}"),
+                "x": x,
+                "y": float(ys[j]),
+                "re_z1": float(z1[j].real),
+                "im_z1": float(z1[j].imag),
+                "re_z2": float(z2[j].real),
+                "im_z2": float(z2[j].imag),
             }
             fh.write(json.dumps(rec) + "\n")
             count += 1

@@ -89,7 +89,7 @@ def solve_otsuki(p_t: int, q_t: int) -> OtsukiParams:
         raise InfeasibleParametersError(
             f"ratio {p_t}/{q_t} outside (1/2, sqrt(2)/2): no minimal torus")
     target = math.pi * p_t / q_t
-    m_star = brentq(lambda m: omega_fn(m) - target, 1e-15, 1.0 - 1e-12,
+    m_star = brentq(lambda m: omega_fn(m) - target, 0.0, 1.0,
                     xtol=1e-15, rtol=8.9e-16, maxiter=300)
     b_t = (q_t / math.pi) * math.sqrt(2.0 - m_star) * complete_K(m_star)
     return OtsukiParams(p_t=p_t, q_t=q_t, m_star=m_star, b_t=b_t)

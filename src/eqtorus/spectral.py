@@ -121,11 +121,12 @@ def monodromy(problem: SLProblem, lam: float):
 
     Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
     Wronskian keeps det M = 1, which the caller may use as a health check.
-    One period sweep on MONODROMY_REFINE times the counting mesh gives M_P.
+    Pass 1 of the period sweep on MONODROMY_REFINE times the counting mesh
+    gives M_P; the zero count of pass 2 is not needed.
     Raises ValueError if rho does not have period P.
     """
     mesh = _period_mesh(problem, lam, MONODROMY_REFINE)
-    M_P, _ = _period_sweep(*mesh, np.array([float(lam)]))
+    M_P, _ = _period_matrix(*mesh, np.array([float(lam)]))
     return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
 
 
@@ -170,8 +171,16 @@ def _rk4_step(H, V, g0, gm, g1, h) -> None:
 
 
 def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
-    """(M_P(lambda), zeros of s in (0, P]) for every lambda in one pass;
-    M_P[r, c, k] is entry (r, c) of the one-period matrix at lams[k].
+    """(M_P(lambda), zeros of s in (0, P]) for every lambda in one sweep;
+    M_P[r, c, k] is entry (r, c) of the one-period matrix at lams[k].  See
+    _period_matrix, which runs pass 1 and returns pass 2 as a callable."""
+    M, count_zeros = _period_matrix(rho, h, k2, lams)
+    return M, count_zeros()
+
+
+def _period_matrix(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
+    """(M_P(lambda), count) for every lambda, where count() returns the zeros
+    of s in (0, P]: pass 1 gives M_P, and only count() runs pass 2.
 
     Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
     with rho sampled at the step nodes and midpoints; s is the solution with
@@ -223,7 +232,7 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
         zeros += now != negative
         negative = now
     if B == 1:
-        return np.stack([H[:, 0], V[:, 0]]), zeros
+        return np.stack([H[:, 0], V[:, 0]]), lambda: zeros
 
     # compose: M[r, c, b] is entry (r, c) of block b's matrix
     M = np.stack([H, V])
@@ -234,20 +243,22 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
         prod = M[:, 0, b, None] * prod[0] + M[:, 1, b, None] * prod[1]
 
     # pass 2: s through blocks 1.. from their composed starts
-    Hs, Vs = starts.copy()
-    start_negative = starts[0] < 0.0
-    negative = start_negative
-    changes = np.zeros((B - 1, nl), dtype=int)
-    g1 = g(0, 1)
-    for i in range(L):
-        g0, gm, g1 = g1, g(2 * i + 1, 1), g(2 * i + 2, 1)
-        _rk4_step(Hs, Vs, g0, gm, g1, step(i, 1))
-        now = Hs < 0.0
-        if i == L - 1:
-            now[:-1] = start_negative[1:]
-        changes += now != negative
-        negative = now
-    return prod, zeros + changes.sum(axis=0)
+    def count_zeros():
+        Hs, Vs = starts.copy()
+        start_negative = starts[0] < 0.0
+        negative = start_negative
+        changes = np.zeros((B - 1, nl), dtype=int)
+        g1 = g(0, 1)
+        for i in range(L):
+            g0, gm, g1 = g1, g(2 * i + 1, 1), g(2 * i + 2, 1)
+            _rk4_step(Hs, Vs, g0, gm, g1, step(i, 1))
+            now = Hs < 0.0
+            if i == L - 1:
+                now[:-1] = start_negative[1:]
+            changes += now != negative
+            negative = now
+        return zeros + changes.sum(axis=0)
+    return prod, count_zeros
 
 
 def _floquet_count(D: np.ndarray, zeros: np.ndarray, target) -> np.ndarray:

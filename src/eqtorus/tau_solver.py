@@ -12,7 +12,9 @@ In terms of
 they reduce to Phi(n0 | m) = pi*p/q, Phi(n1 | m) = pi*|r+a|/q and
 Psi(m) = pi^2 b^2 / q^2, with Phi and Psi defined below.  Phi is monotone on
 each characteristic branch and Psi is monotone in m, so the whole solve is a
-nested sequence of bracketed one-dimensional root finds.
+nested sequence of bracketed one-dimensional root finds.  Both inner
+brackets have ends whose Phi is known in closed form or bounded from below
+(solve_n, _theta_nu), so no target is clamped to a resolvable range.
 
 Limit cases are detected exactly from the integer data (and from `a` when it
 is given as an exact rational): p/q = 1/2 forces tau1 = 0 (n0 = -inf) and
@@ -225,25 +227,31 @@ def phi_fn(n: float, m: float) -> float:
 
 def _theta_nu(target: float, m: float) -> float:
     """nu0 = m/n0 <= 0 with Phi(n0 | m) = target.  Phi falls in nu from +inf
-    to pi/2 at nu = 0, so at target pi/2 brentq returns the endpoint 0."""
+    to pi/2 at nu = 0, and with x = 2 (target - pi/2)/pi it reaches target
+    by nu = -x (2 + x), so [-2x (2 + x), 0] brackets the root; at target
+    pi/2 (x = 0) brentq returns the endpoint 0."""
     if target < math.pi / 2:
         raise InfeasibleParametersError(
             f"theta-branch target {target} below pi/2")
-    g = lambda nu: _phi_theta(nu, m) - target
-    lo = -1.0
-    while g(lo) < 0.0:
-        lo *= 4.0
-        if lo < -1e18:  # pragma: no cover - Phi(0-) = +inf guarantees a bracket
-            raise RuntimeError("failed to bracket theta-branch characteristic")
-    return brentq(g, lo, 0.0, xtol=1e-16, rtol=8.9e-16, maxiter=300)
+    # with y = 1 - m <= 1 and p = 1 - nu >= 1, the integral form (DLMF
+    # 19.16.2) R_J(0, y, 1, p) = (3/2) int_0^inf dt / ((t+p) sqrt(t (t+y)
+    # (t+1))) is at least (3/2) int_0^inf dt / ((t+p) (t+1) sqrt t)
+    # = (3 pi/2) / (sqrt p (sqrt p + 1)); with nu (nu-m) >= nu^2 that gives
+    # Phi(nu) - pi/2 >= (pi/2) (sqrt(1 - nu) - 1).  The bound is tight as
+    # m -> 0, so the factor 2 keeps rounding from closing the bracket.
+    x = 2.0 * (target - math.pi / 2) / math.pi
+    return brentq(lambda nu: _phi_theta(nu, m) - target, -2.0 * x * (2.0 + x),
+                  0.0, xtol=1e-16, rtol=8.9e-16, maxiter=300)
 
 
 def solve_n(target: float, branch: str, m: float) -> float:
     """Invert Phi(. | m) = target on the requested characteristic branch.
 
     branch='theta' solves on n < 0 (target >= pi/2, value -inf iff target is
-    exactly pi/2); branch='alpha' solves on (m, 1) (target in [0, pi/2],
-    value m at 0 and 1 at pi/2).
+    exactly pi/2); branch='alpha' solves on [m, 1] (target in [0, pi/2],
+    value m at 0 and 1 at pi/2).  No target is clamped: the alpha bracket's
+    ends have Phi = 0 and pi/2, the theta bracket's far end a Phi bounded
+    below by the target (_theta_nu).
     """
     m = float(m)
     target = float(target)
@@ -256,21 +264,13 @@ def solve_n(target: float, branch: str, m: float) -> float:
             raise InfeasibleParametersError(
                 f"alpha-branch target {target} outside [0, pi/2]"
             )
-        if target == 0.0:
-            return m
-        if target == half_pi:
-            return 1.0
-        # solve in s with n = m + s(1-m); keeps the bracket well formed even
-        # when the outer loop probes m within 1e-12 of 1
+        # solve in s with n = m + s(1-m): brentq's rtol floor of 4 eps cannot
+        # resolve n - m near n = 1, in s it can.  The ends s = 0 and s = 1
+        # give n = m and n = 1 exactly (the rounding error of 1 - m is at
+        # most 2^-54, so m + (1 - m) rounds to 1), where Phi is 0 and pi/2
         mu = 1.0 - m
-        g = lambda s: phi_fn(m + s * mu, m) - target
-        lo, hi = 1e-15, 1.0 - 5e-16
-        g_lo, g_hi = g(lo), g(hi)
-        if g_lo >= 0.0:  # target below the smallest resolvable Phi
-            return m + lo * mu
-        if g_hi <= 0.0:  # target above Phi at the last representable n < 1
-            return m + hi * mu
-        s = brentq(g, lo, hi, xtol=4e-16, rtol=8.9e-16, maxiter=300)
+        s = brentq(lambda s: phi_fn(m + s * mu, m) - target, 0.0, 1.0,
+                   xtol=4e-16, rtol=8.9e-16, maxiter=300)
         return m + s * mu
     raise ValueError(f"unknown branch {branch!r}")
 
@@ -278,14 +278,7 @@ def solve_n(target: float, branch: str, m: float) -> float:
 def _nu_pair(m: float, target_theta: float, target_alpha: float) -> tuple[float, float]:
     """(nu0, nu1) = (m/n0, m/n1) for the two branch targets; nu0 = 0 and
     nu1 = m stand for n0 = -inf and n1 = 1."""
-    nu0 = _theta_nu(target_theta, m)
-    if target_alpha == math.pi / 2:
-        nu1 = m
-    elif target_alpha == 0.0:
-        nu1 = 1.0  # n1 = m
-    else:
-        nu1 = m / solve_n(target_alpha, "alpha", m)
-    return nu0, nu1
+    return _theta_nu(target_theta, m), m / solve_n(target_alpha, "alpha", m)
 
 
 def _branch_targets(point: ModuliPoint,
@@ -378,35 +371,26 @@ def solve_tau(point: ModuliPoint, params: MapParams) -> TauTriple:
 
     # expand to a sign-change bracket; Psi is increasing so march toward the
     # endpoint whose limit lies beyond the target
-    lo, hi = 1e-12, 1.0 - 1e-12
-    mid = 0.5
-    fmid = f(mid)
-    if fmid == 0.0:
-        m_root = mid
-    elif fmid > 0.0:
-        hi_b, f_hi = mid, fmid
-        lo_b = 0.25
-        while (f_lo := f(lo_b)) > 0.0:
+    if f(0.5) >= 0.0:
+        lo_b, hi_b = 0.25, 0.5
+        while f(lo_b) > 0.0:
             lo_b *= 0.25
-            if lo_b < lo:
+            if lo_b < 1e-12:
                 raise InfeasibleParametersError(
                     "Psi(m) exceeds the target down to m ~ 0; parameters "
                     "violate (r+a)^2 + b^2 > p^2"
                 )
-        m_root = brentq(f, lo_b, hi_b, xtol=Tolerances.solver, rtol=8.9e-16,
-                        maxiter=300)
     else:
-        lo_b = mid
-        hi_b = 0.75
-        while (f_hi := f(hi_b)) < 0.0:
+        lo_b, hi_b = 0.5, 0.75
+        while f(hi_b) < 0.0:
             hi_b = 0.5 * (hi_b + 1.0)
             if 1.0 - hi_b < 1e-12:
                 raise InfeasibleParametersError(
                     "root of Psi(m) lies beyond m = 1 - 1e-12; b is too "
                     "large to resolve"
                 )
-        m_root = brentq(f, lo_b, hi_b, xtol=Tolerances.solver, rtol=8.9e-16,
-                        maxiter=300)
+    m_root = brentq(f, lo_b, hi_b, xtol=Tolerances.solver, rtol=8.9e-16,
+                    maxiter=300)
 
     nu0, nu1 = _nu_pair(m_root, *_branch_targets(point, params))
     sgn_rpa = float(np.sign(params.r_plus_a(point)))

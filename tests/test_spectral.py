@@ -99,6 +99,17 @@ class TestMonodromy:
         want = np.exp(-2j * math.pi * point.a)
         assert min(abs(mults - want)) < 1e-7
 
+    def test_matrix_is_full_sweeps(self):
+        # monodromy skips the zero-count pass; its matrix is the full
+        # sweep's, bit for bit
+        prof = _profiles(0.25, 2.1, 2, 3, 0)[3]
+        for l in (0, 1):
+            pb = sl_problem(prof, l)
+            mesh = _period_mesh(pb, 2.0, spectral.MONODROMY_REFINE)
+            M_P, _ = _period_sweep(*mesh, np.array([2.0]))
+            np.testing.assert_array_equal(
+                monodromy(pb, 2.0), np.linalg.matrix_power(M_P[:, :, 0], pb.q))
+
     @pytest.mark.parametrize("case", [(0.25, 2.1, 2, 3, 0),
                                       (0.1, 3.1, 3, 4, 0)])
     def test_matrix_matches_adaptive(self, case):

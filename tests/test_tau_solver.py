@@ -14,6 +14,7 @@ from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
     Regime,
+    _phi_theta,
     circle_gap,
     classify_params,
     integral_residuals,
@@ -155,6 +156,24 @@ class TestSolveN:
                                ("alpha", 0.3), ("alpha", 1.5)]:
             n = solve_n(target, branch, 0.45)
             assert phi_fn(n, 0.45) == pytest.approx(target, abs=1e-12)
+        # targets next to the alpha branch's ends: no result misses by more
+        # than the nearer end (n = m or n = 1) would
+        for m in (1e-9, 0.3, 0.45, 0.9, 1 - 1e-6, 1 - 1e-10):
+            for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+                for target in (eps, math.pi / 2 - eps):
+                    miss = abs(phi_fn(solve_n(target, "alpha", m), m) - target)
+                    bound = max(1e-12, 1.01 * min(target, math.pi / 2 - target))
+                    assert miss <= bound, (m, target, miss)
+
+    @given(st.one_of(st.sampled_from([1e-300, 1 - 1e-16]),
+                     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+           st.floats(math.pi / 2, 100 * math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_theta_bracket_end(self, m, target):
+        # the theta solve's far end -2x(2+x), x = 2(target - pi/2)/pi, is
+        # past the root for every m
+        x = 2.0 * (target - math.pi / 2) / math.pi
+        assert _phi_theta(-2.0 * x * (2.0 + x), m) >= target
 
     def test_against_raw_quadrature_oracle(self):
         # p=2, q=3: bisect the raw integral of the p/q condition directly
@@ -249,6 +268,13 @@ class TestSolveTau:
             # d vanishes exactly when the orbit-space curve is a meridian
             # (tau3 = 1, r+a = 0) or hits the boundary (tau2 = 1)
             assert t2 == 1.0 or abs(t3 - 1.0) < 1e-12
+
+    def test_near_zero_alpha_target(self):
+        # |r+a|/q = 1e-9/3 puts n1 within 1e-18 of m; the r-integral itself
+        # is 2.1e-9
+        point = ModuliPoint(1e-9, 2.1)
+        params, tau = solve(point, (2, 3, 0))
+        assert integral_residuals(tau, point, params)[2] <= 3e-9
 
     def test_zero_r_plus_a_gives_tau3_one(self):
         _, tau = solve(ModuliPoint(0, 2.0), (1, 1, 0))
