@@ -15,9 +15,10 @@ follows from D = tr M_P(lambda) and the zero count of one solution over
 [0, P], so closed spectral gaps count twice by structure.  Both come from
 one fixed-step RK4 sweep over [0, P] for a whole batch of lambdas; for a
 small batch the sweep runs about sqrt(n) blocks of the period side by side
-in two passes (_period_sweep), since numpy then pays per call rather than
-per lambda.  The same sweep, on a finer mesh, gives the monodromy over
-[0, b] as M_P^q, and with it the certificates at lambda = 2.
+in one pass (_period_sweep), since numpy then pays per call rather than per
+lambda, and Sturm separation gives the zero count from the block ends.
+The same sweep, on a finer mesh, gives the monodromy over [0, b] as M_P^q,
+and with it the certificates at lambda = 2.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -121,12 +122,12 @@ def monodromy(problem: SLProblem, lam: float):
 
     Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
     Wronskian keeps det M = 1, which the caller may use as a health check.
-    Pass 1 of the period sweep on MONODROMY_REFINE times the counting mesh
-    gives M_P; the zero count of pass 2 is not needed.
+    M_P comes from the period sweep on MONODROMY_REFINE times the counting
+    mesh.
     Raises ValueError if rho does not have period P.
     """
     mesh = _period_mesh(problem, lam, MONODROMY_REFINE)
-    M_P, _ = _period_matrix(*mesh, np.array([float(lam)]))
+    M_P, _ = _period_sweep(*mesh, np.array([float(lam)]))
     return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
 
 
@@ -172,15 +173,7 @@ def _rk4_step(H, V, g0, gm, g1, h) -> None:
 
 def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
     """(M_P(lambda), zeros of s in (0, P]) for every lambda in one sweep;
-    M_P[r, c, k] is entry (r, c) of the one-period matrix at lams[k].  See
-    _period_matrix, which runs pass 1 and returns pass 2 as a callable."""
-    M, count_zeros = _period_matrix(rho, h, k2, lams)
-    return M, count_zeros()
-
-
-def _period_matrix(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
-    """(M_P(lambda), count) for every lambda, where count() returns the zeros
-    of s in (0, P]: pass 1 gives M_P, and only count() runs pass 2.
+    M_P[r, c, k] is entry (r, c) of the one-period matrix at lams[k].
 
     Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
     with rho sampled at the step nodes and midpoints; s is the solution with
@@ -188,17 +181,26 @@ def _period_matrix(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
 
     A step over a few lambdas costs numpy's per-call overhead, not its
     arithmetic, so the n steps are cut into B blocks of L steps each (the
-    last block padded with h = 0 steps, exact identities) and run in two
-    passes of L steps over all blocks at once.  Pass 1 propagates the
-    identity through every block; the ordered product of the block matrices
-    gives M_P and (s, s') at each block start, and block 0's second column is
-    s itself.  Pass 2 re-propagates s from the later block starts to count
-    its sign changes.  Each node's sign comes from one value only: a block's
-    end node takes the next block's composed start, so a zero on a block
-    boundary counts once.  B = isqrt(n), cut back so that B n_lam stays
-    within WIDTH: a wider batch is bound by arithmetic, which pass 2 would
-    raise by half.  B = 1 is the sequential sweep, one step per iteration.
+    last block padded with h = 0 steps, exact identities), run side by side
+    from the identity.  The ordered product of the block matrices gives M_P
+    and (s0, s0') at each block start.  Each block counts the sign changes
+    z of c2 < 0 and zbar of c2 > 0 for its second column c2; on block 0, s
+    is c2.  On a later block, s = s0' c2 has z zeros if s0 = 0 < s0' and
+    zbar if s0' < 0 = s0; otherwise Sturm separation puts one zero of s
+    between consecutive zeros of c2, so s has z or z + 1, as its signs at
+    the block's ends decide.  A block's end node takes its sign from the
+    next block's composed start, so a zero on a block boundary counts once.
+    Separation needs a mesh that resolves every lambda: a step angle
+    h sqrt(max |k2 - lambda rho|) above 1 raises ValueError.  B = isqrt(n),
+    cut back so that B n_lam stays within WIDTH: a wider batch is bound by
+    arithmetic, which blocking does not reduce.  B = 1 is the sequential
+    sweep.
     """
+    corners = k2 - np.outer([lams.min(), lams.max()], [rho.min(), rho.max()])
+    angle = h * math.sqrt(float(np.max(np.abs(corners))))
+    if angle > 1.0:
+        raise ValueError(f"RK4 step angle {angle:.3g} exceeds 1: the mesh "
+                         "does not resolve the largest lambda of the batch")
     n = (rho.size - 1) // 2
     nl = lams.size
     B = max(1, min(math.isqrt(n), WIDTH // nl))
@@ -211,54 +213,42 @@ def _period_matrix(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
     h_tail = np.full((B, 1), h)
     h_tail[-1] = 0.0
 
-    def step(i, first=0):  # step size of step i in blocks first..
-        return h if i < full else h_tail[first:]
+    def g(j):  # g at node j of every block, shape (B, nl)
+        return k2 - lams * R[j, :, None]
 
-    def g(j, first=0):  # g at node j of blocks first.., shape (blocks, nl)
-        return k2 - lams * R[j, first:, None]
-
-    # pass 1: both fundamental solutions of every block, a (2, B, nl) state
+    # both fundamental solutions of every block, a (2, B, nl) state
     H = np.zeros((2, B, nl))
     V = np.zeros((2, B, nl))
     H[0] = 1.0
     V[1] = 1.0
-    negative = np.zeros(nl, dtype=bool)
-    zeros = np.zeros(nl, dtype=int)
+    negative = positive = np.zeros((B, nl), dtype=bool)
+    z, zbar = np.zeros((2, B, nl), dtype=int)
     g1 = g(0)
     for i in range(L):
         g0, gm, g1 = g1, g(2 * i + 1), g(2 * i + 2)
-        _rk4_step(H, V, g0, gm, g1, step(i))
-        now = H[1, 0] < 0.0
-        zeros += now != negative
+        _rk4_step(H, V, g0, gm, g1, h if i < full else h_tail)
+        now = H[1] < 0.0
+        z += now != negative
         negative = now
-    if B == 1:
-        return np.stack([H[:, 0], V[:, 0]]), lambda: zeros
+        now = H[1] > 0.0
+        zbar += now != positive
+        positive = now
 
-    # compose: M[r, c, b] is entry (r, c) of block b's matrix
+    # compose: M[r, c, b] is entry (r, c) of block b's matrix, and S[:, b]
+    # is (s, s') at the end of block b
     M = np.stack([H, V])
     prod = M[:, :, 0]
-    starts = np.empty((2, B - 1, nl))  # (s, s') at the starts of blocks 1..
+    S = np.empty((2, B, nl))
+    S[:, 0] = prod[:, 1]
     for b in range(1, B):
-        starts[:, b - 1] = prod[:, 1]
         prod = M[:, 0, b, None] * prod[0] + M[:, 1, b, None] * prod[1]
-
-    # pass 2: s through blocks 1.. from their composed starts
-    def count_zeros():
-        Hs, Vs = starts.copy()
-        start_negative = starts[0] < 0.0
-        negative = start_negative
-        changes = np.zeros((B - 1, nl), dtype=int)
-        g1 = g(0, 1)
-        for i in range(L):
-            g0, gm, g1 = g1, g(2 * i + 1, 1), g(2 * i + 2, 1)
-            _rk4_step(Hs, Vs, g0, gm, g1, step(i, 1))
-            now = Hs < 0.0
-            if i == L - 1:
-                now[:-1] = start_negative[1:]
-            changes += now != negative
-            negative = now
-        return zeros + changes.sum(axis=0)
-    return prod, count_zeros
+        S[:, b] = prod[:, 1]
+    s0, ds0 = S[:, :-1]  # s and s' at the starts of blocks 1..
+    s1 = S[0, 1:]        # s at their ends
+    zb, zbar = z[1:], zbar[1:]
+    separated = zb + (zb + ((s0 < 0.0) != (s1 < 0.0))) % 2
+    on_boundary = np.where(ds0 > 0.0, zb, zbar)
+    return prod, z[0] + np.where(s0 == 0.0, on_boundary, separated).sum(axis=0)
 
 
 def _floquet_count(D: np.ndarray, zeros: np.ndarray, target) -> np.ndarray:

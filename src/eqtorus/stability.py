@@ -408,7 +408,8 @@ def index_nullity_estimate(point: ModuliPoint,
     `borderline` (the zero-cluster values with |v| > ZERO_TOL), `inertia`
     ({"<n>": [nu(-_DELTA), nu(+_DELTA)]} per resolution) and
     `counts_match` (the inertia agrees at both resolutions).  `converged` is
-    False when any mode has a borderline value or mismatched counts.
+    False when any mode has a borderline value or mismatched counts, or
+    when the nullity is below 6.
     """
     n_lo, n_hi = _check_resolutions(resolutions)
     params = classify_params(point, 1, 1, 0)
@@ -445,5 +446,8 @@ def index_nullity_estimate(point: ModuliPoint,
         nullity += weight * zero
         if below_plus == 0:
             break
+    # the six Killing fields of SO(4) give six Jacobi fields, independent on
+    # a linearly full map, so a nullity below 6 is under-resolved
+    converged &= nullity >= 6
     return IndexNullity(index=index, nullity=nullity, converged=converged,
                         per_mode=per_mode)

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -100,8 +103,8 @@ class TestMonodromy:
         assert min(abs(mults - want)) < 1e-7
 
     def test_matrix_is_full_sweeps(self):
-        # monodromy skips the zero-count pass; its matrix is the full
-        # sweep's, bit for bit
+        # monodromy's matrix is the period sweep's on its own mesh, to the
+        # power q, bit for bit
         prof = _profiles(0.25, 2.1, 2, 3, 0)[3]
         for l in (0, 1):
             pb = sl_problem(prof, l)
@@ -187,6 +190,32 @@ def _blocks(monkeypatch, n, nl, blocks):
     assert max(1, min(math.isqrt(n), spectral.WIDTH // nl)) == blocks
 
 
+@st.composite
+def _sweep_cases(draw):
+    """(rho, h, k2, lams, blocks): a positive trig-polynomial rho over
+    P = 1 on n steps, a batch of lambdas whose step angle h sqrt(max
+    |k2 - lambda rho|) is at most 1, and a forced block count >= 2."""
+    n = draw(st.integers(16, 1200))
+    blocks = draw(st.integers(2, math.isqrt(n)))
+    k2 = draw(st.sampled_from([0.0, 4.0 * math.pi**2, 16.0 * math.pi**2]))
+    c0 = draw(st.floats(0.5, 50.0))
+    terms = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    cos_c = draw(st.lists(unit, min_size=terms, max_size=terms))
+    sin_c = draw(st.lists(unit, min_size=terms, max_size=terms))
+    # sum |coefficients| <= 0.9 c0 keeps rho >= 0.1 c0 > 0
+    scale = 0.9 * c0 / (2 * terms)
+    y = np.linspace(0.0, 1.0, 2 * n + 1)
+    rho = np.full_like(y, c0)
+    for k, (ck, sk) in enumerate(zip(cos_c, sin_c), start=1):
+        arg = 2.0 * math.pi * k * y
+        rho += scale * (ck * np.cos(arg) + sk * np.sin(arg))
+    # max |k2 - lambda rho| <= 0.999 n^2 (k2 < 16^2): step angle below 1
+    lam_max = (0.999 * n * n + k2) / rho.max()
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48))
+    return rho, 1.0 / n, k2, lam_max * np.array(fracs), blocks
+
+
 class TestBlockedSweep:
     @pytest.mark.parametrize("n,nl", [(151, 1), (151, 2), (1337, 2),
                                       (1337, 63), (151, 4096)])
@@ -249,6 +278,32 @@ class TestBlockedSweep:
             _, zeros_seq = _sequential_sweep(rho, P / n, 0.0, lams)
             np.testing.assert_array_equal(zeros_seq, 11)
             np.testing.assert_array_equal(zeros, 11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sweep_cases())
+    def test_random_blocks_match_sequential(self, case):
+        # the blocked count from Sturm separation against the node-by-node
+        # count, for any resolving mesh and any block count
+        rho, h, k2, lams, blocks = case
+        with mock.patch.object(spectral, "WIDTH", blocks * lams.size):
+            M, zeros = _period_sweep(rho, h, k2, lams)
+        D = M[0, 0] + M[1, 1]
+        D_seq, zeros_seq = _sequential_sweep(rho, h, k2, lams)
+        np.testing.assert_array_equal(zeros, zeros_seq)
+        scale = np.maximum(np.abs(D_seq), 1.0)
+        assert np.max(np.abs(D - D_seq) / scale) <= 1e-12
+
+    def test_rejects_unresolved_mesh(self):
+        # step angle h sqrt(max |k2 - lambda rho|) = 1.1 from the largest
+        # lambda, or from k2 alone at lambda = 0; the smallest lambda passes
+        n = 100
+        rho = np.ones(2 * n + 1)
+        lams = np.array([1.0, 1.21]) * n * n
+        with pytest.raises(ValueError, match="step angle"):
+            _period_sweep(rho, 1.0 / n, 0.0, lams)
+        with pytest.raises(ValueError, match="step angle"):
+            _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]))
+        _period_sweep(rho, 1.0 / n, 0.0, lams[:1])
 
 
 class TestCountBelow:

@@ -292,19 +292,20 @@ class TestResolutions:
             index_nullity_estimate(ModuliPoint(0.3, 1.4), resolutions=bad)
 
     def test_richardson_exact_for_any_ratio(self, monkeypatch):
-        # eigenvalues with a pure h^2 error: extrapolation recovers them
-        exact = np.array([-2.5, -1.5, 0.0, 0.0, 3.0])
+        # eigenvalues with a pure h^2 error: extrapolation recovers them;
+        # six zeros, the fewest a converged estimate may have
+        exact = np.array([-2.5, -1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0])
 
         def fake_spectrum(frame, l):
             if l > 0:
                 return np.array([50.0]), (0, 0)
-            return exact + 40.0 * frame.h**2, (2, 4)
+            return exact + 40.0 * frame.h**2, (2, 8)
 
         monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
         point = ModuliPoint(0.3, 1.4)
         for res in ((64, 192), (48, 80), (64, 128)):
             est = index_nullity_estimate(point, resolutions=res)
-            assert (est.index, est.nullity) == (2, 2)
+            assert (est.index, est.nullity) == (2, 6)
             assert est.converged
             assert est.per_mode[0]["smallest"] == pytest.approx(-2.5,
                                                                 abs=1e-12)
@@ -422,6 +423,22 @@ class TestIndexNullity:
         assert row["borderline"] == [pytest.approx(1.0233e-5, rel=1e-3)]
         assert all(not other["borderline"]
                    for l, other in est.per_mode.items() if l != 1)
+
+    @pytest.mark.parametrize("a,b,resolutions", [
+        (0.3, 1.4, (2, 3)), (0.3, 1.4, (2, 4)), (0.3, 1.4, (3, 6)),
+        (0.0, 1.6, (2, 3)), (0.0, 1.6, (2, 4)),
+        (0.45, 1.25, (2, 3)), (0.45, 1.25, (2, 4)), (0.45, 1.25, (3, 6)),
+        (0.5, 1.4, (2, 3)), (0.5, 1.4, (2, 4))])
+    def test_nullity_below_six_not_converged(self, a, b, resolutions):
+        # these coarse meshes read (7, 0) with matching inertia and no
+        # borderline value; the six rotational Jacobi fields force
+        # nullity >= 6, so the estimate must not certify itself
+        est = index_nullity_estimate(ModuliPoint(a, b),
+                                     resolutions=resolutions)
+        assert est.nullity < 6
+        assert all(row["counts_match"] and not row["borderline"]
+                   for row in est.per_mode.values())
+        assert not est.converged
 
     def test_non_dyadic_ratio(self):
         est = index_nullity_estimate(ModuliPoint(0.3, 1.4),
