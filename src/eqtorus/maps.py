@@ -55,9 +55,10 @@ TWO_PI = 2.0 * math.pi
 class ProfileSet:
     """Evaluable closed forms phi, theta, alpha, rho of one harmonic map.
 
-    Immutable after construction; all evaluators are vectorized in y and
-    pure.  theta and alpha are globally smooth (unwrapped) and satisfy
-    theta(y+b) = theta(y) + 2 pi p, alpha(y+b) = alpha(y) - 2 pi (r+a).
+    Immutable after construction, apart from the rho_samples memo; all
+    evaluators are vectorized in y and pure.  theta and alpha are globally
+    smooth (unwrapped) and satisfy theta(y+b) = theta(y) + 2 pi p,
+    alpha(y+b) = alpha(y) - 2 pi (r+a).
     """
 
     def __init__(self, tau: TauTriple, params: MapParams, point: ModuliPoint):
@@ -69,6 +70,9 @@ class ProfileSet:
         self.point = point
         self.w = TWO_PI * math.sqrt(tau.tau3 - tau.tau1)
         self.rpa = params.r_plus_a(point)
+        # rho on the period meshes of the spectral layer, which every
+        # Fourier mode of this map shares (spectral.SLProblem.samples)
+        self.rho_samples: dict = {}
         t1, t2, t3 = tau.taus
         self._dt = t2 - t1
         self._sigma = t1 + t2 + t3

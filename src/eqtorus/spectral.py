@@ -18,7 +18,10 @@ small batch the sweep runs about sqrt(n) blocks of the period side by side
 in one pass (_period_sweep), since numpy then pays per call rather than per
 lambda, and Sturm separation gives the zero count from the block ends.
 The same sweep, on a finer mesh, gives the monodromy over [0, b] as M_P^q,
-and with it the certificates at lambda = 2.
+and with it the certificates at lambda = 2.  rho is one function with one
+period for every mode, so the modes of one map share its samples
+(ProfileSet.rho_samples): the finer mesh nests the counting mesh, and
+assemble_N2 samples rho once for both and checks its period once.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -68,8 +71,12 @@ TWO_PI = 2.0 * math.pi
 AT_THRESHOLD_TOL = 1e-7
 # eigenvalues are located to brackets of this width
 LAMBDA_XTOL = 1e-11
-# interior points per bracket in one multisection sweep
-MULTISECTION = 63
+# interior points per bracket in one multisection round: a round of a few
+# brackets runs about sqrt(n) blocks side by side, so a wider round mostly
+# adds arithmetic.  Of 3, 7, 15, 31 and 63, only 7 stays within 20 % of the
+# fastest both on the criterion-4 instances (15 is fastest there, 63 about
+# 1.5x slower) and on the strict instance (3 is fastest, 15 about 1.9x slower)
+MULTISECTION = 7
 # largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
 PERIOD_TOL = 1e-9
 # monodromy runs on this many times the counting mesh: RK4 phase error
@@ -91,6 +98,10 @@ class SLProblem:
     bc_phase: float           # 2 pi l a mod 2 pi
     rho_max: float
     q: int = 1                # number of rho periods in [0, b]
+    # rho on uniform period meshes, {(P, n steps): samples at the 2n + 1
+    # nodes and midpoints}, filled by _period_mesh; sl_problem shares one
+    # memo among the modes of a map, a hand-built problem starts empty
+    samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def trace_target(self) -> float:
@@ -109,7 +120,8 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
     t1, t2, t3 = profiles.tau.taus
     rho_max = 2.0 * math.pi**2 * (t2 + t3 - t1)
     return SLProblem(l=int(l), rho=profiles.rho, b=point.b, bc_phase=phase,
-                     rho_max=rho_max, q=profiles.params.q)
+                     rho_max=rho_max, q=profiles.params.q,
+                     samples=profiles.rho_samples)
 
 
 # --------------------------------------------------------------------------
@@ -142,18 +154,38 @@ def _rk4_steps(problem: SLProblem, lam_max: float) -> int:
 
 def _period_mesh(problem: SLProblem, lam_max: float, refine: int = 1):
     """The (rho, h, k2) arguments of _period_sweep for refine * _rk4_steps
-    RK4 steps over one period P.  Raises ValueError if rho does not have
-    period P."""
+    RK4 steps over one period P.
+
+    rho comes from the problem's memo when it holds this mesh, or the mesh
+    MONODROMY_REFINE times finer: linspace(0, P, 2 MONODROMY_REFINE n + 1)
+    at that stride is linspace(0, P, 2n + 1) bit for bit, since the two
+    steps differ by an exact power of two.  Otherwise rho is sampled and
+    stored.  Periodicity is checked on the first mesh sampled for P, at its
+    counting nodes; a failed check raises ValueError and stores nothing.
+    """
     P = problem.period
-    n = refine * _rk4_steps(problem, lam_max)
-    y = np.linspace(0.0, P, 2 * n + 1)
-    rho = np.asarray(problem.rho(y), dtype=float)
+    n = _rk4_steps(problem, lam_max)
+    memo = problem.samples
+    rho = memo.get((P, refine * n))
+    if rho is None and refine == 1 and (P, MONODROMY_REFINE * n) in memo:
+        rho = memo[P, MONODROMY_REFINE * n][::MONODROMY_REFINE]
+    if rho is None:
+        y = np.linspace(0.0, P, 2 * refine * n + 1)
+        rho = np.asarray(problem.rho(y), dtype=float)
+        if not any(period == P for period, _ in memo):
+            _check_period(problem, y[::refine], rho[::refine])
+        memo[P, refine * n] = rho
+    return rho, P / (refine * n), 4.0 * math.pi**2 * problem.l**2
+
+
+def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:
+    """Raise ValueError unless rho(y + P) = rho(y) to PERIOD_TOL relative."""
+    P = problem.period
     defect = float(np.max(np.abs(problem.rho(y + P) - rho)) / np.max(np.abs(rho)))
     if not defect <= PERIOD_TOL:
         raise ValueError(f"rho is not periodic with period b/q = {P:.9g} "
                          f"(q = {problem.q}): relative defect {defect:.3g}; a "
                          "wrong q or a tau solve that does not close the profile")
-    return rho, P / n, 4.0 * math.pi**2 * problem.l**2
 
 
 def _rk4_step(H, V, g0, gm, g1, h) -> None:
@@ -289,7 +321,10 @@ def count_below(problem: SLProblem, threshold: float = 2.0) -> ModeCount:
     AT_THRESHOLD_TOL it splits the eigenvalues from the boundary
     eigenvalues at the threshold (the map components, not counted).  Each
     eigenvalue is located to LAMBDA_XTOL by batched multisection on the
-    count.  Raises ValueError if rho does not have period P.
+    count, MULTISECTION interior points per bracket and round.  The sweep
+    reads rho from the problem's memo (_period_mesh), where monodromy on
+    the same map has sampled it already.  Raises ValueError if rho does
+    not have period P.
     """
     if threshold <= AT_THRESHOLD_TOL:
         raise ValueError(f"threshold must exceed {AT_THRESHOLD_TOL}")
@@ -378,25 +413,25 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
     are exact eigenfunctions with eigenvalue 2, from monodromy: the period
-    sweep of the count on a finer mesh.
+    sweep of the count on a finer mesh.  The certificates run first: the
+    modes share rho's samples (ProfileSet.rho_samples), and the finer mesh
+    nests the counting mesh of every mode l < sqrt(tau2+tau3-tau1), so rho
+    is sampled and its period checked once for all of them; only mode
+    l_max, on a finer mesh, samples its own.
     """
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
     l_max = math.ceil(math.sqrt(tau_sum))
-    counts = []
-    warnings: list[str] = []
-    for l in range(l_max + 1):
-        problem = sl_problem(profiles, l)
-        mc = count_below(problem, threshold=2.0)
-        counts.append(mc)
-        warnings.extend(mc.warnings)
-    n2 = 1 + counts[0].count + 2 * sum(mc.count for mc in counts[1:])
-    bound = n2_lower_bound(params, point)
     certs = {}
     for l in (0, 1):
         problem = sl_problem(profiles, l)
         certs[l] = abs(np.trace(monodromy(problem, 2.0))
                        - problem.trace_target)
+    counts = [count_below(sl_problem(profiles, l), threshold=2.0)
+              for l in range(l_max + 1)]
+    warnings = [w for mc in counts for w in mc.warnings]
+    n2 = 1 + counts[0].count + 2 * sum(mc.count for mc in counts[1:])
+    bound = n2_lower_bound(params, point)
     return SpectrumReport(
         counts_below_2=counts,
         n2=n2,

@@ -28,6 +28,7 @@ first limit case is the ordinary point nu0 = 0 of the same formula.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -303,7 +304,10 @@ def psi_fn(m: float, point: ModuliPoint, params: MapParams) -> float:
     Strictly increasing on (0, 1), with Psi(0+) = pi^2 (p^2 - (r+a)^2)/q^2
     and Psi(1-) = +inf; solve_tau roots Psi(m) = pi^2 b^2 / q^2.
     """
-    nu0, nu1 = _nu_pair(m, *_branch_targets(point, params))
+    return _psi(m, *_nu_pair(m, *_branch_targets(point, params)))
+
+
+def _psi(m: float, nu0: float, nu1: float) -> float:
     return (nu1 - nu0) * complete_K(m) ** 2
 
 
@@ -356,8 +360,10 @@ def solve_tau(point: ModuliPoint, params: MapParams) -> TauTriple:
 
     Outer bracketed root find on m in (0, 1) against Psi(m) = pi^2 b^2/q^2
     to xtol Tolerances.solver (monotone, so the bracket is guaranteed for
-    feasible input), with the characteristics n0, n1 re-solved at every m.
-    Limit cases return tau1 = 0 / tau2 = 1 exactly.
+    feasible input), with the characteristics n0, n1 solved once at every
+    distinct m: brentq re-evaluates the bracket ends of the march, and the
+    root is its last evaluation.  Limit cases return tau1 = 0 / tau2 = 1
+    exactly.
     """
     if params.regime is Regime.CIRCLE_FAMILY:
         raise InfeasibleParametersError(
@@ -365,9 +371,11 @@ def solve_tau(point: ModuliPoint, params: MapParams) -> TauTriple:
             "latitude map family instead"
         )
     target_psi = (math.pi * point.b / params.q) ** 2
+    targets = _branch_targets(point, params)
+    nu_pair = functools.cache(lambda m: _nu_pair(m, *targets))
 
     def f(m: float) -> float:
-        return psi_fn(m, point, params) - target_psi
+        return _psi(m, *nu_pair(m)) - target_psi
 
     # expand to a sign-change bracket; Psi is increasing so march toward the
     # endpoint whose limit lies beyond the target
@@ -392,7 +400,7 @@ def solve_tau(point: ModuliPoint, params: MapParams) -> TauTriple:
     m_root = brentq(f, lo_b, hi_b, xtol=Tolerances.solver, rtol=8.9e-16,
                     maxiter=300)
 
-    nu0, nu1 = _nu_pair(m_root, *_branch_targets(point, params))
+    nu0, nu1 = nu_pair(m_root)
     sgn_rpa = float(np.sign(params.r_plus_a(point)))
     return _tau_triple(m_root, nu0, nu1, sgn_rpa)
 

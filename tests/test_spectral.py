@@ -14,10 +14,12 @@ from scipy.optimize import brentq
 
 from eqtorus import spectral
 
-from eqtorus.maps import build_profiles
+from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
+    LAMBDA_XTOL,
     SLProblem,
+    _floquet_count,
     _period_mesh,
     _period_sweep,
     assemble_N2,
@@ -428,6 +430,41 @@ class TestHillOracle:
         _assert_matches_oracle(sl_problem(prof, l))
 
 
+def _sweep_count(problem, lams):
+    """Eigenvalues below each lambda from one period sweep on count_below's
+    mesh, up to the constant mode: the count that multisection bisects."""
+    q = problem.q
+    targets = 2.0 * np.cos((problem.bc_phase + 2.0 * math.pi * np.arange(q)) / q)
+    M, zeros = _sweep(problem, lams)
+    return _floquet_count(M[0, 0] + M[1, 1], zeros, targets[:, None]).sum(axis=0)
+
+
+def _assert_located(problem):
+    # the count must step by each eigenvalue's multiplicity across
+    # e -+ LAMBDA_XTOL, the bracket width multisection stops at
+    mc = count_below(problem)
+    eigs = np.array(mc.eigenvalues + mc.at_threshold)
+    for e in np.unique(eigs):
+        mult = int(np.sum(np.abs(eigs - e) <= LAMBDA_XTOL))
+        lo, hi = _sweep_count(problem, np.array([e - LAMBDA_XTOL, e + LAMBDA_XTOL]))
+        assert hi - lo == mult, (problem.l, e, hi - lo, mult)
+
+
+class TestEigenvalueLocations:
+    @pytest.mark.parametrize("case", MIXED_CASES)
+    def test_mixed_cases(self, case):
+        _, _, tau, prof = _profiles(*case)
+        l_max = math.ceil(math.sqrt(tau.tau2 + tau.tau3 - tau.tau1))
+        for l in range(l_max + 1):
+            _assert_located(sl_problem(prof, l))
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_strict_instance_modes(self, instance, l):
+        point, params, cert = instance
+        prof = build_profiles(cert["tau"], params, point)
+        _assert_located(sl_problem(prof, l))
+
+
 SPECTRAL_110_POINTS = [
     (0.0, 1.2), (0.0, 2.0), (0.1, 1.1), (0.15, 1.6), (0.25, 1.3),
     (0.3, 1.4), (0.35, 1.9), (0.4, 1.05), (0.5, 1.2), (0.5, 2.0),
@@ -482,6 +519,47 @@ class TestAssembleN2:
         assert n2_lower_bound(classify_params(pt_b, 2, 3, 1), pt_b) == 7
         pt_c = ModuliPoint(0.0, 2.0)
         assert n2_lower_bound(classify_params(pt_c, 1, 1, 0), pt_c) == 1
+
+    @pytest.mark.parametrize("case", [(0.0, 2.0, 1, 1, 0),
+                                      (0.25, 2.1, 2, 3, 0)])
+    def test_samples_rho_once(self, monkeypatch, case):
+        # one sample of the finer certificate mesh serves every mode below
+        # l_max, plus its period check and mode l_max's own mesh; each count
+        # equals the count of a fresh problem that samples rho itself
+        point, params, tau, _ = _profiles(*case)
+        calls = []
+        real = ProfileSet.rho
+
+        def spy(self, y):
+            calls.append(np.size(y))
+            return real(self, y)
+
+        monkeypatch.setattr(ProfileSet, "rho", spy)
+        rep = assemble_N2(tau, params, point)
+        assert len(calls) <= 3
+        for mc in rep.counts_below_2:
+            alone = count_below(sl_problem(build_profiles(tau, params, point),
+                                           mc.l))
+            assert (alone.count, alone.eigenvalues, alone.at_threshold) == (
+                mc.count, mc.eigenvalues, mc.at_threshold)
+
+    def test_rejects_unclosed_profile(self):
+        # tau3 off by 1e-6 breaks the period b/q of rho: the one period
+        # check of the op must still catch it
+        point, params, tau, _ = _profiles(0.25, 2.1, 2, 3, 0)
+        bad = dataclasses.replace(tau, tau3=tau.tau3 + 1e-6)
+        with pytest.raises(ValueError, match="period"):
+            assemble_N2(bad, params, point)
+
+    def test_failed_check_stores_nothing(self):
+        pb = SLProblem(l=0, rho=lambda y: 3.0 + np.sin(2.0 * math.pi * y),
+                       b=1.0, bc_phase=0.0, rho_max=4.0, q=2)
+        with pytest.raises(ValueError, match="period"):
+            count_below(pb)
+        assert pb.samples == {}
+        with pytest.raises(ValueError, match="period"):
+            monodromy(pb, 1.0)
+        assert pb.samples == {}
 
     def test_certificates_at_two(self):
         point, params, tau, prof = _profiles(0.25, 2.1, 2, 3, 0)

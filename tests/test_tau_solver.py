@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from eqtorus import tau_solver
 from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
@@ -310,6 +311,23 @@ class TestSolveTau:
             tau1s.append(tau.tau1)
         assert all(x > y for x, y in zip(tau1s, tau1s[1:]))
         assert tau1s[-1] == 0.0
+
+    @pytest.mark.parametrize("a,b,pqr", [(0.25, 2.1, (2, 3, 0)),
+                                         (0.3, 1.4, (1, 1, 0)),
+                                         (0.1, 3.0, (1, 1, 0))])
+    def test_one_nu_pair_per_distinct_m(self, monkeypatch, a, b, pqr):
+        # brentq re-evaluates the march's bracket ends and ends on the root:
+        # each pair of inner solves must run once per distinct m
+        seen = []
+        real = tau_solver._nu_pair
+
+        def spy(m, *targets):
+            seen.append(m)
+            return real(m, *targets)
+
+        monkeypatch.setattr(tau_solver, "_nu_pair", spy)
+        solve(ModuliPoint(a, b), pqr)
+        assert len(seen) == len(set(seen)) > 0
 
     def test_circle_family_rejected(self):
         pt = ModuliPoint(-0.6, math.sqrt(0.84))
