@@ -4,8 +4,8 @@ constant-latitude boundary, their non-integrable kernel fields, the positive
 second variation along the first conformal direction, and the index/nullity
 of the interior (1,1,0) maps.
 
-Run:  python3 demos/04_jacobi_stability.py   (~1.7 s on 2 cores, about 0.3 s of
-      it in the two index/nullity counts)
+Run:  python3 demos/04_jacobi_stability.py   (~1.6 s on 2 cores, about 0.7 s of
+      it in the three index/nullity counts)
 """
 
 import math
@@ -44,8 +44,9 @@ print("positivity means the one-sided energy comparison behind the classical "
       "sphere argument\nfails for these maps.\n")
 
 print("index / nullity of the (1,1,0) maps (discretized Fourier modes):")
-for a, b in [(0.3, 1.4), (0.0, 1.6)]:
-    est = index_nullity_estimate(ModuliPoint(a, b), resolutions=(256, 512))
+# at (0.499, 1.4), 1 - tau2 = 5e-8: sin phi dips to 2e-4 within a period
+for a, b in [(0.3, 1.4), (0.0, 1.6), (0.499, 1.4)]:
+    est = index_nullity_estimate(ModuliPoint(a, b))
     print(f"   (a,b)=({a},{b}): index = {est.index}, nullity = {est.nullity}, "
           f"converged = {est.converged}")
     for l, row in est.per_mode.items():

@@ -59,10 +59,10 @@ def _solve(args):
 
 
 def _require_positive(*flags) -> None:
-    """Reject a grid size below 1, naming its flag: (flag, value) pairs."""
-    for flag, steps in flags:
-        if steps < 1:
-            raise ValueError(f"{flag} must be at least 1, got {steps}")
+    """Reject a count below 1, naming its flag: (flag, value) pairs."""
+    for flag, value in flags:
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +133,8 @@ def cmd_spectral(args) -> int:
 def cmd_scan(args) -> int:
     from eqtorus.functional import moduli_scan, write_scan_csv
 
-    _require_positive(("--a-steps", args.a_steps), ("--b-steps", args.b_steps))
+    _require_positive(("--a-steps", args.a_steps), ("--b-steps", args.b_steps),
+                      ("--jobs", args.jobs))
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
     b_vals = np.linspace(args.b_min, args.b_max, args.b_steps)
     rows = moduli_scan(a_vals, b_vals, args.p, args.q, args.r,
@@ -203,8 +204,7 @@ def cmd_stability(args) -> int:
         })
     else:  # index
         point = _point(args)
-        res = tuple(int(s) for s in args.resolutions.split(","))
-        est = st.index_nullity_estimate(point, resolutions=res)
+        est = st.index_nullity_estimate(point)
         _emit({
             "report": "index", "a": point.a, "b": point.b,
             "index": est.index, "nullity": est.nullity,
@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--b0", type=float, default=1.0)
-    sp.add_argument("--resolutions", default="512,1024")
     sp.set_defaults(func=cmd_stability)
 
     sp = sub.add_parser("mesh", help="JSONL vertex mesh of one map")

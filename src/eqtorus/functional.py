@@ -224,7 +224,8 @@ def hopf_derivative_check(point: ModuliPoint, h: float = 1e-4) -> dict:
     if (abs(a) + h) ** 2 + (b - h) ** 2 <= 1.0:
         raise ValueError("step crosses the circle-family boundary; shrink h")
     if abs(a) + h > 0.5:
-        raise ValueError(f"a-step {a + h} leaves the |r+a|/q <= 1/2 region")
+        raise ValueError(f"|a| + h = {abs(a) + h} leaves the |r+a|/q <= 1/2 "
+                         "region")
 
     def central(f, x0, step):
         return (f(x0 + step) - f(x0 - step)) / (2.0 * step)

@@ -154,14 +154,16 @@ class ProfileSet:
         return cphi * dsphi - sphi * dcphi
 
     def dtheta(self, y):
-        if self.tau.c == 0.0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return self.tau.c / self.cos2_phi(y)
+        return self._rates(*self.cos_sin_phi(y))[0]
 
     def dalpha(self, y):
-        if self.tau.d == 0.0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return self.tau.d / self.cos_sin_phi(y)[1] ** 2
+        return self._rates(*self.cos_sin_phi(y))[1]
+
+    def _rates(self, cphi, sphi):
+        """(theta', alpha') = (c / cos^2 phi, d / sin^2 phi), 0 if c or d is."""
+        zero = np.zeros_like(cphi)
+        return (zero if self.tau.c == 0.0 else self.tau.c / cphi ** 2,
+                zero if self.tau.d == 0.0 else self.tau.d / sphi ** 2)
 
     # -- the map and its y-derivatives -----------------------------------
 
@@ -170,23 +172,26 @@ class ProfileSet:
         psi = TWO_PI * np.asarray(x, dtype=float) + self.alpha(y)
         return np.exp(1j * self.theta(y)), np.exp(1j * psi)
 
+    def jet(self, x, y):
+        """((z1, z2), (z1_y, z2_y)): the map and its y-derivative at (x, y)."""
+        (cphi, sphi), (dcphi, dsphi), _ = self.latitude(y)
+        dth, dal = self._rates(cphi, sphi)
+        e1, e2 = self._phases(x, y)
+        return ((cphi * e1, sphi * e2),
+                ((dcphi + 1j * dth * cphi) * e1, (dsphi + 1j * dal * sphi) * e2))
+
     def map_values(self, x, y):
         """(z1, z2) complex arrays at flat coordinates (x, y)."""
-        cphi, sphi = self.cos_sin_phi(y)
-        e1, e2 = self._phases(x, y)
-        return cphi * e1, sphi * e2
+        return self.jet(x, y)[0]
 
     def dy_values(self, x, y):
-        (cphi, sphi), (dcphi, dsphi), _ = self.latitude(y)
-        e1, e2 = self._phases(x, y)
-        return ((dcphi + 1j * self.dtheta(y) * cphi) * e1,
-                (dsphi + 1j * self.dalpha(y) * sphi) * e2)
+        return self.jet(x, y)[1]
 
     def d2y_values(self, x, y):
         (cphi, sphi), _, (d2cphi, d2sphi) = self.latitude(y)
+        dth, dal = self._rates(cphi, sphi)
         e1, e2 = self._phases(x, y)
-        return ((d2cphi - self.dtheta(y) ** 2 * cphi) * e1,
-                (d2sphi - self.dalpha(y) ** 2 * sphi) * e2)
+        return ((d2cphi - dth ** 2 * cphi) * e1, (d2sphi - dal ** 2 * sphi) * e2)
 
     def dx_values(self, x, y):
         z2 = self.map_values(x, y)[1]

@@ -309,28 +309,25 @@ class ModeCount:
     warnings: list[str] = field(default_factory=list)
 
 
-def count_below(problem: SLProblem, threshold: float = 2.0) -> ModeCount:
-    """Count eigenvalues strictly below the threshold, with multiplicity.
+def count_below(problem: SLProblem) -> ModeCount:
+    """Count eigenvalues strictly below 2, with multiplicity.
 
     rho has period P = b/q, so the mode's spectrum is the union over
     j < q of the one-period problems with multiplier e^{i phi_j},
     phi_j = (bc_phase + 2 pi j)/q, and its count below lambda is the sum of
     their oscillation counts (_floquet_count), minus the constants at
     l = 0.  The count is an integer from one RK4 sweep over [0, P]; closed
-    gaps come out double by structure.  Evaluated at threshold -+
-    AT_THRESHOLD_TOL it splits the eigenvalues from the boundary
-    eigenvalues at the threshold (the map components, not counted).  Each
-    eigenvalue is located to LAMBDA_XTOL by batched multisection on the
-    count, MULTISECTION interior points per bracket and round.  The sweep
+    gaps come out double by structure.  Evaluated at 2 -+ AT_THRESHOLD_TOL
+    it splits the eigenvalues from the boundary eigenvalues at 2 (the map
+    components, not counted).  Each eigenvalue is located to LAMBDA_XTOL by
+    batched multisection on the count, MULTISECTION interior points per
+    bracket and round.  The sweep
     reads rho from the problem's memo (_period_mesh), where monodromy on
     the same map has sampled it already.  Raises ValueError if rho does
     not have period P.
     """
-    if threshold <= AT_THRESHOLD_TOL:
-        raise ValueError(f"threshold must exceed {AT_THRESHOLD_TOL}")
     q = problem.q
-    lo_edge = threshold - AT_THRESHOLD_TOL
-    hi_edge = threshold + AT_THRESHOLD_TOL
+    lo_edge, hi_edge = 2.0 - AT_THRESHOLD_TOL, 2.0 + AT_THRESHOLD_TOL
     mesh = _period_mesh(problem, hi_edge)
     targets = 2.0 * np.cos((problem.bc_phase + TWO_PI * np.arange(q)) / q)
 
@@ -427,8 +424,7 @@ def assemble_N2(tau: TauTriple, params: MapParams,
         problem = sl_problem(profiles, l)
         certs[l] = abs(np.trace(monodromy(problem, 2.0))
                        - problem.trace_target)
-    counts = [count_below(sl_problem(profiles, l), threshold=2.0)
-              for l in range(l_max + 1)]
+    counts = [count_below(sl_problem(profiles, l)) for l in range(l_max + 1)]
     warnings = [w for mc in counts for w in mc.warnings]
     n2 = 1 + counts[0].count + 2 * sum(mc.count for mc in counts[1:])
     bound = n2_lower_bound(params, point)
@@ -514,7 +510,7 @@ def construct_strict_instance(seed=(Fraction(1, 6), -6.0, Fraction(9, 10)),
     params = classify_params(point, p, q, r)
     tau = solve_tau(point, params)
     profiles = build_profiles(tau, params, point)
-    mode2 = count_below(sl_problem(profiles, 2), threshold=2.0)
+    mode2 = count_below(sl_problem(profiles, 2))
     certificate = {
         "seed_T": _T_fn(m, n0_seed, n1),
         "T0": T0,

@@ -3,8 +3,9 @@ the constant-latitude maps, their kernel at the distinguished latitude, the
 conformal-direction second variation, and a discretized index/nullity count
 for the generic (1,1,0) maps, read from the inertia of shifted LDL^H factors
 and certified by Richardson-extrapolated eigenvalues to within ZERO_TOL.
-Its frame takes the signed cos phi, sin phi of ProfileSet.latitude, and
-is (-1)^q-periodic on the lattice in the second limit (see _grid_frame).
+Its frame (i u, e^{2 pi i x} j u, i e^{2 pi i x} j u) comes from the map and
+its first derivatives alone, in every regime, and turns by e^{2 pi i a} on
+the lattice (see _frame_coefficients and _mode_matrix).
 
 For the constant-latitude map at (r+a)^2 + b^2 = p^2 the Jacobi operator has
 constant coefficients in the orthonormal frame
@@ -23,7 +24,6 @@ q = 2p and q = 2|r+a|, impossible on the boundary).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from eqtorus.maps import build_circle_map, build_profiles
 from eqtorus.tau_solver import (
     ModuliPoint,
-    Regime,
     classify_params,
     require_circle_boundary,
     solve_tau,
@@ -231,38 +230,40 @@ class IndexNullity:
     per_mode: dict = field(default_factory=dict)
 
 
-def _skew(x01, x02, x12):
-    """(n, 3, 3) antisymmetric matrices with upper entries x01, x02, x12."""
-    zero = np.zeros_like(x01)
-    return np.stack([np.stack([zero, x01, x02], -1),
-                     np.stack([-x01, zero, x12], -1),
-                     np.stack([-x02, -x12, zero], -1)], -2)
+def _quaternion_j(v):
+    """j v = (-conj v2, conj v1): left multiplication by the quaternion j on
+    C^2 = H, real-linear and orthogonal, with j (i v) = -i j v."""
+    return np.stack([-v[1].conj(), v[0].conj()])
 
 
 def _frame_coefficients(profiles, y):
-    """Pointwise data of the second-variation form in the adapted frame.
+    """Pointwise data of the second-variation form in the frame of the map.
 
-    Sections of the pullback tangent bundle are written in the frame
-    (i u, e2, i e2) with e2 = (-sin phi e^{i theta}, cos phi e^{i psi});
-    the flat derivative of V = sum f_a E_a splits into frame-component
-    derivatives plus rotation (Omega) and normal-leak (sigma) parts, and
+    Sections of the pullback tangent bundle are written in the orthonormal
+    frame E = (i u, e^{2 pi i x} j u, i e^{2 pi i x} j u), normal to u; the
+    flat derivative of V = sum f_a E_a splits into frame-component
+    derivatives plus rotation (Omega[a, b] = <dE_b, E_a>) and normal-leak
+    (sigma[b] = <dE_b, u>) parts, real inner products in C^2, and
 
         Q(V) = int |D_x f|^2 + |sigma_x . f|^2 + |D_y f|^2 + |sigma_y . f|^2
-               - 2 rho |f|^2.
+               - 2 rho |f|^2,
+
+    rho = |du|^2 / 2 the energy density.  E moves with u under
+    x-translation by a unitary map, so the data are those at x = 0, built
+    from u, u_y and u_x = (0, 2 pi i z2); every entry is bounded by
+    |du| + 2 pi.
     """
-    (cphi, sphi), (dcphi, dsphi), _ = profiles.latitude(y)
-    c2, s2, sc = cphi * cphi, sphi * sphi, sphi * cphi
-    dphi = cphi * dsphi - sphi * dcphi
-    dth, dal = profiles.dtheta(y), profiles.dalpha(y)
-    g = (dal - dth) * sc
-    hcoef = dth * s2 + dal * c2
-    cd = np.full_like(c2, profiles.tau.c + profiles.tau.d)
-    zero = np.zeros_like(c2)
-    omega_x = _skew(2.0 * math.pi * sc, zero, -2.0 * math.pi * c2)
-    sigma_x = np.stack([-2.0 * math.pi * s2, zero, -2.0 * math.pi * sc], -1)
-    omega_y = _skew(g, -dphi, -hcoef)
-    sigma_y = np.stack([-cd, -dphi, -g], -1)
-    return omega_x, sigma_x, omega_y, sigma_y, profiles.rho(y)
+    u, u_y = (np.stack(z) for z in profiles.jet(0.0, y))
+    u_x = np.stack([np.zeros_like(u[1]), 2j * math.pi * u[1]])
+    ju = _quaternion_j(u)
+    frame = np.stack([1j * u, ju, 1j * ju])
+    # (d/dx, d/dy) of the frame vectors at x = 0
+    d_ju = np.stack([2j * math.pi * ju + _quaternion_j(u_x), _quaternion_j(u_y)])
+    d_frame = np.stack([1j * np.stack([u_x, u_y]), d_ju, 1j * d_ju], 1)
+    omega_x, omega_y = np.einsum("dbkn,akn->dnab", d_frame, frame.conj()).real
+    sigma_x, sigma_y = np.einsum("dbkn,kn->dnb", d_frame, u.conj()).real
+    rho = 0.5 * np.sum(np.abs(u_x) ** 2 + np.abs(u_y) ** 2, axis=0)
+    return omega_x, sigma_x, omega_y, sigma_y, rho
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,6 @@ class _GridFrame:
 
     a: float
     h: float
-    flip: float              # e2 at (a, b) is flip times e2 at (0, 0)
     omega_x: np.ndarray      # (n, 3, 3) at the nodes
     sigma_x: np.ndarray      # (n, 3) at the nodes
     sigma_y: np.ndarray      # (n, 3) at the nodes
@@ -281,18 +281,24 @@ class _GridFrame:
     omega_y_mid: np.ndarray  # (n, 3, 3) at the midpoints
 
 
-def _grid_frame(profiles, n: int) -> _GridFrame:
-    point, params = profiles.point, profiles.params
-    h = point.b / n
-    y_nodes = np.arange(n) * h
-    omega_x, sigma_x, _, sigma_y, rho = _frame_coefficients(profiles, y_nodes)
-    omega_y_mid = _frame_coefficients(profiles, y_nodes + 0.5 * h)[2]
-    # second limit: sin phi = sqrt(1 - tau1) cn gains (-1)^q over b while
-    # alpha stays frozen, so e2 at (a, b) is (-1)^q e2 at (0, 0)
-    odd = params.regime is Regime.SECOND_LIMIT and params.q % 2
-    return _GridFrame(a=point.a, h=h, flip=-1.0 if odd else 1.0,
-                      omega_x=omega_x, sigma_x=sigma_x, sigma_y=sigma_y,
-                      rho=rho, omega_y_mid=omega_y_mid)
+def _grid_frames(profiles, sizes) -> list[_GridFrame]:
+    """The frames at each n of `sizes` from one evaluation of the map on the
+    half-step grid k b / (2 N), N = lcm(sizes): the nodes of n are every
+    (2 N / n)-th point from 0 and its midpoints every such point from N / n
+    (for (512, 1024), every fourth point from 0 and from 2 for n = 512)."""
+    point = profiles.point
+    n_all = math.lcm(*sizes)
+    y = np.arange(2 * n_all) * (point.b / (2 * n_all))
+    omega_x, sigma_x, omega_y, sigma_y, rho = _frame_coefficients(profiles, y)
+    frames = []
+    for n in sizes:
+        step = 2 * n_all // n
+        nodes, mids = slice(0, None, step), slice(step // 2, None, step)
+        frames.append(_GridFrame(
+            a=point.a, h=point.b / n, omega_x=omega_x[nodes],
+            sigma_x=sigma_x[nodes], sigma_y=sigma_y[nodes], rho=rho[nodes],
+            omega_y_mid=omega_y[mids]))
+    return frames
 
 
 def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
@@ -301,8 +307,10 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     Staggered first differences with midpoint frame rotation keep the
     derivative part a Gram matrix K = B^H B (no checkerboard null modes);
     pointwise terms sit on the nodes.  The Floquet wrap carries
-    e^{-2 pi i l a}, times frame.flip on e2 and i e2.  Mode 0 has no phase
-    and no i in its x-derivative, so its form is real and returned as real.
+    e^{-2 pi i l a}, and its (E_1, E_2) columns turn by -2 pi a: u closes on
+    the lattice, so E_1 + i E_2 at (a, b) is e^{2 pi i a} times that at
+    (0, 0).  Mode 0 has no phase and no i in its x-derivative, so its form
+    is real and returned as real.
     """
     n = frame.rho.size
     dim = 3 * n
@@ -310,8 +318,9 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     half_omega = 0.5 * frame.omega_y_mid
     left = half_omega - eye / frame.h
     right = (half_omega + eye / frame.h).astype(complex)
+    c, s = math.cos(2.0 * math.pi * frame.a), math.sin(2.0 * math.pi * frame.a)
     right[-1] *= np.exp(-2j * math.pi * l * frame.a)
-    right[-1, :, 1:] *= frame.flip
+    right[-1, :, 1:] = right[-1, :, 1:] @ np.array([[c, s], [-s, c]])
     # 3x3 blocks: row j holds `left` at column j and `right` at j + 1 mod n
     B = bsr_matrix((np.stack([left, right], 1).reshape(2 * n, 3, 3),
                     np.stack([np.arange(n), np.roll(np.arange(n), -1)], 1)
@@ -335,6 +344,8 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
 _DELTA = 1.0
 # An extrapolated value of the zero cluster must be this close to 0.
 ZERO_TOL = 1e-5
+# The two meshes of the estimate, coarse first.
+RESOLUTIONS = (512, 1024)
 
 
 def _shifted_lu(K: csc_matrix, sigma: float):
@@ -375,29 +386,17 @@ def _mode_spectrum(frame: _GridFrame, l: int):
     return np.sort(vals.real), inertia
 
 
-def _check_resolutions(resolutions) -> tuple[int, int]:
-    """Exactly two positive integers, coarse first."""
-    pair = tuple(resolutions) if isinstance(resolutions, (tuple, list)) else ()
-    if (len(pair) != 2
-            or not all(isinstance(n, numbers.Integral) for n in pair)
-            or not 0 < pair[0] < pair[1]):
-        raise ValueError(f"resolutions={resolutions!r} must be two positive "
-                         "integers n_lo < n_hi")
-    return int(pair[0]), int(pair[1])
-
-
-def index_nullity_estimate(point: ModuliPoint,
-                           resolutions: tuple[int, int] = (512, 1024)
-                           ) -> IndexNullity:
+def index_nullity_estimate(point: ModuliPoint) -> IndexNullity:
     """Energy index and nullity of the (1,1,0) map by Fourier-mode counting.
 
     Each x-Fourier mode gives a one-dimensional quadratic form in the frame
-    components, discretized at the two resolutions n_lo < n_hi.  The inertia
+    components, discretized at the two meshes RESOLUTIONS = (n_lo, n_hi),
+    whose frames share one evaluation of the map.  The inertia
     of unpivoted LDL^H factors of K -+ _DELTA I at n_hi gives the counts:
     nu(-_DELTA) negative eigenvalues and nu(+_DELTA) - nu(-_DELTA) in the
     zero cluster.  Only the eigenvalues below +_DELTA (at least one) are
     computed, Richardson-extrapolated across the pair when the inertia
-    agrees at both resolutions, and used to certify the zero cluster.
+    agrees on both meshes, and used to certify the zero cluster.
     Modes l >= 1 count twice (real and imaginary parts).  The mode loop
     stops at the first mode with nu(+_DELTA) = 0, which the l^2 growth of
     the x-term makes final, and at the latest at the first l with
@@ -406,19 +405,18 @@ def index_nullity_estimate(point: ModuliPoint,
 
     Each per_mode[l] entry carries what its classification rests on:
     `borderline` (the zero-cluster values with |v| > ZERO_TOL), `inertia`
-    ({"<n>": [nu(-_DELTA), nu(+_DELTA)]} per resolution) and
-    `counts_match` (the inertia agrees at both resolutions).  `converged` is
+    ({"<n>": [nu(-_DELTA), nu(+_DELTA)]} per mesh) and
+    `counts_match` (the inertia agrees on both meshes).  `converged` is
     False when any mode has a borderline value or mismatched counts, or
     when the nullity is below 6.
     """
-    n_lo, n_hi = _check_resolutions(resolutions)
+    n_lo, n_hi = RESOLUTIONS
     params = classify_params(point, 1, 1, 0)
     tau = solve_tau(point, params)
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
     l_positive = math.floor(math.sqrt(tau_sum)) + 2
-    frame_lo = _grid_frame(profiles, n_lo)
-    frame_hi = _grid_frame(profiles, n_hi)
+    frame_lo, frame_hi = _grid_frames(profiles, RESOLUTIONS)
     # second-order scheme: Richardson with ratio s removes the h^2 term
     s2 = (n_hi / n_lo) ** 2
 

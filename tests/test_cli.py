@@ -123,6 +123,17 @@ class TestScan:
         assert out == ""
         assert flag in err and steps in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, run, tmp_path, jobs):
+        target = tmp_path / "scan.csv"
+        code, out, err = run("scan", "--p", "1", "--q", "1", "--r", "0",
+                             "--a-steps", "2", "--b-steps", "2",
+                             "--jobs", jobs, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err and jobs in err
+        assert not target.exists()
+
 
 class TestOtsuki:
     def test_mesh_written(self, run, tmp_path):
@@ -178,8 +189,7 @@ class TestStability:
 
     def test_index(self, run):
         code, out, _ = run("stability", "--report", "index",
-                           "--a", "0.3", "--b", "1.4",
-                           "--resolutions", "256,512")
+                           "--a", "0.3", "--b", "1.4")
         doc = json.loads(out)
         assert code == 0
         assert doc["index"] <= 4
@@ -195,13 +205,19 @@ class TestStability:
         assert code == 0
         assert out1 == out2
 
-    def test_index_single_resolution_rejected(self, run):
-        code, out, err = run("stability", "--report", "index",
-                             "--a", "0.3", "--b", "1.4",
-                             "--resolutions", "512")
-        assert code == 1
-        assert out == ""
-        assert "resolutions" in err and "n_lo < n_hi" in err
+    def test_index_single_resolution_rejected(self, run, capsys):
+        # the meshes are the constant stability.RESOLUTIONS: argparse exits
+        # on --resolutions before anything is computed
+        with pytest.raises(SystemExit) as exc:
+            run("stability", "--report", "index", "--a", "0.3", "--b", "1.4",
+                "--resolutions", "512")
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --resolutions" in captured.err
+        with pytest.raises(SystemExit):
+            run("stability", "--help")
+        assert "--resolutions" not in capsys.readouterr().out
 
 
 class TestMeshCommand:

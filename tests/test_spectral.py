@@ -580,7 +580,7 @@ class TestAssembleN2:
         _, _, _, prof = _profiles(0.25, 2.1, 2, 3, 0)
         first = []
         for l in (1, 2, 3):
-            mc = count_below(sl_problem(prof, l), threshold=2.0)
+            mc = count_below(sl_problem(prof, l))
             first.append(mc.eigenvalues[0] if mc.eigenvalues else math.inf)
         assert first[0] <= first[1] <= first[2]
 

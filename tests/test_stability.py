@@ -13,10 +13,11 @@ from eqtorus import stability
 from eqtorus.maps import build_profiles
 from eqtorus.stability import (
     _frame_coefficients,
-    _grid_frame,
+    _grid_frames,
     _GridFrame,
     _mode_matrix,
     _mode_spectrum,
+    _quaternion_j,
     _shifted_lu,
     hersch_closed_form,
     hersch_quadrature,
@@ -153,12 +154,19 @@ def _profiles_110(a, b):
     return build_profiles(solve_tau(point, params), params, point)
 
 
+def _twist(a):
+    """The Floquet wrap of the frame components at (a, b): E_0 = i u is
+    periodic, and (E_1, E_2) turns by -2 pi a."""
+    c, s = math.cos(2.0 * math.pi * a), math.sin(2.0 * math.pi * a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+
+
 def _reference_mode_matrix(profiles, l, n):
     """The mode-l form built node by node from its definition, dense:
     B has -I/h + Omega_y(mid)/2 on the block diagonal and I/h + Omega_y(mid)/2
     one block to the right (the last one wrapping to block 0 with the Floquet
-    phase e^{-2 pi i l a}, times the frame flip in the e2 and i e2 columns);
-    K = B^H B plus, on each node's diagonal block,
+    phase e^{-2 pi i l a} times the frame twist); K = B^H B plus, on each
+    node's diagonal block,
     D_x^H D_x + sigma_x sigma_x^T + sigma_y sigma_y^T - 2 rho I with
     D_x = 2 pi i l I + Omega_x."""
     b, a = profiles.point.b, profiles.point.a
@@ -167,11 +175,10 @@ def _reference_mode_matrix(profiles, l, n):
     omega_x, sigma_x, _, sigma_y, rho = _frame_coefficients(profiles, y)
     omega_y_mid = _frame_coefficients(profiles, y + 0.5 * h)[2]
     eye = np.eye(3)
-    flip = np.diag([1.0, *2 * [round(_numeric_flip(profiles))]])
     B = np.zeros((3 * n, 3 * n), dtype=complex)
     for j in range(n):
         jn = (j + 1) % n
-        phase = np.exp(-2j * math.pi * l * a) * flip if jn == 0 else eye
+        phase = np.exp(-2j * math.pi * l * a) * _twist(a) if jn == 0 else eye
         B[3 * j:3 * j + 3, 3 * j:3 * j + 3] += -eye / h + 0.5 * omega_y_mid[j]
         B[3 * j:3 * j + 3, 3 * jn:3 * jn + 3] += \
             (eye / h + 0.5 * omega_y_mid[j]) @ phase
@@ -188,9 +195,11 @@ class TestModeMatrix:
     @pytest.mark.parametrize("a,b", [(0.0, 1.6), (0.3, 1.4), (0.45, 1.25),
                                      (0.5, 1.4)])
     def test_matches_node_loop_reference(self, a, b):
+        # the meshes come from one evaluation on the half-step grid of
+        # lcm(12, 16, 32) = 96
         prof = _profiles_110(a, b)
-        for n in (16, 32):
-            frame = _grid_frame(prof, n)
+        sizes = (12, 16, 32)
+        for n, frame in zip(sizes, _grid_frames(prof, sizes)):
             for l in (0, 1, 2):
                 K = _mode_matrix(frame, l).toarray()
                 ref = _reference_mode_matrix(prof, l, n)
@@ -204,7 +213,7 @@ class TestModeMatrix:
         n = 8
         w = rng.normal(size=(3, 3))
         frame = _GridFrame(
-            a=0.0, h=0.1, flip=1.0,
+            a=0.0, h=0.1,
             omega_x=np.tile(w - w.T, (n, 1, 1)),
             sigma_x=np.tile(rng.normal(size=3), (n, 1)),
             sigma_y=np.tile(rng.normal(size=3), (n, 1)),
@@ -225,32 +234,35 @@ class TestModeMatrix:
         K1 = _mode_matrix(frame_a, 1).toarray()
         interior = coupling(K1, 0)
         assert np.allclose(coupling(K1, n - 1),
-                           interior * np.exp(-2j * math.pi * 0.3),
+                           interior @ _twist(0.3) * np.exp(-2j * math.pi * 0.3),
                            rtol=0.0, atol=1e-12 * np.abs(interior).max())
 
-        # an antiperiodic frame negates the e2 and i e2 columns of the wrap
-        K0_flip = _mode_matrix(dataclasses.replace(frame, flip=-1.0), 0)
-        wrap = coupling(K0_flip.toarray(), n - 1)
+        # at a = 1/2 the twist negates the E_1 and E_2 columns of the wrap,
+        # and the opposite turn is a different form
+        wrap = coupling(_mode_matrix(dataclasses.replace(frame, a=0.5), 0)
+                        .toarray(), n - 1)
         ref = coupling(K0, n - 1)
         assert np.array_equal(wrap[:, 0], ref[:, 0])
-        assert np.array_equal(wrap[:, 1:], -ref[:, 1:])
+        assert np.allclose(wrap[:, 1:], -ref[:, 1:], rtol=0.0, atol=1e-12)
+        assert not np.allclose(coupling(K1, n - 1),
+                               interior @ _twist(-0.3)
+                               * np.exp(-2j * math.pi * 0.3))
 
 
-def _numeric_flip(profiles):
-    """Re <e2(0, 0), e2(a, b)> with e2 = (-sin phi e^{i theta}, cos phi
-    e^{i psi}) built from the profiles: +-1 for a lattice (anti)periodic
-    frame."""
-    y = np.array([0.0, profiles.point.b])
-    cphi, sphi = profiles.cos_sin_phi(y)
-    psi = np.array([0.0, 2.0 * math.pi * profiles.point.a]) + profiles.alpha(y)
-    e2 = np.stack([-sphi * np.exp(1j * profiles.theta(y)),
-                   cphi * np.exp(1j * psi)])
-    return np.vdot(e2[:, 0], e2[:, 1]).real
+def _frame(profiles, x, y):
+    """(3, 2, n) frame (i u, e^{2 pi i x} j u, i e^{2 pi i x} j u) and u,
+    built from the map at (x, y)."""
+    u = np.stack(profiles.map_values(x, y))
+    ju = np.exp(2j * math.pi * x) * _quaternion_j(u)
+    return np.stack([1j * u, ju, 1j * ju]), u
 
 
 class TestSignedFrame:
-    # (1,1,0) is second-limit at a = 1/2: sin phi = sqrt(1 - tau1) cn changes
-    # sign over [0, b) and alpha is frozen, so (e2, i e2) is antiperiodic
+    """The frame comes from the map alone: orthonormal, normal to u and
+    turned by e^{2 pi i a} on the lattice in every regime, including the
+    second-limit maps whose signed sin phi gains (-1)^q over b (flip = -1),
+    which the latitude-angle frame had to special-case."""
+
     @pytest.mark.parametrize("a,b,pqr,flip", [
         (0.0, 1.6, (1, 1, 0), 1.0), (0.3, 1.4, (1, 1, 0), 1.0),
         (0.45, 1.25, (1, 1, 0), 1.0), (0.5, 1.4, (1, 1, 0), -1.0),
@@ -260,27 +272,46 @@ class TestSignedFrame:
         point = ModuliPoint(a, b)
         params = classify_params(point, *pqr)
         prof = build_profiles(solve_tau(point, params), params, point)
-        assert _grid_frame(prof, 8).flip == flip
-        assert _numeric_flip(prof) == pytest.approx(flip, abs=1e-9)
+        sphi = prof.cos_sin_phi(np.array([0.0, b]))[1]
+        assert sphi[1] / sphi[0] == pytest.approx(flip, abs=1e-9)
+
+        y = np.linspace(0.0, b, 33)
+        E, u = _frame(prof, 0.37, y)
+        gram = np.einsum("akn,bkn->nab", E, E.conj()).real
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(3), gram.shape),
+                                   rtol=0.0, atol=1e-14)
+        normal = np.einsum("akn,kn->na", E, u.conj()).real
+        assert np.max(np.abs(normal)) <= 1e-14
+
+        E0 = _frame(prof, 0.0, 0.0)[0]
+        Eab = _frame(prof, a, b)[0]
+        twist = np.array([1.0, np.exp(2j * math.pi * a), np.exp(2j * math.pi * a)])
+        np.testing.assert_allclose(Eab, twist[:, None] * E0, rtol=0.0,
+                                   atol=1e-9)
 
     def test_sin_cos_product_is_signed(self):
+        # the x-rotation between i u and (j u, i j u) at x = 0 is
+        # 2 pi cos phi sin phi e^{i (theta + alpha)}: the signed product,
+        # with its sign change over [0, b) in the second limit
         prof = _profiles_110(0.5, 1.4)
         y = np.linspace(0.0, prof.point.b, 64, endpoint=False)
         omega_x = _frame_coefficients(prof, y)[0]
-        sc = omega_x[:, 0, 1] / (2.0 * math.pi)
         cphi, sphi = prof.cos_sin_phi(y)
-        np.testing.assert_allclose(sc, sphi * cphi, rtol=0.0, atol=1e-15)
-        assert sc.min() < -0.1 < 0.1 < sc.max()
+        turn = np.exp(1j * (prof.theta(y) + prof.alpha(y)))
+        np.testing.assert_allclose(omega_x[:, 0, 1] + 1j * omega_x[:, 0, 2],
+                                   2.0 * math.pi * sphi * cphi * turn,
+                                   rtol=0.0, atol=1e-14)
+        assert (sphi * cphi).min() < -0.1 < 0.1 < (sphi * cphi).max()
 
     @pytest.mark.parametrize("resolutions", [(256, 512), (512, 1024)])
-    def test_index_at_second_limit(self, resolutions):
+    def test_index_at_second_limit(self, monkeypatch, resolutions):
         # the six rotational Jacobi fields force nullity >= 6; an unsigned
         # sin phi cos phi gave (7, 0) with converged True here
-        est = index_nullity_estimate(ModuliPoint(0.5, 1.4),
-                                     resolutions=resolutions)
-        assert not (est.converged and est.nullity < 6)
+        monkeypatch.setattr(stability, "RESOLUTIONS", resolutions)
+        est = index_nullity_estimate(ModuliPoint(0.5, 1.4))
         assert (est.index, est.nullity) == (3, 7)
         assert est.converged
+        assert set(est.per_mode[0]["inertia"]) == {str(n) for n in resolutions}
 
 
 class TestResolutions:
@@ -288,8 +319,10 @@ class TestResolutions:
                                      (1024, 512), (0, 512), (-256, 512),
                                      (256.0, 512), "256,512", 512])
     def test_rejected(self, bad):
-        with pytest.raises(ValueError, match="resolutions"):
+        # the meshes are the constant stability.RESOLUTIONS, not a keyword
+        with pytest.raises(TypeError, match="resolutions"):
             index_nullity_estimate(ModuliPoint(0.3, 1.4), resolutions=bad)
+        assert stability.RESOLUTIONS == (512, 1024)
 
     def test_richardson_exact_for_any_ratio(self, monkeypatch):
         # eigenvalues with a pure h^2 error: extrapolation recovers them;
@@ -304,7 +337,8 @@ class TestResolutions:
         monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
         point = ModuliPoint(0.3, 1.4)
         for res in ((64, 192), (48, 80), (64, 128)):
-            est = index_nullity_estimate(point, resolutions=res)
+            monkeypatch.setattr(stability, "RESOLUTIONS", res)
+            est = index_nullity_estimate(point)
             assert (est.index, est.nullity) == (2, 6)
             assert est.converged
             assert est.per_mode[0]["smallest"] == pytest.approx(-2.5,
@@ -329,8 +363,7 @@ class TestSpectrumSlicing:
         ids=lambda pt: f"a={pt.a:.3f},b={pt.b:.3f}")
     def test_inertia_and_lowest_values_match_dense(self, point):
         prof = _profiles_110(point.a, point.b)
-        for n in (16, 32, 64):
-            frame = _grid_frame(prof, n)
+        for n, frame in zip((16, 32, 64), _grid_frames(prof, (16, 32, 64))):
             sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
             for l in (0, 1, 2):
                 K = _mode_matrix(frame, l)
@@ -366,8 +399,7 @@ class TestSpectrumSlicing:
 
 @pytest.fixture(scope="module")
 def reference_estimate():
-    return index_nullity_estimate(ModuliPoint(0.3, 1.4),
-                                  resolutions=(256, 512))
+    return index_nullity_estimate(ModuliPoint(0.3, 1.4))
 
 
 class TestIndexNullity:
@@ -385,7 +417,7 @@ class TestIndexNullity:
             assert row["borderline"] == []
             assert row["counts_match"] is True
             # nu(-delta) negative values, nu(+delta) - nu(-delta) zero ones
-            assert set(row["inertia"]) == {"256", "512"}
+            assert set(row["inertia"]) == {"512", "1024"}
             for below_minus, below_plus in row["inertia"].values():
                 assert below_minus == row["negative"]
                 assert below_plus - below_minus == row["zero"]
@@ -405,49 +437,70 @@ class TestIndexNullity:
         assert row["negative"] == 0 and row["zero"] == 0
         assert row["smallest"] > stability.ZERO_TOL
         # the bound holds for the discretized form at the first such mode
-        frame = _grid_frame(build_profiles(tau, params, point), 256)
+        frame = _grid_frames(build_profiles(tau, params, point), (256,))[0]
         vals, _ = _mode_spectrum(frame, l_positive)
         bound = 4.0 * math.pi**2 * ((l_positive - 1) ** 2 - tau_sum)
         assert vals[0] >= bound > 0.0
 
     def test_counts_from_inertia_at_borderline_point(self):
-        # at (0.45, 1.25) the l = 1 zero value extrapolates to 1.02e-5, just
-        # above ZERO_TOL: the inertia still counts it, and it is flagged
-        est = index_nullity_estimate(ModuliPoint(0.45, 1.25),
-                                     resolutions=(256, 512))
+        # at (0.49999, 1.4), 1 - tau2 = 5.2e-12, the zero values of modes 0
+        # and 1 extrapolate to |v| ~ 1e-5 to 1.5e-4, above ZERO_TOL: the
+        # inertia still counts them, and they are flagged
+        est = index_nullity_estimate(ModuliPoint(0.49999, 1.4))
         assert (est.index, est.nullity) == (3, 7)
         assert not est.converged
-        row = est.per_mode[1]
-        assert (row["negative"], row["zero"]) == (1, 2)
-        assert row["inertia"] == {"256": [1, 3], "512": [1, 3]}
-        assert row["borderline"] == [pytest.approx(1.0233e-5, rel=1e-3)]
-        assert all(not other["borderline"]
-                   for l, other in est.per_mode.items() if l != 1)
+        for l, counts, inertia in ((0, (1, 3), [1, 4]), (1, (1, 2), [1, 3])):
+            row = est.per_mode[l]
+            assert (row["negative"], row["zero"]) == counts
+            assert row["inertia"] == {"512": inertia, "1024": inertia}
+            assert row["borderline"]
+            assert all(stability.ZERO_TOL < abs(v) < 1e-3
+                       for v in row["borderline"])
+        assert not est.per_mode[2]["borderline"]
+
+    @pytest.mark.parametrize("a,b", [(0.49, 1.4), (0.499, 1.4),
+                                     (0.4999, 1.4), (0.5, 1.4), (-0.5, 1.4),
+                                     (0.1, 2.5), (0.0, 3.0)])
+    def test_converged_where_sin_phi_turns_fast(self, a, b):
+        # the latitude-angle frame turned at alpha' = d / sin^2 phi and read
+        # (5, 3) at a = 0.499 and 0.4999, and flagged the others
+        est = index_nullity_estimate(ModuliPoint(a, b))
+        assert (est.index, est.nullity) == (3, 7)
+        assert est.converged
 
     @pytest.mark.parametrize("a,b,resolutions", [
         (0.3, 1.4, (2, 3)), (0.3, 1.4, (2, 4)), (0.3, 1.4, (3, 6)),
         (0.0, 1.6, (2, 3)), (0.0, 1.6, (2, 4)),
         (0.45, 1.25, (2, 3)), (0.45, 1.25, (2, 4)), (0.45, 1.25, (3, 6)),
         (0.5, 1.4, (2, 3)), (0.5, 1.4, (2, 4))])
-    def test_nullity_below_six_not_converged(self, a, b, resolutions):
-        # these coarse meshes read (7, 0) with matching inertia and no
-        # borderline value; the six rotational Jacobi fields force
+    def test_nullity_below_six_not_converged(self, monkeypatch, a, b,
+                                             resolutions):
+        # the latitude-angle frame read a clean (7, 0) on these coarse
+        # meshes: matching inertia, no borderline value.  The frame of the
+        # map reads mismatched counts there, so a fake _mode_spectrum
+        # replays that reading; the six rotational Jacobi fields force
         # nullity >= 6, so the estimate must not certify itself
-        est = index_nullity_estimate(ModuliPoint(a, b),
-                                     resolutions=resolutions)
-        assert est.nullity < 6
+        def fake_spectrum(frame, l):
+            return {0: (np.array([-5.0, 3.0]), (1, 1)),
+                    1: (np.array([-4.0, -3.0, -2.0]), (3, 3))}.get(
+                        l, (np.array([50.0]), (0, 0)))
+
+        monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
+        monkeypatch.setattr(stability, "RESOLUTIONS", resolutions)
+        est = index_nullity_estimate(ModuliPoint(a, b))
+        assert (est.index, est.nullity) == (7, 0)
         assert all(row["counts_match"] and not row["borderline"]
                    for row in est.per_mode.values())
+        assert set(est.per_mode[0]["inertia"]) == {str(n) for n in resolutions}
         assert not est.converged
 
-    def test_non_dyadic_ratio(self):
-        est = index_nullity_estimate(ModuliPoint(0.3, 1.4),
-                                     resolutions=(256, 768))
+    def test_non_dyadic_ratio(self, monkeypatch):
+        monkeypatch.setattr(stability, "RESOLUTIONS", (256, 768))
+        est = index_nullity_estimate(ModuliPoint(0.3, 1.4))
         assert (est.index, est.nullity) == (3, 7)
         assert est.converged
 
     def test_rectangular_point(self):
-        est = index_nullity_estimate(ModuliPoint(0.0, 1.6),
-                                     resolutions=(256, 512))
+        est = index_nullity_estimate(ModuliPoint(0.0, 1.6))
         assert est.index <= 4
         assert est.nullity >= 6
