@@ -4,7 +4,7 @@ constant-latitude boundary, their non-integrable kernel fields, the positive
 second variation along the first conformal direction, and the index/nullity
 of the interior (1,1,0) maps.
 
-Run:  python3 demos/04_jacobi_stability.py   (~1.6 s on 2 cores, about 0.7 s of
+Run:  python3 demos/04_jacobi_stability.py   (~1.3 s on 2 cores, about 0.3 s of
       it in the three index/nullity counts)
 """
 

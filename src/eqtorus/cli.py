@@ -177,9 +177,16 @@ def cmd_otsuki(args) -> int:
 def cmd_stability(args) -> int:
     from eqtorus import stability as st
 
+    given = {"--p": args.p, "--q": args.q, "--r": args.r}
+    wrong = [f"{flag} {v}" for (flag, v), want in zip(given.items(), (1, 1, 0))
+             if v not in (None, want)]
+    if args.report == "index" and wrong:
+        raise ValueError(", ".join(wrong) + ": index counts (1,1,0) maps only")
+    p, q, r = (w if v is None else v
+               for v, w in zip(given.values(), (1, 2, 0)))
     if args.report == "block":
         point = _point(args)
-        blk = st.jacobi_block(point, args.p, args.r, args.phi0, args.k, args.l)
+        blk = st.jacobi_block(point, p, r, args.phi0, args.k, args.l)
         _emit({
             "report": "block", "k": blk.k, "l": blk.l,
             "matrix_re": blk.matrix.real, "matrix_im": blk.matrix.imag,
@@ -188,7 +195,7 @@ def cmd_stability(args) -> int:
         })
     elif args.report == "kernel":
         point = _point(args)
-        kp = st.special_phi0_kernel(point, args.p, args.r, args.q)
+        kp = st.special_phi0_kernel(point, p, r, q)
         _emit({
             "report": "kernel", "phi0": kp.phi0, "q": kp.q,
             "residuals": list(kp.residuals),
@@ -207,6 +214,7 @@ def cmd_stability(args) -> int:
         est = st.index_nullity_estimate(point)
         _emit({
             "report": "index", "a": point.a, "b": point.b,
+            "p": 1, "q": 1, "r": 0,
             "index": est.index, "nullity": est.nullity,
             "converged": est.converged, "per_mode": est.per_mode,
         })
@@ -292,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     sp.add_argument("--a", default="0")
     sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--r", type=int, default=0)
+    for flag in ("--p", "--q", "--r"):  # block, kernel: 1, 2, 0 if unset
+        sp.add_argument(flag, type=int)
     sp.add_argument("--phi0", type=float, default=math.pi / 4)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--l", type=int, default=0)

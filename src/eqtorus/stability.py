@@ -1,11 +1,11 @@
 """Second-variation diagnostics: Fourier blocks of the Jacobi operator on
 the constant-latitude maps, their kernel at the distinguished latitude, the
 conformal-direction second variation, and a discretized index/nullity count
-for the generic (1,1,0) maps, read from the inertia of shifted LDL^H factors
-and certified by Richardson-extrapolated eigenvalues to within ZERO_TOL.
-Its frame (i u, e^{2 pi i x} j u, i e^{2 pi i x} j u) comes from the map and
-its first derivatives alone, in every regime, and turns by e^{2 pi i a} on
-the lattice (see _frame_coefficients and _mode_matrix).
+for the generic (1,1,0) maps: each mode form is a Hermitian band, counted by
+shifted LDL^H inertia and certified to ZERO_TOL by Richardson-extrapolated
+eigenvalues from shift-invert over its banded Cholesky factor.  Its frame
+(i u, e^{2 pi i x} j u, i e^{2 pi i x} j u), from the map and its first
+derivatives alone, turns by e^{2 pi i a} on the lattice (_mode_matrix).
 
 For the constant-latitude map at (r+a)^2 + b^2 = p^2 the Jacobi operator has
 constant coefficients in the orthonormal frame
@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import dblquad
-from scipy.sparse import bsr_matrix, csc_matrix, identity
+from scipy.linalg.lapack import get_lapack_funcs
+from scipy.sparse import csc_matrix, dia_matrix, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from eqtorus.maps import build_circle_map, build_profiles
@@ -301,19 +302,19 @@ def _grid_frames(profiles, sizes) -> list[_GridFrame]:
     return frames
 
 
-def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
-    """Sparse Hermitian form of the mode-l second variation, mass = identity.
-
-    Staggered first differences with midpoint frame rotation keep the
-    derivative part a Gram matrix K = B^H B (no checkerboard null modes);
-    pointwise terms sit on the nodes.  The Floquet wrap carries
-    e^{-2 pi i l a}, and its (E_1, E_2) columns turn by -2 pi a: u closes on
+def _mode_matrix(frame: _GridFrame, l: int) -> np.ndarray:
+    """Hermitian form of the mode-l second variation, mass = identity, as
+    the band ab[_BAND + i - j, j] = K[i, j], |i - j| <= _BAND, of its nodes
+    in the order 0, n-1, 1, n-2, ..., where neighbours on the period (the
+    wrap included) are at most two 3x3 blocks apart; ab[:_BAND + 1] is
+    LAPACK's upper band storage.  Row j of the staggered first difference B
+    holds L_j = Omega_y/2 - I/h at node j and R_j = Omega_y/2 + I/h at
+    j + 1 mod n; K = B^H B (no checkerboard null modes) + pointwise terms
+    couples j to j + 1 by L_j^H R_j.  The wrap R_{n-1} carries
+    e^{-2 pi i l a} and turns its (E_1, E_2) columns by -2 pi a: u closes on
     the lattice, so E_1 + i E_2 at (a, b) is e^{2 pi i a} times that at
-    (0, 0).  Mode 0 has no phase and no i in its x-derivative, so its form
-    is real and returned as real.
-    """
+    (0, 0).  Mode 0 has neither, and its form is returned as real."""
     n = frame.rho.size
-    dim = 3 * n
     eye = np.eye(3)
     half_omega = 0.5 * frame.omega_y_mid
     left = half_omega - eye / frame.h
@@ -321,21 +322,22 @@ def _mode_matrix(frame: _GridFrame, l: int) -> csc_matrix:
     c, s = math.cos(2.0 * math.pi * frame.a), math.sin(2.0 * math.pi * frame.a)
     right[-1] *= np.exp(-2j * math.pi * l * frame.a)
     right[-1, :, 1:] = right[-1, :, 1:] @ np.array([[c, s], [-s, c]])
-    # 3x3 blocks: row j holds `left` at column j and `right` at j + 1 mod n
-    B = bsr_matrix((np.stack([left, right], 1).reshape(2 * n, 3, 3),
-                    np.stack([np.arange(n), np.roll(np.arange(n), -1)], 1)
-                    .ravel(), np.arange(0, 2 * n + 1, 2)),
-                   shape=(dim, dim)).tocsc()
-
+    # the diagonal block of node j is G_j^H G_j - 2 rho_j I, G_j its factors
     dx = 2j * math.pi * l * eye + frame.omega_x
-    P = (np.einsum("nki,nkj->nij", dx.conj(), dx)
-         + np.einsum("ni,nj->nij", frame.sigma_x, frame.sigma_x)
-         + np.einsum("ni,nj->nij", frame.sigma_y, frame.sigma_y)
-         - 2.0 * frame.rho[:, None, None] * eye)
-    pointwise = bsr_matrix((P, np.arange(n), np.arange(n + 1)),
-                           shape=(dim, dim))
-    K = (B.getH() @ B + pointwise).tocsc()
-    return K.real if l == 0 else K
+    sigma = np.stack([frame.sigma_x, frame.sigma_y], 1)
+    factors = np.concatenate([left, np.roll(right, 1, 0), dx, sigma], 1)
+    diag = (np.einsum("nki,nkj->nij", factors.conj(), factors)
+            - 2.0 * frame.rho[:, None, None] * eye)
+    coupling = np.einsum("nki,nkj->nij", left, right)
+    place = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
+    place_next = np.roll(place, -1)
+    row = np.concatenate([place, place, place_next])[:, None, None]
+    col = np.concatenate([place, place_next, place])[:, None, None]
+    ii, jj = np.indices((3, 3))
+    ab = np.zeros((2 * _BAND + 1, 3 * n), dtype=complex)
+    ab[_BAND + 3 * (row - col) + ii - jj, 3 * col + jj] = np.concatenate(
+        [diag, coupling, coupling.conj().transpose(0, 2, 1)])
+    return ab.real if l == 0 else ab
 
 
 # Half-width of the inertia window around zero: on the (1,1,0) forms the
@@ -346,6 +348,11 @@ _DELTA = 1.0
 ZERO_TOL = 1e-5
 # The two meshes of the estimate, coarse first.
 RESOLUTIONS = (512, 1024)
+# Half-width of every mode form in _mode_matrix's node order.
+_BAND = 8
+# ARPACK's stopping tolerance: values off by ~ARPACK_TOL |lambda - sigma_low|
+# <= 1e-8, far inside ZERO_TOL, for a third fewer solves than at tol = 0.
+ARPACK_TOL = 1e-10
 
 
 def _shifted_lu(K: csc_matrix, sigma: float):
@@ -369,20 +376,26 @@ def _shifted_lu(K: csc_matrix, sigma: float):
 
 def _mode_spectrum(frame: _GridFrame, l: int):
     """The lowest eigenvalues of the mode-l form, as many as lie below
-    +_DELTA (at least one), and the inertia (nu(-_DELTA), nu(+_DELTA)).
-    They come from shift-invert at sigma_low = -2 max rho - 1, below the
-    whole spectrum (K >= -2 rho: the other terms are Gram matrices)."""
-    K = _mode_matrix(frame, l)
+    +_DELTA (at least one), by shift-invert at sigma_low = -2 max rho - 1
+    through the banded Cholesky factor of K - sigma_low I, which exists as
+    K >= -2 rho (the other terms are Gram matrices), and the inertia
+    (nu(-_DELTA), nu(+_DELTA)) of a CSC copy of the band, congruent to K."""
+    ab = _mode_matrix(frame, l)
+    K = dia_matrix((ab, np.arange(_BAND, -_BAND - 1, -1)),
+                   shape=(ab.shape[1],) * 2).tocsc()
     inertia = (_shifted_lu(K, -_DELTA)[1], _shifted_lu(K, _DELTA)[1])
     sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
-    lu, below = _shifted_lu(K, sigma_low)
-    if below:
-        raise RuntimeError(f"mode {l}: {below} eigenvalues < {sigma_low!r}")
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+    ab[_BAND] -= sigma_low
+    chol, info = pbtrf(ab[:_BAND + 1], overwrite_ab=True)
+    if info:
+        raise RuntimeError(f"mode {l}: K - sigma I is not positive definite "
+                           f"at sigma = {sigma_low!r} (?pbtrf info {info})")
     # a fixed ARPACK start vector makes the output reproducible to the bit
     v0 = np.random.default_rng(0).standard_normal(K.shape[0]).astype(K.dtype)
-    op = LinearOperator(K.shape, matvec=lu.solve, dtype=K.dtype)
+    op = LinearOperator(K.shape, lambda v: pbtrs(chol, v)[0], dtype=K.dtype)
     vals = eigsh(K, k=max(inertia[1], 1), sigma=sigma_low, which="LM", v0=v0,
-                 OPinv=op, return_eigenvectors=False)
+                 OPinv=op, tol=ARPACK_TOL, return_eigenvectors=False)
     return np.sort(vals.real), inertia
 
 

@@ -198,6 +198,40 @@ class TestStability:
         for row in doc["per_mode"].values():
             assert {"borderline", "counts_match", "inertia"} <= row.keys()
 
+    def test_index_names_its_map(self, run):
+        code, out, _ = run("stability", "--report", "index",
+                           "--a", "0.3", "--b", "1.4", "--p", "1", "--q", "1",
+                           "--r", "0")
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["p"], doc["q"], doc["r"]) == (1, 1, 0)
+        assert doc["schema"] == "1"
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--p", "2", "--q", "3", "--r", "1"), "--p 2, --q 3, --r 1"),
+        (("--q", "2"), "--q 2"),
+        (("--r", "1"), "--r 1")])
+    def test_index_rejects_other_maps(self, run, flags, named):
+        # the count is of the (1,1,0) maps: other (p, q, r) exit 1 before
+        # anything is computed
+        code, out, err = run("stability", "--report", "index",
+                             "--a", "0.3", "--b", "1.4", *flags)
+        assert code == 1
+        assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("report,args", [
+        ("block", ("--a", "0", "--b", "1", "--phi0", "0.7", "--k", "2",
+                   "--l", "1")),
+        ("kernel", ("--a", "0", "--b", "1"))])
+    def test_block_kernel_default_to_120(self, run, report, args):
+        # without --p/--q/--r, block and kernel read (1, 2, 0)
+        code, out, _ = run("stability", "--report", report, *args)
+        code_120, out_120, _ = run("stability", "--report", report, *args,
+                                   "--p", "1", "--q", "2", "--r", "0")
+        assert code == code_120 == 0
+        assert out == out_120
+
     def test_index_deterministic(self, run):
         args = ("stability", "--report", "index", "--a", "0.3", "--b", "1.4")
         code, out1, _ = run(*args)

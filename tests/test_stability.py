@@ -191,18 +191,49 @@ def _reference_mode_matrix(profiles, l, n):
     return K
 
 
+def _interleaved_index(n):
+    """Scalar indices, in node order, of the band's rows: the nodes
+    0, n-1, 1, n-2, ..., three frame components each."""
+    order = [j // 2 if j % 2 == 0 else n - 1 - j // 2 for j in range(n)]
+    return (3 * np.array(order)[:, None] + np.arange(3)).ravel()
+
+
+def _band_dense(ab):
+    """The matrix of the band ab[kd + i - j, j] = K[i, j], |i - j| <= kd."""
+    kd, dim = ab.shape[0] // 2, ab.shape[1]
+    K = np.zeros((dim, dim), dtype=ab.dtype)
+    for k in range(-kd, kd + 1):  # k places right of the diagonal
+        j = np.arange(max(k, 0), min(dim, dim + k))
+        K[j - k, j] = ab[kd - k, j]
+    return K
+
+
+def _natural(ab):
+    """The band's matrix back in node order 0, 1, ..., n-1."""
+    idx = _interleaved_index(ab.shape[1] // 3)
+    K = np.empty((ab.shape[1],) * 2, dtype=ab.dtype)
+    K[np.ix_(idx, idx)] = _band_dense(ab)
+    return K
+
+
 class TestModeMatrix:
     @pytest.mark.parametrize("a,b", [(0.0, 1.6), (0.3, 1.4), (0.45, 1.25),
                                      (0.5, 1.4)])
     def test_matches_node_loop_reference(self, a, b):
         # the meshes come from one evaluation on the half-step grid of
-        # lcm(12, 16, 32) = 96
+        # lcm(12, 15, 16, 32) = 480; n = 15 is odd
         prof = _profiles_110(a, b)
-        sizes = (12, 16, 32)
+        sizes = (12, 15, 16, 32)
         for n, frame in zip(sizes, _grid_frames(prof, sizes)):
+            idx = _interleaved_index(n)
             for l in (0, 1, 2):
-                K = _mode_matrix(frame, l).toarray()
-                ref = _reference_mode_matrix(prof, l, n)
+                ab = _mode_matrix(frame, l)
+                assert ab.shape == (17, 3 * n)
+                assert np.isrealobj(ab) == (l == 0)
+                ref = _reference_mode_matrix(prof, l, n)[np.ix_(idx, idx)]
+                # the interleaved reference has half-width 8: no corner
+                assert np.abs(np.triu(ref, 9)).max() == 0.0
+                K = _band_dense(ab)
                 assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
                 assert np.max(np.abs(K - K.conj().T)) <= \
                     1e-12 * np.max(np.abs(K))
@@ -224,14 +255,14 @@ class TestModeMatrix:
             jn = (j + 1) % n
             return K[3 * j:3 * j + 3, 3 * jn:3 * jn + 3]
 
-        K0 = _mode_matrix(frame, 0).toarray()
+        K0 = _natural(_mode_matrix(frame, 0))
         interior = coupling(K0, 0)
         for j in range(1, n):
             assert np.array_equal(coupling(K0, j), interior)
         assert np.abs(K0.imag).max() == 0.0
 
         frame_a = dataclasses.replace(frame, a=0.3)
-        K1 = _mode_matrix(frame_a, 1).toarray()
+        K1 = _natural(_mode_matrix(frame_a, 1))
         interior = coupling(K1, 0)
         assert np.allclose(coupling(K1, n - 1),
                            interior @ _twist(0.3) * np.exp(-2j * math.pi * 0.3),
@@ -239,8 +270,8 @@ class TestModeMatrix:
 
         # at a = 1/2 the twist negates the E_1 and E_2 columns of the wrap,
         # and the opposite turn is a different form
-        wrap = coupling(_mode_matrix(dataclasses.replace(frame, a=0.5), 0)
-                        .toarray(), n - 1)
+        frame_half = dataclasses.replace(frame, a=0.5)
+        wrap = coupling(_natural(_mode_matrix(frame_half, 0)), n - 1)
         ref = coupling(K0, n - 1)
         assert np.array_equal(wrap[:, 0], ref[:, 0])
         assert np.allclose(wrap[:, 1:], -ref[:, 1:], rtol=0.0, atol=1e-12)
@@ -366,8 +397,9 @@ class TestSpectrumSlicing:
         for n, frame in zip((16, 32, 64), _grid_frames(prof, (16, 32, 64))):
             sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
             for l in (0, 1, 2):
-                K = _mode_matrix(frame, l)
-                dense = np.linalg.eigvalsh(K.toarray())
+                K = _band_dense(_mode_matrix(frame, l))
+                dense = np.linalg.eigvalsh(K)
+                K = csc_matrix(K)
                 for sigma in (-1e-2, 1e-2, -1.0, 1.0, sigma_low):
                     _, below = _shifted_lu(K, sigma)
                     assert below == int(np.sum(dense < sigma)), (n, l, sigma)
@@ -377,6 +409,49 @@ class TestSpectrumSlicing:
                 assert vals.size == max(inertia[1], 1)
                 assert np.max(np.abs(vals - dense[:vals.size])) <= \
                     1e-10 * max(1.0, np.max(np.abs(vals)))
+
+    def test_one_cholesky_and_two_inertia_factors_per_mode(self,
+                                                            monkeypatch):
+        frame = _grid_frames(_profiles_110(0.3, 1.4), (32,))[0]
+        shifts, routines = [], []
+        shifted_lu = stability._shifted_lu
+        get_lapack_funcs = stability.get_lapack_funcs
+
+        def spy_lu(K, sigma):
+            shifts.append(sigma)
+            return shifted_lu(K, sigma)
+
+        def spy_lapack(names, arrays):
+            routines.extend(names)
+            return get_lapack_funcs(names, arrays)
+
+        monkeypatch.setattr(stability, "_shifted_lu", spy_lu)
+        monkeypatch.setattr(stability, "get_lapack_funcs", spy_lapack)
+        for l in (0, 1):
+            shifts.clear()
+            routines.clear()
+            _mode_spectrum(frame, l)
+            assert shifts == [-stability._DELTA, stability._DELTA]
+            assert routines.count("pbtrf") == 1
+
+    def test_cholesky_proves_sigma_low_bound(self, monkeypatch):
+        # a form with a value below sigma_low = -2 max rho - 1 has no
+        # Cholesky factor of K - sigma_low I, and the error names the mode
+        frame = _grid_frames(_profiles_110(0.3, 1.4), (32,))[0]
+        sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+        mode_matrix = stability._mode_matrix
+
+        def sunk(frame, l):
+            ab = mode_matrix(frame, l)
+            # the Rayleigh quotient of e_7 drops below sigma_low
+            ab[stability._BAND, 7] = sigma_low - 1.0
+            return ab
+
+        monkeypatch.setattr(stability, "_mode_matrix", sunk)
+        for l in (0, 1):
+            with pytest.raises(RuntimeError,
+                               match=f"mode {l}: .*not positive definite"):
+                _mode_spectrum(frame, l)
 
     @pytest.mark.parametrize("dense", [
         [[0.0, 1.0], [1.0, 0.0]],                          # zero first pivot
