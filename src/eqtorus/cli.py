@@ -11,6 +11,7 @@ is a constant of the module that uses it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -250,7 +251,10 @@ def _add_point_args(sp, with_pqr: bool = True):
         sp.add_argument("--r", type=int, required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args reads it and sets
+    every option of the chosen subcommand on a fresh Namespace."""
     ap = argparse.ArgumentParser(
         prog="eqtorus",
         description="Equivariant harmonic tori in S^3 and their critical metrics")

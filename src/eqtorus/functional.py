@@ -35,6 +35,7 @@ from eqtorus.tau_solver import (
     classify_params,
     solve_n,
     solve_tau,
+    solve_taus,
 )
 
 __all__ = [
@@ -259,56 +260,72 @@ SCAN_COLUMNS = ["a", "b", "tau1", "tau2", "tau3", "m", "lambda_bar",
                 "status"]
 
 
-def _scan_row(a: float, b: float, p: int, q: int, r: int,
-              with_n2: bool) -> dict:
-    """One CSV row; computes only the printed columns.
+def _scan_column(a: float, b_values: list[float], p: int, q: int, r: int,
+                 with_n2: bool) -> list[dict]:
+    """The CSV rows of one a-column; computes only the printed columns.
 
-    lambda_bar is the closed form: the quadrature cross-check of
-    functional_value is not a scan column, so it is not computed here.
+    Every row that classifies gets its tau triple from one solve_taus call
+    per distinct MapParams (the regime is the column's, except on the
+    circle-family boundary).  lambda_bar is the closed form: the quadrature
+    cross-check of functional_value is not a scan column, so it is not
+    computed here.
     """
-    point = ModuliPoint(a, b)
-    row = dict.fromkeys(SCAN_COLUMNS)
-    row["a"], row["b"] = point.a, point.b
-    try:
-        params = classify_params(point, p, q, r)
-        tau = solve_tau(point, params)
-    except InfeasibleParametersError as exc:
-        row["status"] = f"infeasible: {exc}"
-        return row
-    hc = hopf_constants(tau)
-    row.update(tau1=tau.tau1, tau2=tau.tau2, tau3=tau.tau3, m=tau.m,
-               lambda_bar=lambda_bar_closed_form(tau, params, point),
-               flat_value=flat_lambda1(point), petrides_floor=PETRIDES_FLOOR,
-               H_re=hc.h_re, H_im=hc.h_im, status="ok")
-    if with_n2:
-        from eqtorus.spectral import assemble_N2
+    from eqtorus.spectral import assemble_N2, n2_lower_bound, ratio_condition
 
-        row["N2"] = assemble_N2(tau, params, point).n2
-    else:
-        from eqtorus.spectral import n2_lower_bound, ratio_condition
-
-        # the ratio condition certifies equality with the counting bound,
-        # making the Floquet sweep unnecessary for these rows
-        if ratio_condition(params, point):
-            row["N2"] = n2_lower_bound(params, point)
-    return row
+    rows, columns = [], {}
+    for b in b_values:
+        point = ModuliPoint(a, b)
+        row = dict.fromkeys(SCAN_COLUMNS)
+        row["a"], row["b"] = point.a, point.b
+        rows.append(row)
+        try:
+            params = classify_params(point, p, q, r)
+        except InfeasibleParametersError as exc:
+            row["status"] = f"infeasible: {exc}"
+            continue
+        columns.setdefault(params, []).append((row, point))
+    for params, members in columns.items():
+        taus = solve_taus([point for _, point in members], params)
+        for (row, point), tau in zip(members, taus):
+            if isinstance(tau, InfeasibleParametersError):
+                row["status"] = f"infeasible: {tau}"
+                continue
+            hc = hopf_constants(tau)
+            row.update(tau1=tau.tau1, tau2=tau.tau2, tau3=tau.tau3, m=tau.m,
+                       lambda_bar=lambda_bar_closed_form(tau, params, point),
+                       flat_value=flat_lambda1(point),
+                       petrides_floor=PETRIDES_FLOOR, H_re=hc.h_re,
+                       H_im=hc.h_im, status="ok")
+            if with_n2:
+                row["N2"] = assemble_N2(tau, params, point).n2
+            elif ratio_condition(params, point):
+                # the ratio condition certifies equality with the counting
+                # bound, making the Floquet sweep unnecessary for these rows
+                row["N2"] = n2_lower_bound(params, point)
+    return rows
 
 
 def moduli_scan(a_values, b_values, p: int, q: int, r: int,
                 with_n2: bool = False, jobs: int = 1) -> list[dict]:
     """Grid scan over (a, b); infeasible points are reported per row.
 
-    Row order follows the grid index regardless of how work is scheduled.
+    The unit of work is one a-column: its rows share the branch targets, so
+    solve_taus solves them together, and jobs > 1 hands each column to a
+    worker process.  Row order follows the grid index (a major, b minor)
+    regardless of how work is scheduled, and every row is bit-identical
+    whatever the grid around it.
     """
-    grid = [(float(a), float(b)) for a in a_values for b in b_values]
+    a_values = [float(a) for a in a_values]
+    b_values = [float(b) for b in b_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_row, a, b, p, q, r, with_n2)
-                       for a, b in grid]
-            return [f.result() for f in futures]
-    return [_scan_row(a, b, p, q, r, with_n2) for a, b in grid]
+            futures = [pool.submit(_scan_column, a, b_values, p, q, r, with_n2)
+                       for a in a_values]
+            return [row for f in futures for row in f.result()]
+    return [row for a in a_values
+            for row in _scan_column(a, b_values, p, q, r, with_n2)]
 
 
 def write_scan_csv(rows: list[dict], fh) -> None:

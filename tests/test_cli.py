@@ -135,6 +135,45 @@ class TestScan:
         assert not target.exists()
 
 
+class TestParserReuse:
+    # (1,2,1) at a = 0 fails the ratio condition, so its scan row has an N2
+    # only with --with-n2; block and kernel read --p/--q/--r as 1, 2, 0 when
+    # unset, index refuses them when set
+    SCAN = ("scan", "--p", "1", "--q", "2", "--r", "1", "--a-min", "0",
+            "--a-max", "0", "--a-steps", "1", "--b-min", "1.3", "--b-max",
+            "1.3", "--b-steps", "1")
+    CALLS = [
+        ("stability", "--report", "block", "--a", "0", "--b", "1.5", "--p",
+         "2", "--q", "3", "--r", "1", "--k", "1", "--l", "0"),
+        ("stability", "--report", "block", "--a", "0", "--b", "1.5", "--k",
+         "1", "--l", "0"),
+        SCAN + ("--with-n2",),
+        SCAN,
+        ("value", "--a", "0.3", "--b", "1.4", "--p", "1", "--q", "1", "--r",
+         "0", "--with-n2"),
+        ("value", "--a", "0.3", "--b", "1.4", "--p", "1", "--q", "1", "--r",
+         "0"),
+        ("stability", "--report", "kernel", "--a", "-0.5", "--b",
+         str(math.sqrt(0.75)), "--p", "1", "--r", "1", "--q", "2"),
+        ("stability", "--report", "kernel", "--a", "0", "--b", "1"),
+    ]
+
+    def test_successive_calls_print_what_fresh_calls_print(self, run):
+        # main builds its parser once per process; no option of one call
+        # may leak into the next
+        assert build_parser() is build_parser()
+        successive = [run(*argv) for argv in self.CALLS]
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(run(*argv))
+        assert successive == fresh
+        scan_n2 = [out.splitlines()[1].split(",")[9]
+                   for _, out, _ in successive[2:4]]
+        assert scan_n2 == ["4", ""]
+        assert [json.loads(out)["N2"] for _, out, _ in successive[4:6]] == [1, None]
+
+
 class TestOtsuki:
     def test_mesh_written(self, run, tmp_path):
         target = tmp_path / "mesh.jsonl"

@@ -318,9 +318,7 @@ class TestScan:
         assert lam == match["lambda_bar"]
 
     def test_parallel_jobs_preserve_order(self, rows):
+        # one a-column per worker: every row, all columns, as with one job
         par = moduli_scan(np.linspace(0.0, 0.5, 3), np.linspace(0.8, 2.0, 4),
                           1, 1, 0, jobs=2)
-        assert [row["status"] for row in par] == [row["status"] for row in rows]
-        got = [row["lambda_bar"] for row in par if row["status"] == "ok"]
-        want = [row["lambda_bar"] for row in rows if row["status"] == "ok"]
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
+        assert par == rows

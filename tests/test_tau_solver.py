@@ -1,5 +1,6 @@
 """Tests for the nested tau solve, with raw-quadrature oracles throughout."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from eqtorus.tau_solver import (
     psi_fn,
     solve_n,
     solve_tau,
+    solve_taus,
     third_limit_asymptote,
 )
 
@@ -312,22 +314,31 @@ class TestSolveTau:
         assert all(x > y for x, y in zip(tau1s, tau1s[1:]))
         assert tau1s[-1] == 0.0
 
-    @pytest.mark.parametrize("a,b,pqr", [(0.25, 2.1, (2, 3, 0)),
-                                         (0.3, 1.4, (1, 1, 0)),
-                                         (0.1, 3.0, (1, 1, 0))])
-    def test_one_nu_pair_per_distinct_m(self, monkeypatch, a, b, pqr):
-        # brentq re-evaluates the march's bracket ends and ends on the root:
-        # each pair of inner solves must run once per distinct m
-        seen = []
-        real = tau_solver._nu_pair
+    def test_column_solved_as_one_batch(self, monkeypatch):
+        # a 15-row column costs about 33 elliprj calls (each on an array);
+        # solved one row at a time it costs about 430
+        calls = []
+        real = tau_solver.elliprj
 
-        def spy(m, *targets):
-            seen.append(m)
-            return real(m, *targets)
+        def spy(*args):
+            calls.append(np.size(args[-1]))
+            return real(*args)
 
-        monkeypatch.setattr(tau_solver, "_nu_pair", spy)
-        solve(ModuliPoint(a, b), pqr)
-        assert len(seen) == len(set(seen)) > 0
+        monkeypatch.setattr(tau_solver, "elliprj", spy)
+        points = [ModuliPoint(0.3, b) for b in np.linspace(1.4, 3.0, 15)]
+        solve_taus(points, classify_params(points[0], 1, 1, 0))
+        assert len(calls) <= 60
+        assert max(calls) == len(tau_solver._TABLE_M1)
+
+    def test_iteration_cap_raises_naming_the_rows(self, monkeypatch):
+        # an unconverged solve is an error, never a returned m
+        monkeypatch.setattr(tau_solver, "MAX_NEWTON_STEPS", 2)
+        point = ModuliPoint(0.3, 1.4)
+        params = classify_params(point, 1, 1, 0)
+        with pytest.raises(RuntimeError, match=r"\(a, b\) = \(0\.3, 1\.4\)"):
+            solve_tau(point, params)
+        with pytest.raises(RuntimeError, match=r"\(0\.3, 1\.4\).*\(0\.3, 2\.0\)"):
+            solve_taus([point, ModuliPoint(0.3, 2.0)], params)
 
     def test_circle_family_rejected(self):
         pt = ModuliPoint(-0.6, math.sqrt(0.84))
@@ -360,6 +371,65 @@ class TestSolveTau:
         params = classify_params(point, p, q, r)
         tau = solve_tau(point, params)
         assert max(integral_residuals(tau, point, params)) < 1e-8
+
+
+FAMILIES = [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 3, 0)]
+
+
+@st.composite
+def columns(draw):
+    """An a-column: exact a (0 and 1/2 among the draws), 1-20 values of b
+    with repeats, some of them infeasible, and a family (p, q, r)."""
+    a = draw(st.one_of(st.sampled_from([Fraction(0), Fraction(1, 2)]),
+                       st.fractions(Fraction(-1, 2), Fraction(1, 2),
+                                    max_denominator=1000)))
+    bs = draw(st.lists(st.floats(0.5, 3.5), min_size=1, max_size=20))
+    bs += draw(st.lists(st.sampled_from(bs), max_size=20 - len(bs)))
+    return a, draw(st.permutations(bs)), draw(st.sampled_from(FAMILIES))
+
+
+def solve_column(points, pqr):
+    """One solve_taus call per distinct MapParams, as a scan solves a
+    column; a row that does not classify keeps its error."""
+    out, groups = [None] * len(points), {}
+    for i, point in enumerate(points):
+        try:
+            groups.setdefault(classify_params(point, *pqr), []).append(i)
+        except InfeasibleParametersError as exc:
+            out[i] = exc
+    for params, rows in groups.items():
+        for i, tau in zip(rows, solve_taus([points[i] for i in rows], params)):
+            out[i] = tau
+    return [bits(row) for row in out]
+
+
+def bits(result):
+    """A triple as the hex of every field, an error as its message."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return tuple(float(v).hex() for v in dataclasses.astuple(result))
+
+
+class TestBatchInvariance:
+    @given(columns(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_independent_of_the_batch(self, column, data):
+        # a scan row must be bit-identical to solve_tau at its point, so no
+        # row may depend on the other rows or the length of its batch
+        a, bs, pqr = column
+        points = [ModuliPoint(a, b) for b in bs]
+        rows = solve_column(points, pqr)
+        for point, row in zip(points, rows):
+            try:
+                single = solve_tau(point, classify_params(point, *pqr))
+            except InfeasibleParametersError as exc:
+                single = exc
+            assert bits(single) == row
+        order = data.draw(st.permutations(range(len(points))))
+        assert (solve_column([points[i] for i in order], pqr)
+                == [rows[i] for i in order])
+        k = data.draw(st.integers(1, len(points)))
+        assert solve_column(points[:k], pqr) == rows[:k]
 
 
 class TestThirdLimit:
