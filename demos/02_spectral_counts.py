@@ -2,11 +2,11 @@
 """Count the Laplace spectrum of the induced metrics below the critical level
 2 by Floquet analysis, mode by mode, and compare with the counting bound.
 
-Run:  python3 demos/02_spectral_counts.py        (~1.4 s)
+Run:  python3 demos/02_spectral_counts.py        (~0.9 s)
       python3 demos/02_spectral_counts.py --strict   (adds the construction
-      whose count strictly exceeds the bound: ~0.3 s more, ~1.7 s in all on
-      a 2-vCPU host; its multisection rounds of 7 points per bracket stay
-      narrow enough for the blocked period sweep)
+      whose count strictly exceeds the bound: about 0.1 s more on a 2-vCPU
+      host, since each of its modes is one Hill-matrix solve over q = 50
+      phases)
 """
 
 import sys

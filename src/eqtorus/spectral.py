@@ -4,24 +4,26 @@
     h(y + b) = e^{-2 pi i l a} h(y),
 
 one problem per Fourier mode l of the torus Laplacian for the conformal
-metric rho(y) g_{a,b}.  rho has period P = b/q, so the monodromy over [0, b]
-is the q-th power of the one-period monodromy M_P(lambda), and the spectrum
-of mode l is the union over j < q of the one-period problems with
-multiplier e^{i phi_j}, phi_j = (2 pi l a + 2 pi j)/q.  Each of those is
-counted exactly by the oscillation theorem for Hill's equation (Magnus &
-Winkler, *Hill's Equation*, 1966; Eastham, *The Spectral Theory of Periodic
-Differential Equations*, 1973): its number of eigenvalues below lambda
-follows from D = tr M_P(lambda) and the zero count of one solution over
-[0, P], so closed spectral gaps count twice by structure.  Both come from
-one fixed-step RK4 sweep over [0, P] for a whole batch of lambdas; for a
-small batch the sweep runs about sqrt(n) blocks of the period side by side
-in one pass (_period_sweep), since numpy then pays per call rather than per
-lambda, and Sturm separation gives the zero count from the block ends.
-The same sweep, on a finer mesh, gives the monodromy over [0, b] as M_P^q,
-and with it the certificates at lambda = 2.  rho is one function with one
-period for every mode, so the modes of one map share its samples
-(ProfileSet.rho_samples): the finer mesh nests the counting mesh, and
-assemble_N2 samples rho once for both and checks its period once.
+metric rho(y) g_{a,b}.  rho has period P = b/q, so the spectrum of mode l
+is the union over j < q of the one-period problems with multiplier
+e^{i phi_j}, phi_j = (2 pi l a + 2 pi j)/q.  count_below solves all of them
+at once by Rayleigh-Ritz (Galerkin) in the Fourier basis of the
+quasi-periodic functions, the Hill matrix (Magnus & Winkler, *Hill's
+Equation*, 1966): rho enters only through the Hermitian Toeplitz matrix of
+its Fourier coefficients, which every phase and every mode of a map share.
+Galerkin values bound the eigenvalues from above (min-max), so a truncation
+can only undercount; the truncation is read off the decay of rho's
+coefficients and the kinetic terms that an eigenvalue below 2 can reach,
+and samples that cannot resolve it raise instead of counting.
+
+monodromy gives the fundamental matrix over [0, b] as M_P^q, from one
+fixed-step RK4 sweep over [0, P] that runs about sqrt(n) blocks of the
+period side by side (_period_sweep); it carries the certificates that the
+map components have eigenvalue 2.  rho is one function with one period for
+every mode, so the modes of one map share its samples
+(ProfileSet.rho_samples): the Fourier coefficients come from the nodes of
+the mode-0 certificate mesh, and assemble_N2 samples rho once and checks
+its period once.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -69,23 +71,18 @@ TWO_PI = 2.0 * math.pi
 # eigenvalues this close to the threshold are the analytic boundary
 # eigenvalues (the map components), classified "at threshold", not counted
 AT_THRESHOLD_TOL = 1e-7
-# eigenvalues are located to brackets of this width
-LAMBDA_XTOL = 1e-11
-# interior points per bracket in one multisection round: a round of a few
-# brackets runs about sqrt(n) blocks side by side, so a wider round mostly
-# adds arithmetic.  Of 3, 7, 15, 31 and 63, only 7 stays within 20 % of the
-# fastest both on the criterion-4 instances (15 is fastest there, 63 about
-# 1.5x slower) and on the strict instance (3 is fastest, 15 about 1.9x slower)
-MULTISECTION = 7
+# the Hill basis reaches every Fourier coefficient of rho at or above this
+# fraction of its mean.  A Galerkin value errs by about the square of what
+# the basis leaves out, and the cut stays far above the coefficient floor,
+# about 1e-12, that a period defect within PERIOD_TOL leaves
+FOURIER_CUT = 1e-9
 # largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
 PERIOD_TOL = 1e-9
-# monodromy runs on this many times the counting mesh: RK4 phase error
-# scales as n^-4, so 4x the steps cut it 256-fold; on the counting mesh the
-# l = 1 certificate at (a, b) = (0, 2) is 8.3e-8, too close to its 1e-7 gate
+# monodromy runs on this many times the steps that bring the RK4 phase
+# error to about 1e-10: it scales as n^-4, so 4x the steps cut it 256-fold;
+# at the base count the l = 1 certificate at (a, b) = (0, 2) is 8.3e-8, too
+# close to its 1e-7 gate
 MONODROMY_REFINE = 4
-# lambdas x blocks per RK4 step beyond which numpy is bound by arithmetic,
-# not by per-call cost; the period sweep uses no more blocks than this allows
-WIDTH = 2048
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,8 @@ class SLProblem:
     rho_max: float
     q: int = 1                # number of rho periods in [0, b]
     # rho on uniform period meshes, {(P, n steps): samples at the 2n + 1
-    # nodes and midpoints}, filled by _period_mesh; sl_problem shares one
-    # memo among the modes of a map, a hand-built problem starts empty
+    # nodes and midpoints}, filled by _samples; sl_problem shares one memo
+    # among the modes of a map, a hand-built problem starts empty
     samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -129,53 +126,34 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
 # --------------------------------------------------------------------------
 
 
-def monodromy(problem: SLProblem, lam: float):
-    """Fundamental solution matrix over [0, b], as M_P(lam)^q.
-
-    Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
-    Wronskian keeps det M = 1, which the caller may use as a health check.
-    M_P comes from the period sweep on MONODROMY_REFINE times the counting
-    mesh.
-    Raises ValueError if rho does not have period P.
-    """
-    mesh = _period_mesh(problem, lam, MONODROMY_REFINE)
-    M_P, _ = _period_sweep(*mesh, np.array([float(lam)]))
-    return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
-
-
-def _rk4_steps(problem: SLProblem, lam_max: float) -> int:
-    # fixed-step RK4 phase error ~ (omega P)^5 / (120 n^4); size n for ~1e-10
-    omega = math.sqrt(max(lam_max * problem.rho_max,
-                          4.0 * math.pi**2 * problem.l**2, 1.0))
-    theta = omega * problem.period
+def _rk4_steps(period: float, omega2: float) -> int:
+    """RK4 steps of monodromy over one period P where max |k2 - lambda rho|
+    is about omega2: the phase error (omega P)^5 / (120 n^4) is about 1e-10
+    at the base count, which MONODROMY_REFINE multiplies."""
+    theta = math.sqrt(max(omega2, 1.0)) * period
     n = int((theta**5 / (120.0 * 1e-10)) ** 0.25) + 1
-    return max(n, 100)
+    return MONODROMY_REFINE * max(n, 100)
 
 
-def _period_mesh(problem: SLProblem, lam_max: float, refine: int = 1):
-    """The (rho, h, k2) arguments of _period_sweep for refine * _rk4_steps
-    RK4 steps over one period P.
+def _samples(problem: SLProblem, n: int) -> np.ndarray:
+    """rho at linspace(0, P, 2n + 1), the nodes and midpoints of n steps over
+    one period P: from the problem's memo, or sampled and stored.
 
-    rho comes from the problem's memo when it holds this mesh, or the mesh
-    MONODROMY_REFINE times finer: linspace(0, P, 2 MONODROMY_REFINE n + 1)
-    at that stride is linspace(0, P, 2n + 1) bit for bit, since the two
-    steps differ by an exact power of two.  Otherwise rho is sampled and
-    stored.  Periodicity is checked on the first mesh sampled for P, at its
-    counting nodes; a failed check raises ValueError and stores nothing.
+    Periodicity is checked on the first mesh sampled for P, at every
+    MONODROMY_REFINE-th point; a failed check raises ValueError and stores
+    nothing.
     """
     P = problem.period
-    n = _rk4_steps(problem, lam_max)
     memo = problem.samples
-    rho = memo.get((P, refine * n))
-    if rho is None and refine == 1 and (P, MONODROMY_REFINE * n) in memo:
-        rho = memo[P, MONODROMY_REFINE * n][::MONODROMY_REFINE]
+    rho = memo.get((P, n))
     if rho is None:
-        y = np.linspace(0.0, P, 2 * refine * n + 1)
+        y = np.linspace(0.0, P, 2 * n + 1)
         rho = np.asarray(problem.rho(y), dtype=float)
         if not any(period == P for period, _ in memo):
-            _check_period(problem, y[::refine], rho[::refine])
-        memo[P, refine * n] = rho
-    return rho, P / (refine * n), 4.0 * math.pi**2 * problem.l**2
+            stride = slice(None, None, MONODROMY_REFINE)
+            _check_period(problem, y[stride], rho[stride])
+        memo[P, n] = rho
+    return rho
 
 
 def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:
@@ -186,6 +164,21 @@ def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:
         raise ValueError(f"rho is not periodic with period b/q = {P:.9g} "
                          f"(q = {problem.q}): relative defect {defect:.3g}; a "
                          "wrong q or a tau solve that does not close the profile")
+
+
+def monodromy(problem: SLProblem, lam: float):
+    """Fundamental solution matrix over [0, b], as M_P(lam)^q.
+
+    Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
+    Wronskian keeps det M = 1, which the caller may use as a health check.
+    M_P comes from the period sweep in isqrt(n) blocks, on the n steps of
+    _rk4_steps.  Raises ValueError if rho does not have period P.
+    """
+    k2 = 4.0 * math.pi**2 * problem.l**2
+    n = _rk4_steps(problem.period, max(lam * problem.rho_max, k2))
+    M_P = _period_sweep(_samples(problem, n), problem.period / n, k2,
+                        np.array([float(lam)]), math.isqrt(n))
+    return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
 
 
 def _rk4_step(H, V, g0, gm, g1, h) -> None:
@@ -203,30 +196,19 @@ def _rk4_step(H, V, g0, gm, g1, h) -> None:
     V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
 
 
-def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
-    """(M_P(lambda), zeros of s in (0, P]) for every lambda in one sweep;
-    M_P[r, c, k] is entry (r, c) of the one-period matrix at lams[k].
+def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray,
+                  blocks: int) -> np.ndarray:
+    """M_P(lambda) for every lambda in one sweep; M_P[r, c, k] is entry
+    (r, c) of the one-period matrix at lams[k].
 
     Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
-    with rho sampled at the step nodes and midpoints; s is the solution with
-    s(0) = 0, s'(0) = 1.
-
-    A step over a few lambdas costs numpy's per-call overhead, not its
-    arithmetic, so the n steps are cut into B blocks of L steps each (the
-    last block padded with h = 0 steps, exact identities), run side by side
-    from the identity.  The ordered product of the block matrices gives M_P
-    and (s0, s0') at each block start.  Each block counts the sign changes
-    z of c2 < 0 and zbar of c2 > 0 for its second column c2; on block 0, s
-    is c2.  On a later block, s = s0' c2 has z zeros if s0 = 0 < s0' and
-    zbar if s0' < 0 = s0; otherwise Sturm separation puts one zero of s
-    between consecutive zeros of c2, so s has z or z + 1, as its signs at
-    the block's ends decide.  A block's end node takes its sign from the
-    next block's composed start, so a zero on a block boundary counts once.
-    Separation needs a mesh that resolves every lambda: a step angle
-    h sqrt(max |k2 - lambda rho|) above 1 raises ValueError.  B = isqrt(n),
-    cut back so that B n_lam stays within WIDTH: a wider batch is bound by
-    arithmetic, which blocking does not reduce.  B = 1 is the sequential
-    sweep.
+    with rho sampled at the step nodes and midpoints.  A step over a few
+    lambdas costs numpy's per-call overhead, not its arithmetic, so the n
+    steps are cut into `blocks` blocks of L steps each (the last block
+    padded with h = 0 steps, exact identities), run side by side from the
+    identity, and M_P is the ordered product of the block matrices; one
+    block is the sequential sweep.  A step angle h sqrt(max |k2 - lambda
+    rho|) above 1 raises ValueError: the mesh does not resolve the batch.
     """
     corners = k2 - np.outer([lams.min(), lams.max()], [rho.min(), rho.max()])
     angle = h * math.sqrt(float(np.max(np.abs(corners))))
@@ -234,8 +216,7 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
         raise ValueError(f"RK4 step angle {angle:.3g} exceeds 1: the mesh "
                          "does not resolve the largest lambda of the batch")
     n = (rho.size - 1) // 2
-    nl = lams.size
-    B = max(1, min(math.isqrt(n), WIDTH // nl))
+    B = blocks
     L = -(-n // B)
     # R[j, b] = rho at node j of block b; from step `full` on, the last
     # block's steps are padding
@@ -249,50 +230,21 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray):
         return k2 - lams * R[j, :, None]
 
     # both fundamental solutions of every block, a (2, B, nl) state
-    H = np.zeros((2, B, nl))
-    V = np.zeros((2, B, nl))
+    H = np.zeros((2, B, lams.size))
+    V = np.zeros((2, B, lams.size))
     H[0] = 1.0
     V[1] = 1.0
-    negative = positive = np.zeros((B, nl), dtype=bool)
-    z, zbar = np.zeros((2, B, nl), dtype=int)
     g1 = g(0)
     for i in range(L):
         g0, gm, g1 = g1, g(2 * i + 1), g(2 * i + 2)
         _rk4_step(H, V, g0, gm, g1, h if i < full else h_tail)
-        now = H[1] < 0.0
-        z += now != negative
-        negative = now
-        now = H[1] > 0.0
-        zbar += now != positive
-        positive = now
 
-    # compose: M[r, c, b] is entry (r, c) of block b's matrix, and S[:, b]
-    # is (s, s') at the end of block b
+    # M[r, c, b] is entry (r, c) of block b's matrix
     M = np.stack([H, V])
     prod = M[:, :, 0]
-    S = np.empty((2, B, nl))
-    S[:, 0] = prod[:, 1]
     for b in range(1, B):
         prod = M[:, 0, b, None] * prod[0] + M[:, 1, b, None] * prod[1]
-        S[:, b] = prod[:, 1]
-    s0, ds0 = S[:, :-1]  # s and s' at the starts of blocks 1..
-    s1 = S[0, 1:]        # s at their ends
-    zb, zbar = z[1:], zbar[1:]
-    separated = zb + (zb + ((s0 < 0.0) != (s1 < 0.0))) % 2
-    on_boundary = np.where(ds0 > 0.0, zb, zbar)
-    return prod, z[0] + np.where(s0 == 0.0, on_boundary, separated).sum(axis=0)
-
-
-def _floquet_count(D: np.ndarray, zeros: np.ndarray, target) -> np.ndarray:
-    """Eigenvalues below lambda of the one-period problem with multiplier
-    e^{i phi}, target = 2 cos phi, from D = tr M_P(lambda) and the zero
-    count n of s (oscillation theorem for Hill's equation): inside a band
-    n + [D < target] for even n and n + [D > target] for odd n, inside a
-    gap n if sign D = (-1)^n and n + 1 if not."""
-    even = zeros % 2 == 0
-    band = np.where(even, D < target, D > target)
-    gap = np.where(even, D < 0.0, D > 0.0)
-    return zeros + np.where(np.abs(D) < 2.0, band, gap)
+    return prod
 
 
 # --------------------------------------------------------------------------
@@ -314,58 +266,59 @@ def count_below(problem: SLProblem) -> ModeCount:
 
     rho has period P = b/q, so the mode's spectrum is the union over
     j < q of the one-period problems with multiplier e^{i phi_j},
-    phi_j = (bc_phase + 2 pi j)/q, and its count below lambda is the sum of
-    their oscillation counts (_floquet_count), minus the constants at
-    l = 0.  The count is an integer from one RK4 sweep over [0, P]; closed
-    gaps come out double by structure.  Evaluated at 2 -+ AT_THRESHOLD_TOL
-    it splits the eigenvalues from the boundary eigenvalues at 2 (the map
-    components, not counted).  Each eigenvalue is located to LAMBDA_XTOL by
-    batched multisection on the count, MULTISECTION interior points per
-    bracket and round.  The sweep
-    reads rho from the problem's memo (_period_mesh), where monodromy on
-    the same map has sampled it already.  Raises ValueError if rho does
-    not have period P.
+    phi_j = (bc_phase + 2 pi j)/q.  Phase j is solved by Rayleigh-Ritz in
+    the basis e^{i(kappa_j + 2 pi n/P) y}, |n| <= N, kappa_j = -phi_j/P:
+    the pencil diag((kappa_j + 2 pi n/P)^2 + 4 pi^2 l^2) x = lambda B x,
+    where B is the Hermitian Toeplitz matrix of rho's Fourier coefficients.
+    One inverse of B serves every phase.  The constant (l = 0,
+    phase 0, lambda = 0) is not counted.  Eigenvalues within
+    AT_THRESHOLD_TOL of 2 are the boundary eigenvalues at 2 (the map
+    components), listed apart and not counted.
+
+    The coefficients come from rho at the nodes and midpoints of the base
+    step count of monodromy's mode-0 mesh at lambda = 2, which the
+    problem's memo holds once the certificates of the same map have run.
+    The basis reaches |n| <= N = R + K: R is the last coefficient at or
+    above FOURIER_CUT of the mean, K the last n whose kinetic term is at
+    most 2 max rho, where every eigenvalue below 2 lives (a flat rho has
+    R = 0).  B keeps every coefficient up to 2N, so the truncation leaves
+    out only eigenvector components beyond the reach, and a Galerkin value
+    errs by about their square.  Galerkin values bound the true eigenvalues
+    from above (min-max), so a truncation can only undercount.  The samples
+    must resolve B without aliasing: when 4N exceeds their number, as for
+    a rho whose coefficients do not fall below the cut, this raises
+    ValueError rather than count.  Also raises ValueError if rho does not
+    have period P.
     """
-    q = problem.q
-    lo_edge, hi_edge = 2.0 - AT_THRESHOLD_TOL, 2.0 + AT_THRESHOLD_TOL
-    mesh = _period_mesh(problem, hi_edge)
-    targets = 2.0 * np.cos((problem.bc_phase + TWO_PI * np.arange(q)) / q)
-
-    def counts(lams: np.ndarray) -> np.ndarray:  # shape (q, lams.size)
-        M, zeros = _period_sweep(*mesh, lams)
-        return _floquet_count(M[0, 0] + M[1, 1], zeros, targets[:, None])
-
-    # eigenvalues <= 0: only the constants (l = 0, j = 0) at lambda = 0
-    at_zero = np.zeros(q, dtype=int)
-    at_zero[0] = problem.l == 0
-    N = np.column_stack([at_zero, counts(np.array([lo_edge, hi_edge]))])
-    # brackets (lo, hi] with the per-j counts at both ends
-    lo, hi = np.array([0.0, lo_edge]), np.array([lo_edge, hi_edge])
-    n_lo, n_hi = N[:, :-1], N[:, 1:]
-    found = []
-    t = np.linspace(0.0, 1.0, MULTISECTION + 2)
-    while True:
-        mult = (n_hi - n_lo).sum(axis=0)
-        done = hi - lo <= LAMBDA_XTOL
-        found.append(np.repeat(0.5 * (lo + hi)[done], mult[done]))
-        keep = ~done & (mult > 0)
-        if not keep.any():
-            break
-        lo, hi, n_lo, n_hi = lo[keep], hi[keep], n_lo[:, keep], n_hi[:, keep]
-        grid = lo[:, None] + (hi - lo)[:, None] * t
-        inner = counts(grid[:, 1:-1].ravel()).reshape(q, lo.size, MULTISECTION)
-        C = np.concatenate([n_lo[:, :, None], inner, n_hi[:, :, None]], axis=2)
-        # the count is monotone in lambda; integrator noise at a crossing
-        # must neither add nor drop an eigenvalue of the bracket
-        C = np.minimum(np.maximum.accumulate(C, axis=2), n_hi[:, :, None])
-        b_idx, k_idx = np.nonzero((np.diff(C, axis=2) > 0).any(axis=0))
-        lo, hi = grid[b_idx, k_idx], grid[b_idx, k_idx + 1]
-        n_lo, n_hi = C[:, b_idx, k_idx], C[:, b_idx, k_idx + 1]
-    eigs = np.sort(np.concatenate(found))
-    out = ModeCount(l=problem.l, count=int(np.sum(eigs < lo_edge)))
-    out.eigenvalues = [float(x) for x in eigs[:out.count]]
-    out.at_threshold = [float(x) for x in eigs[out.count:]]
-    return out
+    P, q = problem.period, problem.q
+    rho = _samples(problem, _rk4_steps(P, 2.0 * problem.rho_max))
+    rho = rho[:-1:MONODROMY_REFINE]
+    coef = np.fft.rfft(rho) / rho.size
+    reach = np.flatnonzero(np.abs(coef) >= FOURIER_CUT * coef[0].real)[-1]
+    N = int(reach + math.sqrt(2.0 * rho.max()) * P / TWO_PI) + 1
+    if 4 * N > rho.size:
+        raise ValueError(f"{rho.size} samples of rho cannot resolve a Hill "
+                         f"matrix of |n| <= {N}: its Fourier coefficients "
+                         f"stay above {FOURIER_CUT:g} of its mean up to "
+                         f"n = {reach}")
+    # B[i, j] is coefficient n_i - n_j, |n_i - n_j| <= 2N <= M/2
+    n = np.arange(-N, N + 1)
+    d = n[:, None] - n[None, :]
+    B = np.where(d >= 0, coef[np.abs(d)], coef[np.abs(d)].conj())
+    # the pencil A_j x = lambda B x has the eigenvalues of
+    # A_j^1/2 B^-1 A_j^1/2: one inverse of B serves every phase
+    kappa = -(problem.bc_phase + TWO_PI * np.arange(q)) / (q * P)
+    k = kappa[:, None] + TWO_PI * n / P
+    root = np.sqrt(k * k + 4.0 * math.pi**2 * problem.l**2)
+    C = root[:, :, None] * np.linalg.inv(B) * root[:, None, :]
+    eigs = np.sort(np.linalg.eigvalsh(C), axis=None)
+    if problem.l == 0 and problem.bc_phase == 0.0:
+        eigs = eigs[1:]  # the constant
+    count = int(np.sum(eigs < 2.0 - AT_THRESHOLD_TOL))
+    at = int(np.sum(eigs <= 2.0 + AT_THRESHOLD_TOL))
+    return ModeCount(l=problem.l, count=count,
+                     eigenvalues=[float(x) for x in eigs[:count]],
+                     at_threshold=[float(x) for x in eigs[count:at]])
 
 
 # --------------------------------------------------------------------------
@@ -409,12 +362,11 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     The mode loop stops at l_max = ceil(sqrt(tau2+tau3-tau1)): beyond it the
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
-    are exact eigenfunctions with eigenvalue 2, from monodromy: the period
-    sweep of the count on a finer mesh.  The certificates run first: the
-    modes share rho's samples (ProfileSet.rho_samples), and the finer mesh
-    nests the counting mesh of every mode l < sqrt(tau2+tau3-tau1), so rho
-    is sampled and its period checked once for all of them; only mode
-    l_max, on a finer mesh, samples its own.
+    are exact eigenfunctions with eigenvalue 2, from the RK4 monodromy.
+    The modes share rho's samples (ProfileSet.rho_samples): the counts read
+    theirs from the mode-0 certificate mesh, which the l = 1 certificate
+    shares unless tau2 + tau3 - tau1 < 1, so rho is sampled and its period
+    checked once for the whole op.
     """
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1

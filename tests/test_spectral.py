@@ -2,26 +2,22 @@
 
 import dataclasses
 import math
-from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-
-from eqtorus import spectral
 
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
-    LAMBDA_XTOL,
     SLProblem,
-    _floquet_count,
-    _period_mesh,
     _period_sweep,
+    _rk4_steps,
+    _samples,
     assemble_N2,
     construct_strict_instance,
     count_below,
@@ -56,9 +52,11 @@ def _dop853(problem, lam, rtol):
 
 
 def _sweep(problem, lams):
-    """(M_P, zeros of s over one period) on count_below's own mesh."""
-    return _period_sweep(*_period_mesh(problem, 2.0 + AT_THRESHOLD_TOL),
-                         np.asarray(lams))
+    """M_P for a batch of lambdas, on monodromy's mesh at lambda = 2."""
+    k2 = 4.0 * math.pi**2 * problem.l**2
+    n = _rk4_steps(problem.period, max(2.0 * problem.rho_max, k2))
+    return _period_sweep(_samples(problem, n), problem.period / n, k2,
+                         np.asarray(lams), math.isqrt(n))
 
 
 def _profiles(a, b, p, q, r):
@@ -110,8 +108,7 @@ class TestMonodromy:
         prof = _profiles(0.25, 2.1, 2, 3, 0)[3]
         for l in (0, 1):
             pb = sl_problem(prof, l)
-            mesh = _period_mesh(pb, 2.0, spectral.MONODROMY_REFINE)
-            M_P, _ = _period_sweep(*mesh, np.array([2.0]))
+            M_P = _sweep(pb, [2.0])
             np.testing.assert_array_equal(
                 monodromy(pb, 2.0), np.linalg.matrix_power(M_P[:, :, 0], pb.q))
 
@@ -137,7 +134,7 @@ class TestMonodromy:
         for l in (0, 1):
             pb = sl_problem(prof, l)
             one = dataclasses.replace(pb, b=pb.period, q=1)
-            M, _ = _sweep(pb, lams)
+            M = _sweep(pb, lams)
             fast = M[0, 0] + M[1, 1]
             slow = [np.trace(_dop853(one, lam, 1e-11)) for lam in lams]
             np.testing.assert_allclose(fast, slow, atol=1e-9)
@@ -146,26 +143,15 @@ class TestMonodromy:
             slow = [np.trace(_dop853(pb, lam, 1e-11)) for lam in lams]
             np.testing.assert_allclose(full, slow, atol=1e-8)
 
-    def test_period_sweep_zero_count(self):
-        # rho = c: s(y) = sin(omega y) / omega, omega^2 = c lambda - k^2,
-        # has floor(omega P / pi) zeros in (0, P]
-        pb = _const_problem(c=30.0, b=1.3, l=1)
-        lams = np.array([1.5, 2.0, 3.0, 5.0, 9.0])
-        _, zeros = _sweep(pb, lams)
-        omega = np.sqrt(30.0 * lams - 4.0 * math.pi**2)
-        np.testing.assert_array_equal(zeros, np.floor(omega * 1.3 / math.pi))
-
 
 def _sequential_sweep(rho, h, k2, lams):
     """The unblocked period sweep: one RK4 step per iteration over a
-    (2, n_lam) state, counting the sign changes of s node by node."""
+    (2, n_lam) state; M[r, c, k] as in _period_sweep."""
     nl = lams.size
     H = np.zeros((2, nl))
     V = np.zeros((2, nl))
     H[0] = 1.0
     V[1] = 1.0
-    negative = np.zeros(nl, dtype=bool)
-    zeros = np.zeros(nl, dtype=int)
     h6 = h / 6.0
     for i in range(0, rho.size - 1, 2):
         g0 = k2 - lams * rho[i]
@@ -180,23 +166,20 @@ def _sequential_sweep(rho, h, k2, lams):
         k4v = g1 * (H + h * k3h)
         H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
         V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        now = H[1] < 0.0
-        zeros += now != negative
-        negative = now
-    return H[0] + V[1], zeros
+    return np.stack([H, V])
 
 
-def _blocks(monkeypatch, n, nl, blocks):
-    """Make _period_sweep cut n steps over nl lambdas into `blocks` blocks."""
-    monkeypatch.setattr(spectral, "WIDTH", blocks * nl)
-    assert max(1, min(math.isqrt(n), spectral.WIDTH // nl)) == blocks
+def _assert_matches_sequential(M, M_seq):
+    # every entry to 1e-12 relative to the larger of 1 and its size
+    scale = np.maximum(np.abs(M_seq), 1.0)
+    assert np.max(np.abs(M - M_seq) / scale) <= 1e-12
 
 
 @st.composite
 def _sweep_cases(draw):
     """(rho, h, k2, lams, blocks): a positive trig-polynomial rho over
     P = 1 on n steps, a batch of lambdas whose step angle h sqrt(max
-    |k2 - lambda rho|) is at most 1, and a forced block count >= 2."""
+    |k2 - lambda rho|) is at most 1, and a block count >= 2."""
     n = draw(st.integers(16, 1200))
     blocks = draw(st.integers(2, math.isqrt(n)))
     k2 = draw(st.sampled_from([0.0, 4.0 * math.pi**2, 16.0 * math.pi**2]))
@@ -222,78 +205,39 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("n,nl", [(151, 1), (151, 2), (1337, 2),
                                       (1337, 63), (151, 4096)])
     @pytest.mark.parametrize("which", ["one", "two", "sqrt"])
-    def test_matches_sequential(self, monkeypatch, n, nl, which):
+    def test_matches_sequential(self, n, nl, which):
         # n = 151 and 1337 leave a padded last block for B = 2 and sqrt(n);
-        # lambdas run from exponential growth (g > 0) to ~20 zeros
+        # lambdas run from exponential growth (g > 0) to ~20 oscillations
         blocks = {"one": 1, "two": 2, "sqrt": math.isqrt(n)}[which]
-        _blocks(monkeypatch, n, nl, blocks)
         y = np.linspace(0.0, 1.0, 2 * n + 1)
         rho = (30.0 + 10.0 * np.sin(2.0 * math.pi * y)
                + 3.0 * np.cos(6.0 * math.pi * y))
         k2 = 4.0 * math.pi**2
         lams = np.sort(np.random.default_rng(nl).uniform(0.1, 150.0, nl))
-        M, zeros = _period_sweep(rho, 1.0 / n, k2, lams)
-        D = M[0, 0] + M[1, 1]
-        D_seq, zeros_seq = _sequential_sweep(rho, 1.0 / n, k2, lams)
-        np.testing.assert_array_equal(zeros, zeros_seq)
-        scale = np.maximum(np.abs(D_seq), 1.0)
-        assert np.max(np.abs(D - D_seq) / scale) <= 1e-12
+        M = _period_sweep(rho, 1.0 / n, k2, lams, blocks)
+        M_seq = _sequential_sweep(rho, 1.0 / n, k2, lams)
+        _assert_matches_sequential(M, M_seq)
         if blocks == 1:  # one block is the sequential sweep, bit for bit
-            np.testing.assert_array_equal(D, D_seq)
+            np.testing.assert_array_equal(M, M_seq)
 
     def test_default_blocks(self):
-        # small batches get sqrt(n) blocks, wide ones a single block
-        n = 1337
-        y = np.linspace(0.0, 1.0, 2 * n + 1)
-        rho = 30.0 + 10.0 * np.sin(2.0 * math.pi * y)
-        for nl in (2, spectral.WIDTH):
-            lams = np.linspace(1.0, 100.0, nl)
-            M, zeros = _period_sweep(rho, 1.0 / n, 0.0, lams)
-            D = M[0, 0] + M[1, 1]
-            D_seq, zeros_seq = _sequential_sweep(rho, 1.0 / n, 0.0, lams)
-            np.testing.assert_array_equal(zeros, zeros_seq)
-            np.testing.assert_allclose(D, D_seq, rtol=1e-12, atol=1e-12)
-
-    def test_zero_on_block_boundary_counted_once(self, monkeypatch):
-        # rho = 1, k2 = 0: one RK4 step turns (s, s') by the discrete angle
-        # theta(x), x = -lambda h^2.  With L theta = pi for the block length
-        # L = 13, the discrete s vanishes at the 11 block boundaries 13, 26,
-        # ..., 143 (the last block is padded by 6, so node 150 is no zero),
-        # where rounding leaves it +-0.  Each zero must count once, for
-        # lambdas within 64 ulps either side of the crossing and for 32
-        # periods P, each rounding differently
-        n, blocks = 150, 12
-        L = -(-n // blocks)
-        _blocks(monkeypatch, n, 128, blocks)
-
-        def angle(x):
-            c, d = 1.0 + x / 2.0 + x * x / 24.0, 1.0 + x / 6.0
-            return math.acos(c / math.sqrt(c * c - x * d * d))
-
-        x = brentq(lambda x: angle(x) - math.pi / L, -2.0, -1e-6,
-                   xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-        rho = np.ones(2 * n + 1)
-        for P in np.linspace(1.0, 2.0, 32):
-            lam = -x * (n / P) ** 2
-            lams = lam + np.arange(-64, 64) * np.spacing(lam)
-            _, zeros = _period_sweep(rho, P / n, 0.0, lams)
-            _, zeros_seq = _sequential_sweep(rho, P / n, 0.0, lams)
-            np.testing.assert_array_equal(zeros_seq, 11)
-            np.testing.assert_array_equal(zeros, 11)
+        # monodromy runs isqrt(n) blocks; its one-period matrix matches the
+        # sequential sweep over the same samples
+        pb = sl_problem(_profiles(0.25, 2.1, 2, 3, 0)[3], 1)
+        one = dataclasses.replace(pb, b=pb.period, q=1)
+        n = _rk4_steps(pb.period, 2.0 * pb.rho_max)
+        M_seq = _sequential_sweep(_samples(pb, n), pb.period / n,
+                                  4.0 * math.pi**2, np.array([2.0]))
+        _assert_matches_sequential(monodromy(one, 2.0), M_seq[:, :, 0])
 
     @settings(max_examples=100, deadline=None)
     @given(_sweep_cases())
     def test_random_blocks_match_sequential(self, case):
-        # the blocked count from Sturm separation against the node-by-node
-        # count, for any resolving mesh and any block count
+        # the product of the block matrices against the step-by-step sweep,
+        # for any resolving mesh and any block count
         rho, h, k2, lams, blocks = case
-        with mock.patch.object(spectral, "WIDTH", blocks * lams.size):
-            M, zeros = _period_sweep(rho, h, k2, lams)
-        D = M[0, 0] + M[1, 1]
-        D_seq, zeros_seq = _sequential_sweep(rho, h, k2, lams)
-        np.testing.assert_array_equal(zeros, zeros_seq)
-        scale = np.maximum(np.abs(D_seq), 1.0)
-        assert np.max(np.abs(D - D_seq) / scale) <= 1e-12
+        _assert_matches_sequential(_period_sweep(rho, h, k2, lams, blocks),
+                                   _sequential_sweep(rho, h, k2, lams))
 
     def test_rejects_unresolved_mesh(self):
         # step angle h sqrt(max |k2 - lambda rho|) = 1.1 from the largest
@@ -302,10 +246,10 @@ class TestBlockedSweep:
         rho = np.ones(2 * n + 1)
         lams = np.array([1.0, 1.21]) * n * n
         with pytest.raises(ValueError, match="step angle"):
-            _period_sweep(rho, 1.0 / n, 0.0, lams)
+            _period_sweep(rho, 1.0 / n, 0.0, lams, 10)
         with pytest.raises(ValueError, match="step angle"):
-            _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]))
-        _period_sweep(rho, 1.0 / n, 0.0, lams[:1])
+            _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]), 10)
+        _period_sweep(rho, 1.0 / n, 0.0, lams[:1], 10)
 
 
 class TestCountBelow:
@@ -322,6 +266,32 @@ class TestCountBelow:
         assert mc.count == 2
         assert mc.eigenvalues[0] == pytest.approx(1.21, rel=1e-8)
         assert mc.eigenvalues[1] == pytest.approx(1.21, rel=1e-8)
+
+    @pytest.mark.parametrize("c,expected", [
+        (1.0, 0), (4.0 * math.pi**2 / 1.21, 2), (200.0, 6), (1000.0, 14)])
+    def test_flat_density_truncation(self, c, expected):
+        # rho = c has no Fourier coefficient but the mean: the Hill matrix
+        # must still reach every n with (2 pi n)^2 < 2c, here |n| <= 3 for
+        # c = 200 and |n| <= 7 for c = 1000, the constant not counted
+        assert count_below(_const_problem(c=c, b=1.0, l=0)).count == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(0.5, 1000.0), b=st.floats(0.5, 3.0),
+           l=st.integers(0, 3),
+           phase=st.one_of(st.just(0.0), st.just(math.pi),
+                           st.floats(0.0, 2.0 * math.pi, exclude_max=True)))
+    def test_flat_density_closed_form(self, c, b, l, phase):
+        # rho = c: the eigenvalues are ((2 pi n - phase)/b)^2 + 4 pi^2 l^2,
+        # divided by c; those at the threshold are not drawn
+        n = np.arange(-int(math.sqrt(2.0 * c) * b) - 2,
+                      int(math.sqrt(2.0 * c) * b) + 3)
+        eigs = (((2.0 * math.pi * n - phase) / b) ** 2
+                + 4.0 * math.pi**2 * l * l) / c
+        assume(np.min(np.abs(eigs - 2.0)) > 1e-6)
+        expected = int(np.sum(eigs < 2.0)) - (l == 0 and phase == 0.0)
+        mc = count_below(_const_problem(c=c, b=b, l=l, phase=phase))
+        assert mc.count == expected
+        assert mc.at_threshold == []
 
     def test_one_one_zero_boundary_modes(self):
         _, _, _, prof = _profiles(0.3, 1.4, 1, 1, 0)
@@ -362,6 +332,15 @@ class TestCountBelow:
         for lam in mc0.at_threshold + mc1.at_threshold:
             assert lam == pytest.approx(2.0, abs=1e-7)
 
+    def test_rejects_unresolved_rho(self):
+        # a kink in rho leaves coefficients ~ 1/n^2, far above the cut at a
+        # quarter of the samples: no truncation of the Hill matrix is
+        # certified by them, so no count is returned
+        pb = SLProblem(l=0, rho=lambda y: 3.0 + np.abs(np.sin(math.pi * y)),
+                       b=1.0, bc_phase=0.0, rho_max=4.0)
+        with pytest.raises(ValueError, match="cannot resolve"):
+            count_below(pb)
+
     def test_rejects_wrong_period(self):
         # rho has period b but not b/2: claiming q = 2 must fail loudly
         pb = SLProblem(l=0, rho=lambda y: 3.0 + np.sin(2.0 * math.pi * y),
@@ -382,7 +361,7 @@ MIXED_CASES = [
 
 
 def _hill_oracle(problem, threshold=2.0, nmax=64):
-    """Eigenvalues below and at the threshold without any integrator.
+    """Eigenvalues below and at the threshold, at a fixed truncation.
 
     Fourier (Hill-matrix) Galerkin over one period P = b/q: for each j the
     multiplier e^{-i phi_j} is carried by e^{i kappa_j y}, kappa_j =
@@ -407,12 +386,13 @@ def _hill_oracle(problem, threshold=2.0, nmax=64):
 
 
 def _assert_matches_oracle(problem):
+    # count_below's truncation against the fixed |n| <= 64
     mc = count_below(problem)
     below, at = _hill_oracle(problem)
     assert mc.count == len(mc.eigenvalues) == len(below)
     assert len(mc.at_threshold) == len(at)
-    np.testing.assert_allclose(mc.eigenvalues, below, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(mc.at_threshold, at, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(mc.eigenvalues, below, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(mc.at_threshold, at, rtol=0, atol=1e-10)
 
 
 class TestHillOracle:
@@ -430,24 +410,19 @@ class TestHillOracle:
         _assert_matches_oracle(sl_problem(prof, l))
 
 
-def _sweep_count(problem, lams):
-    """Eigenvalues below each lambda from one period sweep on count_below's
-    mesh, up to the constant mode: the count that multisection bisects."""
-    q = problem.q
-    targets = 2.0 * np.cos((problem.bc_phase + 2.0 * math.pi * np.arange(q)) / q)
-    M, zeros = _sweep(problem, lams)
-    return _floquet_count(M[0, 0] + M[1, 1], zeros, targets[:, None]).sum(axis=0)
-
-
 def _assert_located(problem):
-    # the count must step by each eigenvalue's multiplicity across
-    # e -+ LAMBDA_XTOL, the bracket width multisection stops at
+    # each eigenvalue and each value at the threshold solves the Floquet
+    # condition tr M_P(e) = 2 cos(phi_j) of some phase j, by the RK4 sweep
+    # of monodromy over one period; growing solutions scale its error
     mc = count_below(problem)
-    eigs = np.array(mc.eigenvalues + mc.at_threshold)
-    for e in np.unique(eigs):
-        mult = int(np.sum(np.abs(eigs - e) <= LAMBDA_XTOL))
-        lo, hi = _sweep_count(problem, np.array([e - LAMBDA_XTOL, e + LAMBDA_XTOL]))
-        assert hi - lo == mult, (problem.l, e, hi - lo, mult)
+    one = dataclasses.replace(problem, b=problem.period, q=1)
+    targets = 2.0 * np.cos((problem.bc_phase
+                            + 2.0 * math.pi * np.arange(problem.q)) / problem.q)
+    for e in mc.eigenvalues + mc.at_threshold:
+        M = monodromy(one, e)
+        residual = np.min(np.abs(np.trace(M) - targets))
+        assert residual <= 1e-9 * max(1.0, np.linalg.norm(M)), (
+            problem.l, e, residual)
 
 
 class TestEigenvalueLocations:
@@ -463,6 +438,76 @@ class TestEigenvalueLocations:
         point, params, cert = instance
         prof = build_profiles(cert["tau"], params, point)
         _assert_located(sl_problem(prof, l))
+
+
+def _lame_theta(E, m):
+    """Quasi-momentum over one period 2K of the n = 1 Lame operator
+    L = -d^2/du^2 + 2m sn^2 u, whose spectrum is [m, 1] u [1 + m, oo):
+    theta = K int_m^E (lam* - s) ds / sqrt|R(s)| on the first band, pi on
+    the gap and pi + K int_{1+m}^E (s - lam*) ds / sqrt|R(s)| above it, with
+    R(s) = (s - m)(s - 1)(s - 1 - m) and lam* = m + E(m)/K(m).  The
+    substitutions s = m + (1 - m) sin^2 t and s = 1 + m + t^2 take the roots
+    of R out of the integrands."""
+    m, E = mp.mpf(m), mp.mpf(E)
+    K = mp.ellipk(m)
+    lam = m + mp.ellipe(m) / K
+    if E <= 1:
+        def f(t):
+            s = m + (1 - m) * mp.sin(t) ** 2
+            return (lam - s) / mp.sqrt(1 + m - s)
+        return float(2 * K * mp.quad(f, [0, mp.asin(mp.sqrt((E - m) / (1 - m)))]))
+    if E <= 1 + m:
+        return math.pi
+
+    def g(t):
+        s = 1 + m + t * t
+        return (s - lam) / mp.sqrt((s - m) * (s - 1))
+    # E - 1 - m may round below 0 where E > 1 + m rounded
+    return float(mp.pi + 2 * K * mp.quad(g, [0, mp.sqrt(max(E - 1 - m, 0))]))
+
+
+def _lame_count(tau, problem, tol=1e-9):
+    """(count, at-threshold multiplicity) of mode l in closed form.
+
+    With u = w y, rho = 2 pi^2 (tau2 + tau3 - tau1 - 2 D sn^2 u) and the
+    min-max count of -h'' + 4 pi^2 l^2 h - 2 rho h, the eigenvalues of mode
+    l below 2 are the eigenvalues of L below H_l = (tau2 + tau3 - tau1 -
+    l^2)/(tau3 - tau1), the constant at l = 0 included.  Phase phi_j,
+    reduced to [0, pi], has its eigenvalues at theta = phi_j on the first
+    band and theta = 2 pi k -+ phi_j, k >= 1, above the gap.  The map
+    components sit exactly on the band edges (dn at m, cn at 1, sn at
+    1 + m), so H_l is placed against the edges before theta is read.
+    """
+    t1, t2, t3 = tau.taus
+    m = (t2 - t1) / (t3 - t1)
+    H = (t2 + t3 - t1 - problem.l**2) / (t3 - t1)
+    th = _lame_theta(H, m) if m + tol < H < 1 - tol or H > 1 + m + tol else None
+    count = at = 0
+    for j in range(problem.q):
+        phi = (problem.bc_phase + 2.0 * math.pi * j) / problem.q % (2.0 * math.pi)
+        phi = min(phi, 2.0 * math.pi - phi)
+        if H < m - tol:
+            continue
+        if H <= m + tol:                    # dn, periodic
+            at += phi <= tol
+        elif H < 1 - tol:                   # first band
+            count += phi < th - tol
+            at += abs(phi - th) <= tol
+        elif H <= 1 + tol:                  # cn, antiperiodic
+            count += phi < math.pi - tol
+            at += phi >= math.pi - tol
+        elif H <= 1 + m + tol:              # the gap, and sn at its top
+            count += 1
+            at += H >= 1 + m - tol and phi >= math.pi - tol
+        else:                               # above the gap
+            count += 1
+            k = 1
+            while 2.0 * math.pi * k - phi <= th + tol:
+                for v in (2.0 * math.pi * k - phi, 2.0 * math.pi * k + phi):
+                    count += v < th - tol
+                    at += abs(v - th) <= tol
+                k += 1
+    return count - (problem.l == 0), at
 
 
 SPECTRAL_110_POINTS = [
@@ -483,6 +528,37 @@ def _assert_certificates_match_adaptive(prof):
         got = np.trace(monodromy(pb, 2.0))
         want = np.trace(_dop853(pb, 2.0, 1e-13))
         assert abs(got - want) <= 1e-9, (l, got - want)
+
+
+class TestLameCount:
+    """count_below against the closed-form Lame count, an exact count that
+    shares neither the Hill matrix nor the RK4 sweep."""
+
+    def test_theta_at_band_edges(self):
+        # theta is 0 at dn's edge m and pi at cn's edge 1 and sn's 1 + m;
+        # it has a square-root edge, so 1 + m rounded reads ~1e-8 off
+        for m in (0.1, 0.5, 0.9):
+            assert _lame_theta(m, m) == 0.0
+            assert _lame_theta(1.0, m) == pytest.approx(math.pi, abs=1e-12)
+            assert _lame_theta(1.0 + m, m) == pytest.approx(math.pi, abs=1e-7)
+
+    @pytest.mark.parametrize("case", CRITERION_4)
+    def test_criterion_4_instances(self, case):
+        _, _, tau, prof = _profiles(*case)
+        l_max = math.ceil(math.sqrt(tau.tau2 + tau.tau3 - tau.tau1))
+        for l in range(l_max + 1):
+            pb = sl_problem(prof, l)
+            mc = count_below(pb)
+            assert (mc.count, len(mc.at_threshold)) == _lame_count(tau, pb), l
+
+    def test_strict_instance(self, instance):
+        point, params, cert = instance
+        prof = build_profiles(cert["tau"], params, point)
+        for l in range(4):
+            pb = sl_problem(prof, l)
+            mc = count_below(pb)
+            assert (mc.count, len(mc.at_threshold)) == _lame_count(
+                cert["tau"], pb), l
 
 
 class TestCertificates:
@@ -523,9 +599,9 @@ class TestAssembleN2:
     @pytest.mark.parametrize("case", [(0.0, 2.0, 1, 1, 0),
                                       (0.25, 2.1, 2, 3, 0)])
     def test_samples_rho_once(self, monkeypatch, case):
-        # one sample of the finer certificate mesh serves every mode below
-        # l_max, plus its period check and mode l_max's own mesh; each count
-        # equals the count of a fresh problem that samples rho itself
+        # one sample of the certificate mesh serves both certificates and
+        # every count, plus its period check; each count equals the count
+        # of a fresh problem that samples rho itself
         point, params, tau, _ = _profiles(*case)
         calls = []
         real = ProfileSet.rho
@@ -536,7 +612,7 @@ class TestAssembleN2:
 
         monkeypatch.setattr(ProfileSet, "rho", spy)
         rep = assemble_N2(tau, params, point)
-        assert len(calls) <= 3
+        assert len(calls) <= 2
         for mc in rep.counts_below_2:
             alone = count_below(sl_problem(build_profiles(tau, params, point),
                                            mc.l))
