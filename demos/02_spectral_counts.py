@@ -2,11 +2,12 @@
 """Count the Laplace spectrum of the induced metrics below the critical level
 2 by Floquet analysis, mode by mode, and compare with the counting bound.
 
-Run:  python3 demos/02_spectral_counts.py        (~0.9 s)
+Run:  python3 demos/02_spectral_counts.py        (~0.8 s on a 2-vCPU host,
+      of which the counts and certificates take 0.03 s and the imports most
+      of the rest)
       python3 demos/02_spectral_counts.py --strict   (adds the construction
-      whose count strictly exceeds the bound: about 0.1 s more on a 2-vCPU
-      host, since each of its modes is one Hill-matrix solve over q = 50
-      phases)
+      whose count strictly exceeds the bound: about 0.02 s more, since each
+      of its modes is one Hill-matrix solve over q = 50 phases)
 """
 
 import sys

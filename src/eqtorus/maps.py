@@ -70,7 +70,7 @@ class ProfileSet:
         self.point = point
         self.w = TWO_PI * math.sqrt(tau.tau3 - tau.tau1)
         self.rpa = params.r_plus_a(point)
-        # rho on the period meshes of the spectral layer, which every
+        # rho's Fourier coefficients for the spectral layer, which every
         # Fourier mode of this map shares (spectral.SLProblem.samples)
         self.rho_samples: dict = {}
         t1, t2, t3 = tau.taus

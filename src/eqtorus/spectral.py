@@ -17,13 +17,15 @@ coefficients and the kinetic terms that an eigenvalue below 2 can reach,
 and samples that cannot resolve it raise instead of counting.
 
 monodromy gives the fundamental matrix over [0, b] as M_P^q, from one
-fixed-step RK4 sweep over [0, P] that runs about sqrt(n) blocks of the
-period side by side (_period_sweep); it carries the certificates that the
-map components have eigenvalue 2.  rho is one function with one period for
-every mode, so the modes of one map share its samples
-(ProfileSet.rho_samples): the Fourier coefficients come from the nodes of
-the mode-0 certificate mesh, and assemble_N2 samples rho once and checks
-its period once.
+fixed-step RK4 sweep over [0, P] that takes every step at once and
+multiplies the step matrices by a pairwise product tree (_period_sweep); it
+carries the certificates that the map components have eigenvalue 2.  rho is
+one function with one period for every mode, so the modes of one map share
+its Fourier coefficients (ProfileSet.rho_samples): rho is sampled on 64
+uniform nodes of the period, doubled until they resolve the Hill matrix,
+and its period is checked once (_coefficients).  The certificate mesh takes
+rho from these coefficients by one zero-padded irfft, so assemble_N2
+evaluates rho at a few hundred points in all.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.tau_solver import (
@@ -80,8 +83,8 @@ FOURIER_CUT = 1e-9
 PERIOD_TOL = 1e-9
 # monodromy runs on this many times the steps that bring the RK4 phase
 # error to about 1e-10: it scales as n^-4, so 4x the steps cut it 256-fold;
-# at the base count the l = 1 certificate at (a, b) = (0, 2) is 8.3e-8, too
-# close to its 1e-7 gate
+# at the base count (3456 steps) the l = 1 certificate at (a, b) = (0, 2)
+# is 7.9e-8, too close to its 1e-7 gate, and at 4x it is 9.0e-9
 MONODROMY_REFINE = 4
 
 
@@ -95,9 +98,8 @@ class SLProblem:
     bc_phase: float           # 2 pi l a mod 2 pi
     rho_max: float
     q: int = 1                # number of rho periods in [0, b]
-    # rho on uniform period meshes, {(P, n steps): samples at the 2n + 1
-    # nodes and midpoints}, filled by _samples; sl_problem shares one memo
-    # among the modes of a map, a hand-built problem starts empty
+    # rho's Fourier coefficients {P: (coef, N)} from _coefficients; one memo
+    # serves all modes of a map (sl_problem), a hand-built problem's is empty
     samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -129,31 +131,59 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
 def _rk4_steps(period: float, omega2: float) -> int:
     """RK4 steps of monodromy over one period P where max |k2 - lambda rho|
     is about omega2: the phase error (omega P)^5 / (120 n^4) is about 1e-10
-    at the base count, which MONODROMY_REFINE multiplies."""
+    at the base count, which MONODROMY_REFINE multiplies; rounded up to a
+    5-smooth count, which keeps the irfft of _samples fast."""
     theta = math.sqrt(max(omega2, 1.0)) * period
     n = int((theta**5 / (120.0 * 1e-10)) ** 0.25) + 1
-    return MONODROMY_REFINE * max(n, 100)
+    return scipy.fft.next_fast_len(MONODROMY_REFINE * max(n, 100), real=True)
+
+
+def _coefficients(problem: SLProblem) -> tuple[np.ndarray, int]:
+    """(coef, N): rho's rfft coefficients over one period P, divided by the
+    sample count M, and the reach N of the Hill basis; memoized per P.
+
+    rho is sampled on M = 64 uniform nodes, where its period is checked.
+    N = R + K: R is the last coefficient at or above FOURIER_CUT of the
+    mean, K the last n whose kinetic term is at most 2 max rho, where every
+    eigenvalue below 2 lives (a flat rho has R = 0).  While 4N > M, M
+    doubles by sampling the midpoints.  A failed period check raises
+    ValueError, and so does an M past the samples of monodromy's mode-0
+    mesh at lambda = 2 over 4; then nothing is stored.
+    """
+    P = problem.period
+    if P in problem.samples:
+        return problem.samples[P]
+    cap = _rk4_steps(P, 2.0 * problem.rho_max) // 2
+    M = 64
+    y = np.arange(M) * (P / M)
+    rho = np.asarray(problem.rho(y), dtype=float)
+    _check_period(problem, y, rho)
+    while True:
+        coef = np.fft.rfft(rho) / M
+        reach = np.flatnonzero(np.abs(coef) >= FOURIER_CUT * coef[0].real)[-1]
+        N = int(reach + math.sqrt(2.0 * rho.max()) * P / TWO_PI) + 1
+        if 4 * N <= M:
+            break
+        if 2 * M > cap:
+            raise ValueError(f"{M} samples of rho cannot resolve a Hill "
+                             f"matrix of |n| <= {N}: its Fourier coefficients "
+                             f"stay above {FOURIER_CUT:g} of its mean up to "
+                             f"n = {reach}")
+        mid = problem.rho((np.arange(M) + 0.5) * (P / M))
+        rho, M = np.stack([rho, mid], axis=1).ravel(), 2 * M
+    problem.samples[P] = coef, N
+    return coef, N
 
 
 def _samples(problem: SLProblem, n: int) -> np.ndarray:
     """rho at linspace(0, P, 2n + 1), the nodes and midpoints of n steps over
-    one period P: from the problem's memo, or sampled and stored.
-
-    Periodicity is checked on the first mesh sampled for P, at every
-    MONODROMY_REFINE-th point; a failed check raises ValueError and stores
-    nothing.
-    """
-    P = problem.period
-    memo = problem.samples
-    rho = memo.get((P, n))
-    if rho is None:
-        y = np.linspace(0.0, P, 2 * n + 1)
-        rho = np.asarray(problem.rho(y), dtype=float)
-        if not any(period == P for period, _ in memo):
-            stride = slice(None, None, MONODROMY_REFINE)
-            _check_period(problem, y[stride], rho[stride])
-        memo[P, n] = rho
-    return rho
+    one period P, by numpy's zero-padded irfft of its coefficients (scipy's
+    plan cache costs 1.5 MB of peak RSS); the coefficients past the reach
+    are below FOURIER_CUT and falling, so it errs by ~FOURIER_CUT^2."""
+    coef = _coefficients(problem)[0] * (2 * n)
+    coef[-1] /= 2.0  # the last term of M samples is one cosine, not a pair
+    rho = np.fft.irfft(coef, 2 * n)
+    return np.append(rho, rho[0])
 
 
 def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:
@@ -171,19 +201,20 @@ def monodromy(problem: SLProblem, lam: float):
 
     Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
     Wronskian keeps det M = 1, which the caller may use as a health check.
-    M_P comes from the period sweep in isqrt(n) blocks, on the n steps of
-    _rk4_steps.  Raises ValueError if rho does not have period P.
+    M_P comes from the period sweep on the n steps of _rk4_steps, with rho
+    at their nodes and midpoints from its Fourier coefficients.  Raises
+    ValueError where _coefficients does.
     """
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = _rk4_steps(problem.period, max(lam * problem.rho_max, k2))
     M_P = _period_sweep(_samples(problem, n), problem.period / n, k2,
-                        np.array([float(lam)]), math.isqrt(n))
+                        np.array([float(lam)]))
     return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
 
 
 def _rk4_step(H, V, g0, gm, g1, h) -> None:
     """One RK4 step of size h for (H, V) = (h, h') under h'' = g h, in place,
-    with g at the step's start, middle and end; h = 0 is the identity."""
+    with g at the step's start, middle and end."""
     h6 = h / 6.0
     k1v = g0 * H
     k2h = V + 0.5 * h * k1v
@@ -196,19 +227,18 @@ def _rk4_step(H, V, g0, gm, g1, h) -> None:
     V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
 
 
-def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray,
-                  blocks: int) -> np.ndarray:
+def _period_sweep(rho: np.ndarray, h: float, k2: float,
+                  lams: np.ndarray) -> np.ndarray:
     """M_P(lambda) for every lambda in one sweep; M_P[r, c, k] is entry
     (r, c) of the one-period matrix at lams[k].
 
     Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
     with rho sampled at the step nodes and midpoints.  A step over a few
-    lambdas costs numpy's per-call overhead, not its arithmetic, so the n
-    steps are cut into `blocks` blocks of L steps each (the last block
-    padded with h = 0 steps, exact identities), run side by side from the
-    identity, and M_P is the ordered product of the block matrices; one
-    block is the sequential sweep.  A step angle h sqrt(max |k2 - lambda
-    rho|) above 1 raises ValueError: the mesh does not resolve the batch.
+    lambdas costs numpy's per-call overhead, not its arithmetic, so all n
+    steps are taken at once from the identity, and M_P is the ordered
+    product of the n step matrices by a pairwise product tree.  A step
+    angle h sqrt(max |k2 - lambda rho|) above 1 raises ValueError: the mesh
+    does not resolve the batch.
     """
     corners = k2 - np.outer([lams.min(), lams.max()], [rho.min(), rho.max()])
     angle = h * math.sqrt(float(np.max(np.abs(corners))))
@@ -216,35 +246,25 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float, lams: np.ndarray,
         raise ValueError(f"RK4 step angle {angle:.3g} exceeds 1: the mesh "
                          "does not resolve the largest lambda of the batch")
     n = (rho.size - 1) // 2
-    B = blocks
-    L = -(-n // B)
-    # R[j, b] = rho at node j of block b; from step `full` on, the last
-    # block's steps are padding
-    padded = np.concatenate([rho, np.full(2 * (B * L - n), rho[-1])])
-    R = padded[2 * L * np.arange(B) + np.arange(2 * L + 1)[:, None]]
-    full = n - (B - 1) * L
-    h_tail = np.full((B, 1), h)
-    h_tail[-1] = 0.0
-
-    def g(j):  # g at node j of every block, shape (B, nl)
-        return k2 - lams * R[j, :, None]
-
-    # both fundamental solutions of every block, a (2, B, nl) state
-    H = np.zeros((2, B, lams.size))
-    V = np.zeros((2, B, lams.size))
+    g = k2 - lams * rho[:, None]
+    # both fundamental solutions of every step, a (2, n, nl) state
+    H = np.zeros((2, n, lams.size))
+    V = np.zeros((2, n, lams.size))
     H[0] = 1.0
     V[1] = 1.0
-    g1 = g(0)
-    for i in range(L):
-        g0, gm, g1 = g1, g(2 * i + 1), g(2 * i + 2)
-        _rk4_step(H, V, g0, gm, g1, h if i < full else h_tail)
+    _rk4_step(H, V, g[:-1:2], g[1::2], g[2::2], h)
 
-    # M[r, c, b] is entry (r, c) of block b's matrix
-    M = np.stack([H, V])
-    prod = M[:, :, 0]
-    for b in range(1, B):
-        prod = M[:, 0, b, None] * prod[0] + M[:, 1, b, None] * prod[1]
-    return prod
+    # entries (0, 0), (0, 1), (1, 0), (1, 1) of the step matrices; each
+    # level puts every odd step onto the even one before it
+    M = [H[0], H[1], V[0], V[1]]
+    while len(M[0]) > 1:
+        a, b, c, d = (X[1::2] for X in M)
+        p, q, r, s = (X[:-1:2] for X in M)
+        pairs = [a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s]
+        if len(M[0]) % 2:  # an odd count carries its last step up
+            pairs = [np.concatenate([Y, X[-1:]]) for Y, X in zip(pairs, M)]
+        M = pairs
+    return np.concatenate(M).reshape(2, 2, lams.size)
 
 
 # --------------------------------------------------------------------------
@@ -275,32 +295,13 @@ def count_below(problem: SLProblem) -> ModeCount:
     AT_THRESHOLD_TOL of 2 are the boundary eigenvalues at 2 (the map
     components), listed apart and not counted.
 
-    The coefficients come from rho at the nodes and midpoints of the base
-    step count of monodromy's mode-0 mesh at lambda = 2, which the
-    problem's memo holds once the certificates of the same map have run.
-    The basis reaches |n| <= N = R + K: R is the last coefficient at or
-    above FOURIER_CUT of the mean, K the last n whose kinetic term is at
-    most 2 max rho, where every eigenvalue below 2 lives (a flat rho has
-    R = 0).  B keeps every coefficient up to 2N, so the truncation leaves
-    out only eigenvector components beyond the reach, and a Galerkin value
-    errs by about their square.  Galerkin values bound the true eigenvalues
-    from above (min-max), so a truncation can only undercount.  The samples
-    must resolve B without aliasing: when 4N exceeds their number, as for
-    a rho whose coefficients do not fall below the cut, this raises
-    ValueError rather than count.  Also raises ValueError if rho does not
-    have period P.
+    B's coefficients and the reach N come from _coefficients, once per
+    map.  B keeps every coefficient up to 2N, so a Galerkin value errs by
+    about the square of what the basis leaves out, and only upward
+    (min-max).  Raises ValueError where _coefficients does.
     """
     P, q = problem.period, problem.q
-    rho = _samples(problem, _rk4_steps(P, 2.0 * problem.rho_max))
-    rho = rho[:-1:MONODROMY_REFINE]
-    coef = np.fft.rfft(rho) / rho.size
-    reach = np.flatnonzero(np.abs(coef) >= FOURIER_CUT * coef[0].real)[-1]
-    N = int(reach + math.sqrt(2.0 * rho.max()) * P / TWO_PI) + 1
-    if 4 * N > rho.size:
-        raise ValueError(f"{rho.size} samples of rho cannot resolve a Hill "
-                         f"matrix of |n| <= {N}: its Fourier coefficients "
-                         f"stay above {FOURIER_CUT:g} of its mean up to "
-                         f"n = {reach}")
+    coef, N = _coefficients(problem)
     # B[i, j] is coefficient n_i - n_j, |n_i - n_j| <= 2N <= M/2
     n = np.arange(-N, N + 1)
     d = n[:, None] - n[None, :]
@@ -363,10 +364,9 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
     are exact eigenfunctions with eigenvalue 2, from the RK4 monodromy.
-    The modes share rho's samples (ProfileSet.rho_samples): the counts read
-    theirs from the mode-0 certificate mesh, which the l = 1 certificate
-    shares unless tau2 + tau3 - tau1 < 1, so rho is sampled and its period
-    checked once for the whole op.
+    The certificates and the counts share rho's Fourier coefficients
+    (ProfileSet.rho_samples), so rho is sampled on one small dyadic mesh and
+    its period checked once for the whole op.
     """
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1

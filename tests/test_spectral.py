@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from eqtorus import spectral
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
     SLProblem,
+    _coefficients,
     _period_sweep,
     _rk4_steps,
     _samples,
@@ -56,7 +58,7 @@ def _sweep(problem, lams):
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = _rk4_steps(problem.period, max(2.0 * problem.rho_max, k2))
     return _period_sweep(_samples(problem, n), problem.period / n, k2,
-                         np.asarray(lams), math.isqrt(n))
+                         np.asarray(lams))
 
 
 def _profiles(a, b, p, q, r):
@@ -145,7 +147,7 @@ class TestMonodromy:
 
 
 def _sequential_sweep(rho, h, k2, lams):
-    """The unblocked period sweep: one RK4 step per iteration over a
+    """The period sweep step by step: one RK4 step per iteration over a
     (2, n_lam) state; M[r, c, k] as in _period_sweep."""
     nl = lams.size
     H = np.zeros((2, nl))
@@ -177,11 +179,10 @@ def _assert_matches_sequential(M, M_seq):
 
 @st.composite
 def _sweep_cases(draw):
-    """(rho, h, k2, lams, blocks): a positive trig-polynomial rho over
-    P = 1 on n steps, a batch of lambdas whose step angle h sqrt(max
-    |k2 - lambda rho|) is at most 1, and a block count >= 2."""
+    """(rho, h, k2, lams): a positive trig-polynomial rho over P = 1 on n
+    steps, and a batch of lambdas whose step angle h sqrt(max |k2 - lambda
+    rho|) is at most 1."""
     n = draw(st.integers(16, 1200))
-    blocks = draw(st.integers(2, math.isqrt(n)))
     k2 = draw(st.sampled_from([0.0, 4.0 * math.pi**2, 16.0 * math.pi**2]))
     c0 = draw(st.floats(0.5, 50.0))
     terms = draw(st.integers(1, 4))
@@ -198,31 +199,34 @@ def _sweep_cases(draw):
     # max |k2 - lambda rho| <= 0.999 n^2 (k2 < 16^2): step angle below 1
     lam_max = (0.999 * n * n + k2) / rho.max()
     fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=48))
-    return rho, 1.0 / n, k2, lam_max * np.array(fracs), blocks
+    return rho, 1.0 / n, k2, lam_max * np.array(fracs)
 
 
 class TestBlockedSweep:
     @pytest.mark.parametrize("n,nl", [(151, 1), (151, 2), (1337, 2),
                                       (1337, 63), (151, 4096)])
-    @pytest.mark.parametrize("which", ["one", "two", "sqrt"])
+    @pytest.mark.parametrize("which", ["one", "two", "sqrt", "all"])
     def test_matches_sequential(self, n, nl, which):
-        # n = 151 and 1337 leave a padded last block for B = 2 and sqrt(n);
-        # lambdas run from exponential growth (g > 0) to ~20 oscillations
-        blocks = {"one": 1, "two": 2, "sqrt": math.isqrt(n)}[which]
-        y = np.linspace(0.0, 1.0, 2 * n + 1)
+        # the product tree over the first 1, 2, isqrt(n) or all n steps of
+        # the mesh: no level, one level, and odd levels that carry a step up
+        # (n = 151 and 1337 are odd, and isqrt(n) = 12 and 36 are not
+        # powers of two); lambdas run from exponential growth (g > 0) to
+        # ~20 oscillations
+        steps = {"one": 1, "two": 2, "sqrt": math.isqrt(n), "all": n}[which]
+        y = np.linspace(0.0, 1.0, 2 * n + 1)[:2 * steps + 1]
         rho = (30.0 + 10.0 * np.sin(2.0 * math.pi * y)
                + 3.0 * np.cos(6.0 * math.pi * y))
         k2 = 4.0 * math.pi**2
         lams = np.sort(np.random.default_rng(nl).uniform(0.1, 150.0, nl))
-        M = _period_sweep(rho, 1.0 / n, k2, lams, blocks)
+        M = _period_sweep(rho, 1.0 / n, k2, lams)
         M_seq = _sequential_sweep(rho, 1.0 / n, k2, lams)
         _assert_matches_sequential(M, M_seq)
-        if blocks == 1:  # one block is the sequential sweep, bit for bit
+        if steps == 1:  # one step is the sequential sweep, bit for bit
             np.testing.assert_array_equal(M, M_seq)
 
     def test_default_blocks(self):
-        # monodromy runs isqrt(n) blocks; its one-period matrix matches the
-        # sequential sweep over the same samples
+        # monodromy's one-period matrix matches the sequential sweep over
+        # the same samples
         pb = sl_problem(_profiles(0.25, 2.1, 2, 3, 0)[3], 1)
         one = dataclasses.replace(pb, b=pb.period, q=1)
         n = _rk4_steps(pb.period, 2.0 * pb.rho_max)
@@ -233,10 +237,10 @@ class TestBlockedSweep:
     @settings(max_examples=100, deadline=None)
     @given(_sweep_cases())
     def test_random_blocks_match_sequential(self, case):
-        # the product of the block matrices against the step-by-step sweep,
-        # for any resolving mesh and any block count
-        rho, h, k2, lams, blocks = case
-        _assert_matches_sequential(_period_sweep(rho, h, k2, lams, blocks),
+        # the product tree of the step matrices against the step-by-step
+        # sweep, for any resolving mesh
+        rho, h, k2, lams = case
+        _assert_matches_sequential(_period_sweep(rho, h, k2, lams),
                                    _sequential_sweep(rho, h, k2, lams))
 
     def test_rejects_unresolved_mesh(self):
@@ -246,10 +250,10 @@ class TestBlockedSweep:
         rho = np.ones(2 * n + 1)
         lams = np.array([1.0, 1.21]) * n * n
         with pytest.raises(ValueError, match="step angle"):
-            _period_sweep(rho, 1.0 / n, 0.0, lams, 10)
+            _period_sweep(rho, 1.0 / n, 0.0, lams)
         with pytest.raises(ValueError, match="step angle"):
-            _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]), 10)
-        _period_sweep(rho, 1.0 / n, 0.0, lams[:1], 10)
+            _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]))
+        _period_sweep(rho, 1.0 / n, 0.0, lams[:1])
 
 
 class TestCountBelow:
@@ -333,13 +337,16 @@ class TestCountBelow:
             assert lam == pytest.approx(2.0, abs=1e-7)
 
     def test_rejects_unresolved_rho(self):
-        # a kink in rho leaves coefficients ~ 1/n^2, far above the cut at a
-        # quarter of the samples: no truncation of the Hill matrix is
-        # certified by them, so no count is returned
+        # a kink in rho leaves coefficients ~ 1/n^2, far above the cut on
+        # every mesh that may be sampled: no truncation of the Hill matrix is
+        # certified by them, so no count is returned, and monodromy, which
+        # takes rho from the same coefficients, integrates nothing
         pb = SLProblem(l=0, rho=lambda y: 3.0 + np.abs(np.sin(math.pi * y)),
                        b=1.0, bc_phase=0.0, rho_max=4.0)
         with pytest.raises(ValueError, match="cannot resolve"):
             count_below(pb)
+        with pytest.raises(ValueError, match="cannot resolve"):
+            monodromy(pb, 2.0)
 
     def test_rejects_wrong_period(self):
         # rho has period b but not b/2: claiming q = 2 must fail loudly
@@ -350,6 +357,23 @@ class TestCountBelow:
         with pytest.raises(ValueError, match="period"):
             monodromy(pb, 1.0)
         count_below(dataclasses.replace(pb, q=1))  # the true period passes
+
+    def test_wrong_period_raises_before_doubling(self):
+        # the period is checked on the first 64-node mesh, before any
+        # doubling: a wrong q reads "period", whatever the coefficients
+        sizes = []
+
+        def rho(y):
+            sizes.append(np.size(y))
+            return 3.0 + np.abs(np.sin(math.pi * y))
+
+        for entry in (count_below, lambda pb: monodromy(pb, 2.0)):
+            sizes.clear()
+            pb = SLProblem(l=0, rho=rho, b=1.0, bc_phase=0.0, rho_max=4.0,
+                           q=3)
+            with pytest.raises(ValueError, match="period"):
+                entry(pb)
+            assert sizes == [64, 64]
 
 
 MIXED_CASES = [
@@ -408,6 +432,58 @@ class TestHillOracle:
         point, params, cert = instance
         prof = build_profiles(cert["tau"], params, point)
         _assert_matches_oracle(sl_problem(prof, l))
+
+
+def _assert_samples_match(problem):
+    # rho at the nodes and midpoints of monodromy's mode-0 mesh at
+    # lambda = 2, from the coefficients, against rho itself
+    n = _rk4_steps(problem.period, 2.0 * problem.rho_max)
+    want = problem.rho(np.linspace(0.0, problem.period, 2 * n + 1))
+    got = _samples(problem, n)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+@st.composite
+def _trig_problems(draw):
+    """An SLProblem whose rho is a positive trig polynomial of degree <= 12
+    with period b/q."""
+    b = draw(st.floats(0.5, 3.0))
+    q = draw(st.integers(1, 4))
+    c0 = draw(st.floats(0.5, 200.0))
+    terms = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0)
+    cos_c = np.array(draw(st.lists(unit, min_size=terms, max_size=terms)))
+    sin_c = np.array(draw(st.lists(unit, min_size=terms, max_size=terms)))
+    # sum |coefficients| <= 0.9 c0 keeps rho >= 0.1 c0 > 0
+    scale = 0.9 * c0 / (2 * terms)
+    k = np.arange(1, terms + 1)
+
+    def rho(y):
+        arg = 2.0 * math.pi * q / b * np.multiply.outer(np.asarray(y), k)
+        return c0 + scale * (np.cos(arg) @ cos_c + np.sin(arg) @ sin_c)
+
+    return SLProblem(l=0, rho=rho, b=b, bc_phase=0.0, rho_max=1.9 * c0, q=q)
+
+
+class TestCoefficientMesh:
+    """monodromy's samples of rho come from the Fourier coefficients of a
+    small dyadic mesh; they must equal rho where it is sampled directly."""
+
+    @pytest.mark.parametrize("case", MIXED_CASES)
+    def test_mixed_cases(self, case):
+        _assert_samples_match(sl_problem(_profiles(*case)[3], 0))
+
+    def test_strict_instance(self, instance):
+        point, params, cert = instance
+        prof = build_profiles(cert["tau"], params, point)
+        _assert_samples_match(sl_problem(prof, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_trig_problems())
+    def test_trig_polynomials(self, problem):
+        _assert_samples_match(problem)
+        coef, N = _coefficients(problem)
+        assert 4 * N <= 2 * (coef.size - 1)
 
 
 def _assert_located(problem):
@@ -599,20 +675,29 @@ class TestAssembleN2:
     @pytest.mark.parametrize("case", [(0.0, 2.0, 1, 1, 0),
                                       (0.25, 2.1, 2, 3, 0)])
     def test_samples_rho_once(self, monkeypatch, case):
-        # one sample of the certificate mesh serves both certificates and
-        # every count, plus its period check; each count equals the count
-        # of a fresh problem that samples rho itself
+        # one set of Fourier coefficients serves both certificates and every
+        # count: no node is sampled twice, the period is checked once, and
+        # rho is evaluated at no more than 512 points in all; each count
+        # equals the count of a fresh problem that samples rho itself
         point, params, tau, _ = _profiles(*case)
-        calls = []
-        real = ProfileSet.rho
+        nodes, checks = [], []
+        real_rho, real_check = ProfileSet.rho, spectral._check_period
 
         def spy(self, y):
-            calls.append(np.size(y))
-            return real(self, y)
+            nodes.append(np.array(y, dtype=float))
+            return real_rho(self, y)
+
+        def check(problem, y, rho):
+            checks.append(np.size(y))
+            return real_check(problem, y, rho)
 
         monkeypatch.setattr(ProfileSet, "rho", spy)
+        monkeypatch.setattr(spectral, "_check_period", check)
         rep = assemble_N2(tau, params, point)
-        assert len(calls) <= 2
+        y = np.concatenate(nodes)
+        assert len(checks) == 1
+        assert y.size <= 512
+        assert np.unique(y).size == y.size
         for mc in rep.counts_below_2:
             alone = count_below(sl_problem(build_profiles(tau, params, point),
                                            mc.l))
