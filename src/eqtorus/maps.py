@@ -70,8 +70,8 @@ class ProfileSet:
         self.point = point
         self.w = TWO_PI * math.sqrt(tau.tau3 - tau.tau1)
         self.rpa = params.r_plus_a(point)
-        # rho's Fourier coefficients for the spectral layer, which every
-        # Fourier mode of this map shares (spectral.SLProblem.samples)
+        # rho's Fourier data for the spectral layer, which every Fourier
+        # mode of this map shares (spectral.SLProblem.samples)
         self.rho_samples: dict = {}
         t1, t2, t3 = tau.taus
         self._dt = t2 - t1
@@ -284,14 +284,16 @@ def harmonicity_residual(map_like, n: int = 1000) -> float:
 
 @dataclass(frozen=True)
 class HopfConstants:
-    """Constant components of <d_z u, d_z u>; h_re = pi^2 - A/4, h_im = -pi d."""
+    """Constant components of <d_z u, d_z u>: h_re = pi^2 - A/4, as
+    pi^2 (gap2 - gap3 - tau1), which does not cancel near tau1 + tau2 +
+    tau3 = 2, and h_im = -pi d."""
 
     h_re: float
     h_im: float
 
 
 def hopf_constants(tau: TauTriple) -> HopfConstants:
-    return HopfConstants(h_re=math.pi**2 - tau.A / 4.0,
+    return HopfConstants(h_re=math.pi**2 * (tau.gap2 - tau.gap3 - tau.tau1),
                          h_im=-math.pi * tau.d + 0.0)
 
 

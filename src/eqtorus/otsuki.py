@@ -103,7 +103,7 @@ def otsuki_tau_triple(m: float) -> TauTriple:
                      n0=-m / (1.0 - m), n1=m,
                      A=4.0 * math.pi**2,
                      c=2.0 * math.pi * math.sqrt(t1 * t2),
-                     d=0.0)
+                     d=0.0, gap2=t1, gap3=0.0)
 
 
 def otsuki_map(params_ot: OtsukiParams, k: int = 1, r_t: int = 0):

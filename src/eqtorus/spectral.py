@@ -23,9 +23,9 @@ carries the certificates that the map components have eigenvalue 2.  rho is
 one function with one period for every mode, so the modes of one map share
 its Fourier coefficients (ProfileSet.rho_samples): rho is sampled on 64
 uniform nodes of the period, doubled until they resolve the Hill matrix,
-and its period is checked once (_coefficients).  The certificate mesh takes
-rho from these coefficients by one zero-padded irfft, so assemble_N2
-evaluates rho at a few hundred points in all.
+and its period is checked once (_coefficients).  Each certificate mesh
+takes rho from these coefficients by one zero-padded irfft, shared by the
+modes on that mesh, so assemble_N2 evaluates rho at a few hundred points.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -98,8 +98,8 @@ class SLProblem:
     bc_phase: float           # 2 pi l a mod 2 pi
     rho_max: float
     q: int = 1                # number of rho periods in [0, b]
-    # rho's Fourier coefficients {P: (coef, N)} from _coefficients; one memo
-    # serves all modes of a map (sl_problem), a hand-built problem's is empty
+    # {P: (coef, N)} from _coefficients and {(P, n): rho} from _samples;
+    # one memo serves all modes of a map, a hand-built problem's is empty
     samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -179,11 +179,15 @@ def _samples(problem: SLProblem, n: int) -> np.ndarray:
     """rho at linspace(0, P, 2n + 1), the nodes and midpoints of n steps over
     one period P, by numpy's zero-padded irfft of its coefficients (scipy's
     plan cache costs 1.5 MB of peak RSS); the coefficients past the reach
-    are below FOURIER_CUT and falling, so it errs by ~FOURIER_CUT^2."""
-    coef = _coefficients(problem)[0] * (2 * n)
-    coef[-1] /= 2.0  # the last term of M samples is one cosine, not a pair
-    rho = np.fft.irfft(coef, 2 * n)
-    return np.append(rho, rho[0])
+    are below FOURIER_CUT and falling, so it errs by ~FOURIER_CUT^2.
+    Memoized per (P, n), so modes on the same mesh share it."""
+    key = (problem.period, n)
+    if key not in problem.samples:
+        coef = _coefficients(problem)[0] * (2 * n)
+        coef[-1] /= 2.0  # the last term of M samples is one cosine, not a pair
+        rho = np.fft.irfft(coef, 2 * n)
+        problem.samples[key] = np.append(rho, rho[0])
+    return problem.samples[key]
 
 
 def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:

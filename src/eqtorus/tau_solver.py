@@ -14,19 +14,20 @@ Psi(m) = pi^2 b^2 / q^2, with Phi and Psi defined below.  Phi is monotone on
 each characteristic branch and Psi is monotone in m.  The branch targets
 depend on (a, p, q, r) only, so every b of an a-column inverts the same
 functions and solve_taus solves the column at once: one safeguarded Newton
-iteration on numpy arrays, outer in m1 = 1 - m and inner on each branch,
-with every derivative in closed form (DLMF 19.4(i), 19.25.1).  Every
-iterate stays inside a bracket known in advance: the inner ones have ends
-whose Phi is known in closed form or bounded from below (_theta_t,
-_alpha_u), and a table of Psi at fixed m brackets the outer root of every
-row.  solve_tau and solve_n are the one-row cases of the same code.
+iteration on numpy arrays in the state (m1 = 1 - m, t, u) of each row, no
+loop nested in another, every derivative in closed form (DLMF 19.4(i),
+19.25.1).  Every iterate stays inside a box or bracket known in advance: t
+and u in boxes whose ends have Phi known in closed form or bounded below,
+and m1 in the bracket a table of Psi at fixed m gives each row.  The
+table, psi_fn and solve_n are the fixed-m case of the iteration, solve_tau
+its one-row case.
 
 Limit cases are detected exactly from the integer data (and from `a` when it
 is given as an exact rational): p/q = 1/2 forces tau1 = 0 (n0 = -inf) and
 |r+a|/q = 1/2 forces tau2 = 1 (n1 = 1).  The theta branch is parametrized
 internally by nu0 = m/n0 = -t^2 <= 0, which stays bounded through the first
 limit case; the alpha branch by n1 = m + (1-m) s^2 with s algebraic in u
-(_alpha_u), which has no square-root end at n1 = m or n1 = 1.  Phi itself
+(_Branches), which has no square-root end at n1 = m or n1 = 1.  Phi itself
 is evaluated in nu0 on the theta branch, by the addition theorem for the
 third-kind integral, so the first limit case is the ordinary point t = 0 of
 the same formula.
@@ -192,16 +193,16 @@ def require_circle_boundary(point: ModuliPoint, p: int, r: int,
 
 
 # --------------------------------------------------------------------------
-# the monotone functions Phi, Psi and their batched Newton inversions
+# the monotone functions Phi, Psi and their batched Newton inversion
 # --------------------------------------------------------------------------
 
-# iteration cap of every Newton solve below; a row that reaches it raises
+# iteration cap of the Newton iteration below; a row that reaches it raises
 # RuntimeError naming its (a, b)
 MAX_NEWTON_STEPS = 100
-# a Newton step of at most this fraction of |x| that fails to halve |f|
-# means f is at its rounding floor, and the row stops there
+# a Newton step of at most this fraction of a variable that fails to halve
+# its residual finds that residual at its rounding floor: the variable is done
 _STALL_STEP = 1e-4
-# m1 = 1 - m of the outer bracket table: m = 4^-19, ..., 1/4, then 1/2,
+# m1 = 1 - m of the bracket table: m = 4^-19, ..., 1/4, then 1/2,
 # then m1 = 1/4, ..., 2^-39.  Its ends decide the two infeasible cases.
 _TABLE_M1 = np.array([1.0 - 4.0**-k for k in range(19, 0, -1)] + [0.5]
                      + [2.0**-k for k in range(2, 40)])
@@ -243,175 +244,175 @@ def phi_fn(n: float, m: float) -> float:
     return w * complete_Pi(n, m)
 
 
-def _newton(fdf, x, lo, hi, xtol, labels) -> np.ndarray:
-    """Solve f(x) = 0 row by row, f increasing on each row's bracket [lo, hi]
-    that holds its root, by safeguarded Newton on numpy arrays.
-
-    fdf(idx, x) returns f and f' at x for the rows idx.  Each iterate
-    narrows its row's bracket by the sign of f; a Newton step that does not
-    land strictly inside the bracket is replaced by a bisection.  A row
-    stops at f = 0, at a Newton step of at most xtol(x) or a bracket of a
-    few ulps (its result the stepped-to point), or when a Newton step of at
-    most _STALL_STEP |x| fails to halve |f|: f is at its rounding floor
-    there, and the better of the last two iterates is the result.  Every operation is elementwise, so a row's
-    iterates do not depend on the other rows of the batch.  A row still
-    running after MAX_NEWTON_STEPS raises RuntimeError naming its label.
-    """
-    out = np.array(x, dtype=float)
-    x, idx = out.copy(), np.arange(out.size)
-    lo, hi = np.full(x.shape, lo), np.full(x.shape, hi)
-    x_prev, f_prev = x, np.full(x.shape, np.inf)  # |f| after a small step
-    for _ in range(MAX_NEWTON_STEPS):
-        if not idx.size:
-            return out
-        f, df = fdf(idx, x)
-        af = np.abs(f)
-        lo = np.where(f < 0.0, x, lo)
-        hi = np.where(f > 0.0, x, hi)
-        xn = x - f / df
-        newton = (xn > lo) & (xn < hi)
-        xn = np.where(newton, xn, 0.5 * (lo + hi))
-        step = np.abs(xn - x)
-        stalled = af >= 0.5 * f_prev
-        done = (stalled | (f == 0.0) | (newton & (step <= xtol(x)))
-                | (hi - lo <= 4.5e-16 * np.abs(x)))
-        if done.any():
-            best = np.where(f_prev < af, x_prev, x)
-            out[idx[done]] = np.where(stalled, best,
-                                      np.where(f == 0.0, x, xn))[done]
-            go = ~done
-            idx, x, xn, lo, hi, af, step, newton = (
-                v[go] for v in (idx, x, xn, lo, hi, af, step, newton))
-        f_prev = np.where(newton & (step <= _STALL_STEP * np.abs(x)), af,
-                          np.inf)
-        x_prev, x = x, xn
-    if not idx.size:
-        return out
-    raise RuntimeError(
-        f"Newton solve not converged in {MAX_NEWTON_STEPS} steps at "
-        + "; ".join(dict.fromkeys(labels[idx])))
+def _carlson(m1):
+    """K = R_F(0, m1, 1), Ra = R_D(0, m1, 1) and D = R_D(0, 1, m1) at
+    m = 1 - m1: with one R_J per branch, all the solve needs (DLMF 19.25.1)."""
+    return elliprf(0.0, m1, 1.0), elliprd(0.0, m1, 1.0), elliprd(0.0, 1.0, m1)
 
 
-def _inner_xtol(x: np.ndarray) -> np.ndarray:
-    # Newton converges quadratically here: after a step of 1e-9 |x| the
-    # error is of order 1e-18 |x| times the curvature scale
-    return 1e-9 * np.abs(x)
-
-
-def _theta_t(target: float, m, m1, K, Ra, t0, labels) -> np.ndarray:
-    """t = sqrt(-nu0) >= 0, nu0 = m/n0, with Phi(n0 | m) = target, for arrays
-    m, m1 = 1 - m, K = K(m), Ra = R_D(0, m1, 1) and start t0.
-
-    With nu = -t^2, Phi = pi/2 + t sqrt((t^2+m)(1+t^2)) R_J(0, m1, 1, 1+t^2)/3
-    and dPhi/dt = ((1+t^2) K - E)/sqrt((t^2+m)(1+t^2)), whose numerator is
-    m Ra/3 + t^2 K (DLMF 19.25.1).  Phi rises from pi/2 at t = 0, and with
-    x = 2 (target - pi/2)/pi it reaches the target by t^2 = 2x (2 + x):
-    with y = 1 - m <= 1 and p = 1 + t^2, the integral form (DLMF 19.16.2)
-    R_J(0, y, 1, p) = (3/2) int_0^inf ds / ((s+p) sqrt(s (s+y) (s+1))) is at
-    least (3/2) int_0^inf ds / ((s+p) (s+1) sqrt s) = (3 pi/2) / (sqrt p
-    (sqrt p + 1)), which gives Phi - pi/2 >= (pi/2) (sqrt(1 + t^2) - 1).
-    The bound is tight as m -> 0, so the factor 2 keeps rounding from
-    closing the bracket [0, sqrt(2x (2 + x))].
-    """
-    if target < math.pi / 2:
-        raise InfeasibleParametersError(
-            f"theta-branch target {target} below pi/2")
-    excess = target - math.pi / 2
-    if excess == 0.0:
-        return np.zeros_like(m)
-
-    def fdf(idx, t):
-        mm, t2 = m[idx], t * t
-        g = np.sqrt((t2 + mm) * (1.0 + t2))
-        f = t * g * elliprj(0.0, m1[idx], 1.0, 1.0 + t2) / 3.0 - excess
-        return f, (mm * Ra[idx] / 3.0 + t2 * K[idx]) / g
-
-    x = 2.0 * excess / math.pi
-    return _newton(fdf, t0, 0.0, math.sqrt(2.0 * x * (2.0 + x)), _inner_xtol,
-                   labels)
-
-
-def _alpha_u(target: float, m, m1, K, D, u0, labels) -> np.ndarray:
-    """u in [0, 1] with Phi(n1 | m) = target, n1 = m + m1 s^2 and
-    s = 2u/(1 + u^2), for arrays m, m1 = 1 - m, K = K(m), D = R_D(0, 1, m1)
-    and start u0.
-
-    s = sin psi with u = tan(psi/2), so s and c = sqrt(1 - s^2) =
-    (1 - u^2)/(1 + u^2) are algebraic in u: n1 - m = m1 s^2 and
-    1 - n1 = m1 c^2 carry no cancellation, u = 0 gives n1 = m (Phi = 0) and
-    u = 1 gives n1 = 1 (Phi = pi/2).  Then Phi = m1 s c (K + n1 R_J(0, m1,
-    1, m1 c^2)/3)/sqrt(n1) and dPhi/du = 2 (n1 E - (n1-m) K)/(n1^(3/2)
-    (1 + u^2)), whose numerator is m m1 (n1 D/3 + c^2 K) (DLMF 19.25.1).
-    """
-    if not 0.0 <= target <= math.pi / 2:
-        raise InfeasibleParametersError(
-            f"alpha-branch target {target} outside [0, pi/2]")
-    if target == 0.0:
-        return np.zeros_like(m)
-    if target == math.pi / 2:
-        return np.ones_like(m)
-
-    def fdf(idx, u):
-        mm, yy, KK = m[idx], m1[idx], K[idx]
-        s, c, d = _sin_cos(u)
-        n = mm + yy * s * s
-        rn = np.sqrt(n)
-        f = (yy * s * c / rn
-             * (KK + n * elliprj(0.0, yy, 1.0, yy * c * c) / 3.0) - target)
-        return f, 2.0 * mm * yy * (n * D[idx] / 3.0 + c * c * KK) / (n * rn * d)
-
-    return _newton(fdf, u0, 0.0, 1.0, _inner_xtol, labels)
-
-
-def _sin_cos(u):
-    """s = 2u/(1+u^2), c = (1-u)(1+u)/(1+u^2) and d = 1+u^2."""
-    d = 1.0 + u * u
-    return 2.0 * u / d, (1.0 - u) * (1.0 + u) / d, d
-
-
-def _start(targets: tuple[float, float], m) -> tuple[np.ndarray, np.ndarray]:
-    """Starting t and u for the inner solves at m without a previous
-    solution: their roots as m -> 0, where Phi - pi/2 = (pi/2)
-    (sqrt(1 + t^2) - 1) on the theta branch and Phi = (pi/2) s/sqrt(m + s^2)
-    on the alpha branch."""
-    x = 2.0 * (targets[0] - math.pi / 2) / math.pi
-    t0 = np.full(m.shape, math.sqrt(max(x, 0.0) * (2.0 + x)))
-    g = min(2.0 * targets[1] / math.pi, 1.0 - 1e-6)
-    s = np.minimum(np.sqrt(m) * (g / math.sqrt(1.0 - g * g)), 1.0 - 1e-6)
-    return t0, s / (1.0 + np.sqrt((1.0 - s) * (1.0 + s)))
+_TABLE_CARLSON = _carlson(_TABLE_M1)  # the same for every column
 
 
 class _Branches:
-    """Both inner solutions at arrays m and m1 = 1 - m, with what Psi and
-    dPsi/dm are made of: K = R_F(0, m1, 1), Ra = R_D(0, m1, 1) and
-    D = R_D(0, 1, m1) (DLMF 19.25.1), computed once per m."""
+    """Rows at arrays m, m1 = 1 - m, t and u: nu0 = m/n0 = -t^2, and
+    n1 = m + m1 s^2 with s = sin psi = 2u/d, c = cos psi = (1-u)(1+u)/d,
+    d = 1 + u^2.  s and c are algebraic in u, so n1 - m = m1 s^2 and
+    1 - n1 = m1 c^2 carry no cancellation, and u = 0, 1 give n1 = m, 1."""
 
-    def __init__(self, targets, m, m1, t0, u0, labels):
-        self.m, self.m1 = m, m1
-        self.K = K = elliprf(0.0, m1, 1.0)
-        self.Ra = elliprd(0.0, m1, 1.0)
-        self.D = elliprd(0.0, 1.0, m1)
-        self.t = _theta_t(targets[0], m, m1, K, self.Ra, t0, labels)
-        self.u = _alpha_u(targets[1], m, m1, K, self.D, u0, labels)
-        self.s, self.c, _ = _sin_cos(self.u)
+    def __init__(self, m, m1, t, u):
+        self.m, self.m1, self.t, self.u, self.d = m, m1, t, u, 1.0 + u * u
+        self.s, self.c = 2.0 * u / self.d, (1.0 - u) * (1.0 + u) / self.d
         self.n1 = m + m1 * self.s * self.s
-        self.nu0 = -self.t * self.t
-        self.nu1 = m / self.n1
+        self.nu0, self.nu1 = -t * t, m / self.n1
 
-    def psi(self) -> np.ndarray:
+    def psi(self, K) -> np.ndarray:
         """Psi = (nu1 - nu0) K^2."""
-        return (self.nu1 - self.nu0) * self.K * self.K
+        return (self.nu1 - self.nu0) * K * K
 
-    def dpsi_dm(self) -> np.ndarray:
-        """dPsi/dm = (dnu1/dm - dnu0/dm) K^2 + 2 (nu1 - nu0) K dK/dm, with
-        dK/dm = D/6, and from dn/dm = E n (1-n)/((1-m)(n E - (n-m) K)) on
-        each branch, dnu0/dm = t^2 (1+t^2) (D/3)/(m Ra/3 + t^2 K) and
-        dnu1/dm = s^2 (D/3)/(n1 (n1 D/3 + c^2 K))."""
-        K, D3, t2 = self.K, self.D / 3.0, self.t * self.t
-        dnu0 = t2 * (1.0 + t2) * D3 / (self.m * self.Ra / 3.0 + t2 * K)
-        dnu1 = (self.s * self.s * D3
-                / (self.n1 * (self.n1 * D3 + self.c * self.c * K)))
-        return (dnu1 - dnu0) * K * K + (self.nu1 - self.nu0) * K * D3
+
+def _newton(targets, X, where, fixed=None, goal=None, bracket=None):
+    """(m1, t, u) of every row at its root by one safeguarded Newton
+    iteration on arrays, from the starts X; where(rows) names rows.
+
+    A step evaluates each branch once (_phi_theta; DLMF 19.25.1): with
+    g = sqrt((t^2+m)(1+t^2)), a0 = m Ra/3 + t^2 K, a1 = n1 D/3 + c^2 K,
+    F_t = t g R_J(0, m1, 1, 1+t^2)/3 - (targets[0] - pi/2) has F_t' = a0/g
+    and F_a = m1 s c (K + n1 R_J(0, m1, 1, m1 c^2)/3)/sqrt(n1) - targets[1]
+    has F_a' = 2 m m1 a1/(n1^(3/2) d); the inner steps are dt0 = -F_t/F_t',
+    du0 = -F_a/F_a'.  With ``fixed`` (m, K, Ra, D), m1 stays put.  With a
+    goal, the step is the Newton step of F_t = F_a = 0, Psi = goal by block
+    elimination: dm = (goal - Psi - 2 t K^2 dt0 - (dnu1/du) K^2 du0)/
+    (dPsi/dm), and t, u add dm times their level sets' tangents.  From
+    dn/dm = E n (1-n)/((1-m)(n E - (n-m) K)), dnu0/dm = t^2 (1+t^2) (D/3)/a0
+    and dnu1/dm = s^2 (D/3)/(n1 a1), so dPsi/dm = (dnu1/dm - dnu0/dm) K^2 +
+    (nu1 - nu0) K D/3, dt/dm = -t (1+t^2) (D/6)/a0, du/dm = c s K d/(4 m m1
+    a1), and dnu1/du = -4 m m1 s c/(d n1^2); as partial derivatives of Phi
+    they hold off the roots too.
+
+    t stays in [0, sqrt(2x (2+x))], x = 2 (targets[0] - pi/2)/pi: by DLMF
+    19.16.2, R_J(0, m1, 1, p) >= (3/2) int_0^inf ds/((s+p) (s+1) sqrt s) =
+    (3 pi/2)/(sqrt p (sqrt p + 1)), p = 1 + t^2, so Phi - pi/2 >= (pi/2)
+    (sqrt(1 + t^2) - 1) for every m, tight as m -> 0 (hence the factor 2).
+    u stays in [0, 1].  A step leaving its box bisects towards the end it
+    crossed.  m1 stays in its bracket, which narrows by the sign of dm's
+    numerator only where both inner steps are at most 1e-9 relative, as
+    only there is it the sign at the inner roots; a step leaving it holds
+    m1 until they are, then bisects the bracket.
+
+    A variable is done at a Newton step of at most Tolerances.solver in m1
+    (or a bracket of a few ulps) or 1e-9 relative in t and u, or when a
+    Newton step of at most _STALL_STEP of it (of min(m, m1) for m1) did not
+    halve its residual, which is then at its rounding floor.  That step
+    counts for m1 only where the inner steps are done, and for t and u only
+    where m1's is, so that no other variable's move held the residual up.
+    A row with all three done keeps its stepped-to values, which stay
+    consistent where m1 is at its own floor, and leaves the batch, so no
+    row depends on the others; one still running after MAX_NEWTON_STEPS
+    raises RuntimeError.
+    """
+    if targets[0] < math.pi / 2 or not 0.0 <= targets[1] <= math.pi / 2:
+        raise InfeasibleParametersError(
+            f"branch targets {targets} outside [pi/2, inf) x [0, pi/2]")
+    excess = targets[0] - math.pi / 2
+    x = 2.0 * excess / math.pi
+    top = np.array([[math.sqrt(2.0 * x * (2.0 + x))], [1.0]])  # of t and u
+    # the rows' m1, t, u, their residuals after a small step (else inf),
+    # and the rows' data; a finished row leaves Z
+    Z = np.vstack([X, np.full((3, len(X[0])), np.inf),
+                   *(fixed if goal is None else (goal, *bracket))])
+    out, idx = np.empty((3, Z.shape[1])), np.arange(Z.shape[1])
+    for _ in range(MAX_NEWTON_STEPS):
+        X, R_prev = Z[0:3], Z[3:6]
+        m1, t, u = X
+        if goal is None:
+            m, K, Ra, D = Z[6:]
+        else:
+            goal_r, lo, hi = Z[6:]
+            m = 1.0 - m1
+            K, Ra, D = _carlson(m1)
+        br = _Branches(m, m1, t, u)
+        t2, cc, mm1 = t * t, br.c * br.c, m * m1
+        a0 = m * Ra / 3.0 + t2 * K
+        a1 = br.n1 * D / 3.0 + cc * K
+        F, S = np.zeros((2, *X.shape))  # residuals and their steps
+        if excess > 0.0:
+            g = np.sqrt((t2 + m) * (1.0 + t2))
+            F[1] = t * g * elliprj(0.0, m1, 1.0, 1.0 + t2) / 3.0 - excess
+            S[1] = -F[1] * g / a0
+        if 0.0 < targets[1] < math.pi / 2:
+            rn = np.sqrt(br.n1)
+            F[2] = (m1 * br.s * br.c / rn
+                    * (K + br.n1 * elliprj(0.0, m1, 1.0, m1 * cc) / 3.0)
+                    - targets[1])
+            S[2] = -F[2] * br.n1 * rn * br.d / (2.0 * mm1 * a1)
+        conv = np.abs(S) <= 1e-9 * X  # rows 1 and 2: the inner steps
+        inner = conv[1] & conv[2]
+        if goal is not None:
+            K2, D3 = K * K, D / 3.0
+            F[0] = (goal_r - br.psi(K) - K2 * (
+                2.0 * t * S[1]
+                - 4.0 * mm1 * br.s * br.c * S[2] / (br.d * br.n1 * br.n1)))
+            dpsi = ((br.s * br.s * D3 / (br.n1 * a1)
+                     - t2 * (1.0 + t2) * D3 / a0) * K2
+                    + (br.nu1 - br.nu0) * K * D3)
+            if inner.any():
+                np.copyto(lo, m1, where=inner & (F[0] < 0.0))
+                np.copyto(hi, m1, where=inner & (F[0] > 0.0))
+            m1n = m1 - F[0] / dpsi
+            newton_m = (m1n >= lo) & (m1n <= hi)
+            if not newton_m.all():
+                m1n = np.where(newton_m, m1n,
+                               np.where(inner, 0.5 * (lo + hi), m1))
+            S[0] = m1n - m1  # dm = -S[0]
+            S[1] += t * (1.0 + t2) * (D / 6.0) / a0 * S[0]
+            S[2] -= br.c * br.s * K * br.d / (4.0 * mm1 * a1) * S[0]
+            conv = np.abs(S) <= 1e-9 * X  # t and u with their tangent
+            conv[0] = ((newton_m & (np.abs(S[0]) <= Tolerances.solver))
+                       | (hi - lo <= 4.5e-16 * m1))
+        Xn = X + S
+        ok = (Xn[1:] >= 0.0) & (Xn[1:] <= top)
+        if not ok.all():
+            Xn[1:] = np.where(ok, Xn[1:], 0.5 * (
+                X[1:] + np.where(Xn[1:] < 0.0, 0.0, top)))
+        R = np.abs(F)
+        stalled = R >= 0.5 * R_prev
+        done = (conv | stalled).all(axis=0)
+        small = np.abs(Xn - X) <= _STALL_STEP * X
+        small[1:] &= ok & conv[0]
+        if goal is not None:
+            small[0] = newton_m & inner & (
+                np.abs(S[0]) <= _STALL_STEP * np.minimum(m, m1))
+        Z[3:6] = np.where(small, R, np.inf)
+        Z[0:3] = Xn
+        if done.any():
+            out[:, idx[done]] = Xn[:, done]
+            Z, idx = Z[:, ~done], idx[~done]
+            if not idx.size:
+                return out
+    raise RuntimeError(f"Newton solve not converged in {MAX_NEWTON_STEPS} "
+                       f"steps at {where(idx)}")
+
+
+def _start(targets: tuple[float, float], m) -> list[np.ndarray]:
+    """Starting t and u at m: their roots as m -> 0, where Phi - pi/2 =
+    (pi/2) (sqrt(1 + t^2) - 1) on the theta branch and Phi = (pi/2)
+    s/sqrt(m + s^2) on the alpha branch (u = 1 at a target of pi/2)."""
+    x = 2.0 * (targets[0] - math.pi / 2) / math.pi
+    t0 = np.full(m.shape, math.sqrt(max(x, 0.0) * (2.0 + x)))
+    if targets[1] == math.pi / 2:
+        return [t0, np.ones_like(m)]
+    g = min(2.0 * targets[1] / math.pi, 1.0 - 1e-6)
+    s = np.minimum(np.sqrt(m) * (g / math.sqrt(1.0 - g * g)), 1.0 - 1e-6)
+    return [t0, s / (1.0 + np.sqrt((1.0 - s) * (1.0 + s)))]
+
+
+def _fixed_m(targets: tuple[float, float], m: float) -> tuple[_Branches, float]:
+    """Both branches solved at the one given m, and K(m)."""
+    m = np.array([float(m)])
+    fixed = (m, *_carlson(1.0 - m))
+    _, t, u = _newton(targets, [1.0 - m, *_start(targets, m)],
+                      lambda rows: f"m = {m[0]!r}", fixed=fixed)
+    return _Branches(m, 1.0 - m, t, u), float(fixed[1][0])
 
 
 def solve_n(target: float, branch: str, m: float) -> float:
@@ -419,40 +420,28 @@ def solve_n(target: float, branch: str, m: float) -> float:
 
     branch='theta' solves on n < 0 (target >= pi/2, value -inf iff target is
     exactly pi/2); branch='alpha' solves on [m, 1] (target in [0, pi/2],
-    value m at 0 and 1 at pi/2).  The one-row case of the inner Newton
-    solves of solve_taus (_theta_t, _alpha_u), from the starts of _start;
-    no target is clamped.
+    value m at 0 and 1 at pi/2).  The one-row, fixed-m case of the Newton
+    iteration of solve_taus (_newton); no target is clamped.
     """
     if branch not in ("theta", "alpha"):
         raise ValueError(f"unknown branch {branch!r}")
     target = float(target)
     targets = (target, 0.0) if branch == "theta" else (math.pi / 2, target)
-    br = _branches_at(targets, m)
+    br, _ = _fixed_m(targets, m)
     if branch == "alpha":
         return float(br.n1[0])
     return float(br.m[0] / br.nu0[0]) if br.t[0] > 0.0 else -math.inf
-
-
-def _branches_at(targets: tuple[float, float], m: float) -> _Branches:
-    """_Branches at the one given m, from the starts of _start."""
-    m = np.array([float(m)])
-    return _Branches(targets, m, 1.0 - m, *_start(targets, m),
-                     np.array([f"m = {m[0]!r}"], dtype=object))
 
 
 def _branch_targets(point: ModuliPoint,
                     params: MapParams) -> tuple[float, float]:
     """The branch targets pi p/q and pi |r+a|/q, exactly pi/2 in the limit
     cases that params.regime names (pi p/q may round below pi/2)."""
-    reg = params.regime
+    first = params.regime in (Regime.FIRST_LIMIT, Regime.HYBRID_LIMIT)
+    second = params.regime in (Regime.SECOND_LIMIT, Regime.HYBRID_LIMIT)
     rpa = abs(float(params.r + point.a_exact))
-    if reg in (Regime.FIRST_LIMIT, Regime.HYBRID_LIMIT):
-        target_theta = math.pi / 2
-    else:
-        target_theta = math.pi * params.p / params.q
-    if reg in (Regime.SECOND_LIMIT, Regime.HYBRID_LIMIT):
-        return target_theta, math.pi / 2
-    return target_theta, math.pi * rpa / params.q
+    return (math.pi / 2 if first else math.pi * params.p / params.q,
+            math.pi / 2 if second else math.pi * rpa / params.q)
 
 
 def psi_fn(m: float, point: ModuliPoint, params: MapParams) -> float:
@@ -462,7 +451,8 @@ def psi_fn(m: float, point: ModuliPoint, params: MapParams) -> float:
     Strictly increasing on (0, 1), with Psi(0+) = pi^2 (p^2 - (r+a)^2)/q^2
     and Psi(1-) = +inf; solve_tau roots Psi(m) = pi^2 b^2 / q^2.
     """
-    return float(_branches_at(_branch_targets(point, params), m).psi()[0])
+    br, K = _fixed_m(_branch_targets(point, params), m)
+    return float(br.psi(K)[0])
 
 
 @dataclass(frozen=True)
@@ -472,7 +462,8 @@ class TauTriple:
     ``n0`` is -inf in the first limit case (tau1 = 0); ``n1`` equals 1 in the
     second limit case (tau2 = 1) and equals m when r + a = 0 (tau3 = 1).
     A is the first-integral constant 4 pi^2 (tau1+tau2+tau3-1); c >= 0 and d
-    (with sign -sgn(r+a)) are the angular first integrals.
+    (with sign -sgn(r+a)) are the angular first integrals; gap2 = 1 - tau2
+    and gap3 = tau3 - 1 as computed, free of the taus' cancellation near 1.
     """
 
     tau1: float
@@ -484,6 +475,8 @@ class TauTriple:
     A: float
     c: float
     d: float
+    gap2: float
+    gap3: float
 
     @property
     def taus(self) -> tuple[float, float, float]:
@@ -505,15 +498,18 @@ def _tau_triple(m: float, nu0: float, nu1: float, den: float, gap2: float,
     tau1 = -nu0 / den + 0.0  # +0.0 normalizes -0.0 in the first limit case
     tau2 = 1.0 - gap2 if gap2 <= 0.5 else (m - nu0) / den
     tau3 = 1.0 + gap3
-    m = float((Fraction(tau2) - Fraction(tau1))
-              / (Fraction(tau3) - Fraction(tau1)))
+    taus = (tau1, tau2, tau3)
+    # the taus are integers over powers of two; int / int rounds correctly
+    (i1, d1), (i2, d2), (i3, d3) = (v.as_integer_ratio() for v in taus)
+    d = max(d1, d2, d3)
+    m = (i2 * (d // d2) - i1 * (d // d1)) / (i3 * (d // d3) - i1 * (d // d1))
     n0 = m / nu0 if nu0 != 0.0 else -math.inf
     n1 = 1.0 if gap2 == 0.0 else m / nu1
     A = 4.0 * math.pi**2 * (tau1 + tau2 + tau3 - 1.0)
     c = 2.0 * math.pi * math.sqrt(max(tau1 * tau2 * tau3, 0.0) + 0.0)
     d2 = max((1.0 - tau1) * (1.0 - tau2) * (tau3 - 1.0), 0.0)
     d = -sgn_rpa * 2.0 * math.pi * math.sqrt(d2) + 0.0
-    return TauTriple(tau1, tau2, tau3, m, n0, n1, A, c, d)
+    return TauTriple(tau1, tau2, tau3, m, n0, n1, A, c, d, gap2, gap3)
 
 
 def solve_taus(points, params: MapParams) -> list:
@@ -524,14 +520,13 @@ def solve_taus(points, params: MapParams) -> list:
     InfeasibleParametersError that solve_tau would raise there.  The branch
     targets pi p/q and pi |r+a|/q are the column's, so Psi(m) is one
     function of m for the whole column and only its target pi^2 b^2/q^2
-    varies by row.  A table of Psi at the fixed m of _TABLE_M1 gives every
-    row its bracket; then all rows run one safeguarded Newton iteration on
-    m1 = 1 - m with the closed-form dPsi/dm, each step solving both
-    branches by the inner Newton from the previous step's solution.  A row
-    stops at a Newton step of at most Tolerances.solver in m, and a row
-    that does not converge raises RuntimeError (_newton).  Every operation is
-    elementwise, so a row's triple is bit-identical whatever the other
-    rows of the call.  Limit cases give tau1 = 0 / tau2 = 1 exactly.
+    varies by row.  A table of Psi at the fixed m of _TABLE_M1 (the
+    fixed-m case of _newton) gives every row its bracket and start; then
+    all rows run one safeguarded Newton iteration on (m1 = 1 - m, t, u),
+    no loop nested in another (_newton), and a row that does not converge
+    raises RuntimeError.  Every operation is elementwise, so a row's triple
+    is bit-identical whatever the other rows of the call.  Limit cases give
+    tau1 = 0 / tau2 = 1 exactly.
     """
     points = list(points)
     if not points:
@@ -543,13 +538,17 @@ def solve_taus(points, params: MapParams) -> list:
             "circle-family parameters have no tau triple; use the constant-"
             "latitude map family instead") for _ in points]
     targets = _branch_targets(points[0], params)
-    labels = np.array([f"(a, b) = ({pt.a!r}, {pt.b!r})" for pt in points],
-                      dtype=object)
+
+    def where(rows) -> str:  # the (a, b) of rows, for an error message
+        return "; ".join(f"(a, b) = ({points[i].a!r}, {points[i].b!r})"
+                         for i in rows)
 
     table_m = 1.0 - _TABLE_M1
-    table = _Branches(targets, table_m, _TABLE_M1, *_start(targets, table_m),
-                      np.full(_TABLE_M1.size, "; ".join(labels), dtype=object))
-    psi_table = table.psi()
+    table = _Branches(table_m, _TABLE_M1, *_newton(
+        targets, [_TABLE_M1, *_start(targets, table_m)],
+        lambda rows: where(range(len(points))),
+        fixed=(table_m, *_TABLE_CARLSON))[1:])
+    psi_table = table.psi(_TABLE_CARLSON[0])
     goal = np.array([(math.pi * pt.b / params.q) ** 2 for pt in points])
     out: list = [None] * len(points)
     j = np.searchsorted(psi_table, goal)
@@ -566,20 +565,13 @@ def solve_taus(points, params: MapParams) -> list:
         # Psi rises along the table: its entry hi >= goal, lo < goal
         hi = np.maximum(j[rows], 1)
         lo = hi - 1
-        goal_r, labels_r = goal[rows], labels[rows]
+        goal_r = goal[rows]
         w = (goal_r - psi_table[lo]) / (psi_table[hi] - psi_table[lo])
-        m1 = _TABLE_M1[lo] + w * (_TABLE_M1[hi] - _TABLE_M1[lo])
-        t = table.t[lo] + w * (table.t[hi] - table.t[lo])
-        u = table.u[lo] + w * (table.u[hi] - table.u[lo])
-
-        def fdf(idx, x):
-            br = _Branches(targets, 1.0 - x, x, t[idx], u[idx], labels_r[idx])
-            t[idx], u[idx] = br.t, br.u
-            return goal_r[idx] - br.psi(), br.dpsi_dm()
-
-        m1 = _newton(fdf, m1, _TABLE_M1[hi], _TABLE_M1[lo],
-                     lambda x: Tolerances.solver, labels_r)
-        br = _Branches(targets, 1.0 - m1, m1, t, u, labels_r)
+        start = [v[lo] + w * (v[hi] - v[lo])
+                 for v in (_TABLE_M1, table.t, table.u)]
+        m1, t, u = _newton(targets, start, lambda i: where(rows[i]),
+                           goal=goal_r, bracket=(_TABLE_M1[hi], _TABLE_M1[lo]))
+        br = _Branches(1.0 - m1, m1, t, u)
         den = br.nu1 - br.nu0
         # 1 - tau2 = (nu1 - m)/den and tau3 - 1 = (1 - nu1)/den, where
         # nu1 - m = m m1 c^2/n1 and 1 - nu1 = m1 s^2/n1 carry no cancellation

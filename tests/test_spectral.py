@@ -704,6 +704,25 @@ class TestAssembleN2:
             assert (alone.count, alone.eigenvalues, alone.at_threshold) == (
                 mc.count, mc.eigenvalues, mc.at_threshold)
 
+    def test_one_irfft_per_certificate_mesh(self, monkeypatch):
+        # at (0, 2) the l = 0 and l = 1 certificates step on one mesh, so
+        # they share one irfft of rho's coefficients; each certificate
+        # equals that of a fresh problem that makes its own samples
+        point, params, tau, _ = _profiles(0.0, 2.0, 1, 1, 0)
+        sizes, real = [], np.fft.irfft
+
+        def spy(coef, n, *args, **kwargs):
+            sizes.append(n)
+            return real(coef, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        rep = assemble_N2(tau, params, point)
+        assert len(sizes) == 1
+        for l in (0, 1):
+            alone = sl_problem(build_profiles(tau, params, point), l)
+            assert rep.trace_certificates[l] == abs(
+                np.trace(monodromy(alone, 2.0)) - alone.trace_target)
+
     def test_rejects_unclosed_profile(self):
         # tau3 off by 1e-6 breaks the period b/q of rho: the one period
         # check of the op must still catch it

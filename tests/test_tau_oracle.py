@@ -7,7 +7,10 @@ log(-n0) and (n1 - m)/m1, by mp.findroot from the float solution at
 three defining lattice integrals.  Where m1 >= 1e-3 the float triple must
 match the oracle to 1e-12 relative in m1, tau1, 1 - tau2 and tau3 - 1; nearer
 m = 1 only tau1, which no rounding near 1 limits, is held to that, and the
-other errors are printed (run with -s).
+other errors are printed (run with -s).  The Hopf constant H_re =
+pi^2 (1 - tau2 - (tau3 - 1) - tau1) must match to 1e-14 relative wherever
+|H_re| >= 1e-2, and to 1e-13 at the two (1,2,0) cases below, where it is
+about 5e-3 and tau1 + tau2 + tau3 is near 2.
 """
 
 import math
@@ -15,10 +18,14 @@ import math
 import mpmath as mp
 import pytest
 
+from eqtorus.maps import hopf_constants
 from eqtorus.tau_solver import ModuliPoint, Regime, classify_params, solve_tau
 from test_acceptance import SPECTRAL_110_POINTS, SPECTRAL_MIXED_CASES
 
 REL = 1e-12
+H_RE_REL = 1e-14
+# (a, b, (p, q, r)) with |H_re| below 1e-2, and their own bound
+H_RE_SMALL = {(0.5, 2.4, (1, 2, 0)): 1e-13, (0.5, 2.7, (1, 2, 0)): 1e-13}
 QUAD_RESIDUAL = 1e-20
 
 CASES = (
@@ -30,6 +37,10 @@ CASES = (
     # a theta-branch solve here once took a bisection step of 1e-9 t for
     # convergence, leaving tau1 off by 8e-11
     + [(-0.376, 3.8747000677039827, (3, 1, 0))]
+    # the limit columns of (1,1,0) towards m = 1
+    + [(a, b, (1, 1, 0)) for a in (0.0, 0.5) for b in (2.8, 3.0)]
+    # tau1 + tau2 + tau3 near 2, where pi^2 - A/4 cancels
+    + [(0.5, b, (1, 2, 0)) for b in (2.4, 2.7)]
 )
 
 
@@ -112,15 +123,18 @@ def _check_lattice_integrals(tau1, tau2, tau3, b, p, q, rpa):
 
 def float_errors(a, b, pqr) -> tuple[float, dict]:
     """m1 and the relative error of each float quantity against the
-    oracle; a quantity that is exactly 0 in both counts as no error."""
+    oracle; a quantity that is exactly 0 in both counts as no error.
+    Beside the four solved quantities, "H_re" is that of hopf_constants."""
     point = ModuliPoint(a, b)
     params = classify_params(point, *pqr)
     tau = solve_tau(point, params)
     m1 = 1.0 - tau.m
     with mp.workdps(30 + max(0, math.ceil(-math.log10(m1)))):
         ref = oracle(point, *pqr, params.regime, tau)
+        ref["H_re"] = mp.pi**2 * (ref["1-tau2"] - ref["tau3-1"] - ref["tau1"])
         got = {"m1": mp.mpf(m1), "tau1": mp.mpf(tau.tau1),
-               "1-tau2": 1 - mp.mpf(tau.tau2), "tau3-1": mp.mpf(tau.tau3) - 1}
+               "1-tau2": 1 - mp.mpf(tau.tau2), "tau3-1": mp.mpf(tau.tau3) - 1,
+               "H_re": mp.mpf(hopf_constants(tau).h_re)}
         errors = {key: 0.0 if ref[key] == got[key] == 0 else
                   float(abs(got[key] - ref[key]) / abs(ref[key]))
                   for key in ref}
@@ -133,5 +147,6 @@ def test_solved_triple_matches_oracle(a, b, pqr):
     print(f"\n(a, b, pqr) = ({a}, {b}, {pqr}) m1 = {m1:.3g} "
           + " ".join(f"{key} {err:.2e}" for key, err in errors.items()))
     assert errors["tau1"] <= REL, errors
+    assert errors["H_re"] <= H_RE_SMALL.get((a, b, pqr), H_RE_REL), errors
     if m1 >= 1e-3:
         assert max(errors.values()) <= REL, errors

@@ -1,4 +1,4 @@
-"""Tests for the nested tau solve, with raw-quadrature oracles throughout."""
+"""Tests for the tau solve, with raw-quadrature oracles throughout."""
 
 import dataclasses
 import math
@@ -314,9 +314,9 @@ class TestSolveTau:
         assert all(x > y for x, y in zip(tau1s, tau1s[1:]))
         assert tau1s[-1] == 0.0
 
-    def test_column_solved_as_one_batch(self, monkeypatch):
-        # a 15-row column costs about 33 elliprj calls (each on an array);
-        # solved one row at a time it costs about 430
+    @staticmethod
+    def elliprj_calls(monkeypatch) -> list:
+        """The array size of every elliprj call the solver makes from now."""
         calls = []
         real = tau_solver.elliprj
 
@@ -325,10 +325,24 @@ class TestSolveTau:
             return real(*args)
 
         monkeypatch.setattr(tau_solver, "elliprj", spy)
+        return calls
+
+    def test_column_solved_as_one_batch(self, monkeypatch):
+        # a 15-row column costs 20 elliprj calls (each on an array), two per
+        # Newton step; solved one row at a time it costs about 270
+        calls = self.elliprj_calls(monkeypatch)
         points = [ModuliPoint(0.3, b) for b in np.linspace(1.4, 3.0, 15)]
         solve_taus(points, classify_params(points[0], 1, 1, 0))
-        assert len(calls) <= 60
+        assert len(calls) <= 24
         assert max(calls) == len(tau_solver._TABLE_M1)
+
+    def test_one_row_newton_steps(self, monkeypatch):
+        # one Newton iteration on (m1, t, u), no loop nested in another:
+        # 18 elliprj calls at (0.3, 1.4), 10 of them on the table
+        calls = self.elliprj_calls(monkeypatch)
+        point = ModuliPoint(0.3, 1.4)
+        solve_tau(point, classify_params(point, 1, 1, 0))
+        assert len(calls) <= 22
 
     def test_iteration_cap_raises_naming_the_rows(self, monkeypatch):
         # an unconverged solve is an error, never a returned m
