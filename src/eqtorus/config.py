@@ -2,7 +2,7 @@
 
 Every numerical tolerance in eqtorus is a constant of the code that uses
 it; nothing sets one at run time.  Tolerances records the stopping
-tolerance of the outer Newton iteration in tau_solver.solve_taus, so that a
+tolerance in m of the Newton iteration in tau_solver.solve_taus, so that a
 run can store the value it was computed at.
 """
 
@@ -15,9 +15,9 @@ __all__ = ["Tolerances", "tolerances"]
 
 @dataclass(frozen=True)
 class Tolerances:
-    # a row of the outer Newton solve on m stops once its step in m is at
-    # most this; the step it stops at is taken, so quadratic convergence
-    # leaves m off by far less
+    # a row of the Newton solve stops once its step in m is at most this
+    # (and its steps in t and u at most 1e-9 relative); the step it stops at
+    # is taken, so quadratic convergence leaves m off by far less
     solver: float = field(default=1e-14, init=False)
 
 
