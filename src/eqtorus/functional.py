@@ -286,6 +286,12 @@ def _scan_column(a: float, b_values: list[float], p: int, q: int, r: int,
         columns.setdefault(params, []).append((row, point))
     for params, members in columns.items():
         taus = solve_taus([point for _, point in members], params)
+        # the ratio condition and the counting bound read only p, q, r and
+        # the column's exact a; where the condition holds it certifies
+        # equality with the bound, making the Floquet count unnecessary
+        column = members[0][1]
+        bound = (n2_lower_bound(params, column)
+                 if not with_n2 and ratio_condition(params, column) else None)
         for (row, point), tau in zip(members, taus):
             if isinstance(tau, InfeasibleParametersError):
                 row["status"] = f"infeasible: {tau}"
@@ -298,10 +304,8 @@ def _scan_column(a: float, b_values: list[float], p: int, q: int, r: int,
                        H_im=hc.h_im, status="ok")
             if with_n2:
                 row["N2"] = assemble_N2(tau, params, point).n2
-            elif ratio_condition(params, point):
-                # the ratio condition certifies equality with the counting
-                # bound, making the Floquet sweep unnecessary for these rows
-                row["N2"] = n2_lower_bound(params, point)
+            elif bound is not None:
+                row["N2"] = bound
     return rows
 
 

@@ -17,15 +17,18 @@ coefficients and the kinetic terms that an eigenvalue below 2 can reach,
 and samples that cannot resolve it raise instead of counting.
 
 monodromy gives the fundamental matrix over [0, b] as M_P^q, from one
-fixed-step RK4 sweep over [0, P] that takes every step at once and
-multiplies the step matrices by a pairwise product tree (_period_sweep); it
-carries the certificates that the map components have eigenvalue 2.  rho is
-one function with one period for every mode, so the modes of one map share
-its Fourier coefficients (ProfileSet.rho_samples): rho is sampled on 64
-uniform nodes of the period, doubled until they resolve the Hill matrix,
-and its period is checked once (_coefficients).  Each certificate mesh
-takes rho from these coefficients by one zero-padded irfft, shared by the
-modes on that mesh, so assemble_N2 evaluates rho at a few hundred points.
+fixed-step sweep over [0, P] by the sixth-order Magnus integrator on three
+Gauss nodes (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes,
+Casas & Ros, BIT 40, 2000), exact for constant coefficients; it makes
+every step matrix at once and multiplies them by a pairwise product tree
+(_period_sweep), and carries the certificates that the map components have
+eigenvalue 2.  rho is one function with one period for every mode, so the
+modes of one map share its Fourier coefficients (ProfileSet.rho_samples):
+rho is sampled on 64 uniform nodes of the period, doubled until they
+resolve the Hill matrix, and its period is checked once (_coefficients).
+Each certificate mesh takes rho at its Gauss nodes from these coefficients
+by one phase-shifted irfft, shared by the modes on that mesh, so
+assemble_N2 evaluates rho at a few hundred points.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -81,11 +84,8 @@ AT_THRESHOLD_TOL = 1e-7
 FOURIER_CUT = 1e-9
 # largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
 PERIOD_TOL = 1e-9
-# monodromy runs on this many times the steps that bring the RK4 phase
-# error to about 1e-10: it scales as n^-4, so 4x the steps cut it 256-fold;
-# at the base count (3456 steps) the l = 1 certificate at (a, b) = (0, 2)
-# is 7.9e-8, too close to its 1e-7 gate, and at 4x it is 9.0e-9
-MONODROMY_REFINE = 4
+# Gauss-Legendre nodes of one Magnus step, in units of the step
+GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,15 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
 # --------------------------------------------------------------------------
 
 
-def _rk4_steps(period: float, omega2: float) -> int:
-    """RK4 steps of monodromy over one period P where max |k2 - lambda rho|
-    is about omega2: the phase error (omega P)^5 / (120 n^4) is about 1e-10
-    at the base count, which MONODROMY_REFINE multiplies; rounded up to a
-    5-smooth count, which keeps the irfft of _samples fast."""
+def _magnus_steps(period: float, omega2: float) -> int:
+    """Magnus steps over one period P where max |k2 - lambda rho| is about
+    omega2, by a sixth-order rule: n steps of angle theta/n, theta =
+    sqrt(omega2) P, err by about n (theta/n)^7 = theta^7/n^6, here 2e-9.
+    Measured, the l = 1 trace at (a, b) = (0, 2), the least smooth rho of
+    the criterion-4 set, errs by 3e-10 on its 800 steps and falls as n^-6
+    until rounding, ~5e-11, takes over."""
     theta = math.sqrt(max(omega2, 1.0)) * period
-    n = int((theta**5 / (120.0 * 1e-10)) ** 0.25) + 1
-    return scipy.fft.next_fast_len(MONODROMY_REFINE * max(n, 100), real=True)
+    return int((theta**7 / 2e-9) ** (1.0 / 6.0)) + 1
 
 
 def _coefficients(problem: SLProblem) -> tuple[np.ndarray, int]:
@@ -147,13 +148,14 @@ def _coefficients(problem: SLProblem) -> tuple[np.ndarray, int]:
     mean, K the last n whose kinetic term is at most 2 max rho, where every
     eigenvalue below 2 lives (a flat rho has R = 0).  While 4N > M, M
     doubles by sampling the midpoints.  A failed period check raises
-    ValueError, and so does an M past the samples of monodromy's mode-0
-    mesh at lambda = 2 over 4; then nothing is stored.
+    ValueError, and so does an M past 8 times the steps of monodromy's
+    mode-0 mesh at lambda = 2, which then would run on M + 1 steps, more
+    than its error asks; then nothing is stored.
     """
     P = problem.period
     if P in problem.samples:
         return problem.samples[P]
-    cap = _rk4_steps(P, 2.0 * problem.rho_max) // 2
+    cap = 8 * _magnus_steps(P, 2.0 * problem.rho_max)
     M = 64
     y = np.arange(M) * (P / M)
     rho = np.asarray(problem.rho(y), dtype=float)
@@ -176,17 +178,20 @@ def _coefficients(problem: SLProblem) -> tuple[np.ndarray, int]:
 
 
 def _samples(problem: SLProblem, n: int) -> np.ndarray:
-    """rho at linspace(0, P, 2n + 1), the nodes and midpoints of n steps over
-    one period P, by numpy's zero-padded irfft of its coefficients (scipy's
-    plan cache costs 1.5 MB of peak RSS); the coefficients past the reach
-    are below FOURIER_CUT and falling, so it errs by ~FOURIER_CUT^2.
-    Memoized per (P, n), so modes on the same mesh share it."""
+    """rho at the Gauss nodes (j + GAUSS[i]) P/n of n steps over one period
+    P, as a (3, n) array, by one zero-padded irfft of its coefficients, each
+    row's shifted by the phase of its node (numpy's irfft: scipy's plan
+    cache costs 1.5 MB of peak RSS).  n > M keeps every coefficient an
+    ordinary term; those past the reach are below FOURIER_CUT and falling,
+    so it errs by ~FOURIER_CUT^2.  Memoized per (P, n), so modes on the
+    same mesh share it."""
     key = (problem.period, n)
     if key not in problem.samples:
-        coef = _coefficients(problem)[0] * (2 * n)
+        coef = _coefficients(problem)[0] * n
         coef[-1] /= 2.0  # the last term of M samples is one cosine, not a pair
-        rho = np.fft.irfft(coef, 2 * n)
-        problem.samples[key] = np.append(rho, rho[0])
+        shift = np.exp(np.multiply.outer(GAUSS, np.arange(coef.size))
+                       * (2j * math.pi / n))
+        problem.samples[key] = np.fft.irfft(coef * shift, n)
     return problem.samples[key]
 
 
@@ -200,35 +205,67 @@ def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:
                          "wrong q or a tau solve that does not close the profile")
 
 
+def _mesh(problem: SLProblem, lam: float) -> int:
+    """Steps of monodromy's sweep over one period at lam: the sixth-order
+    count of _magnus_steps, raised above the M samples of rho's
+    coefficients, so that _samples keeps every coefficient, and rounded up
+    to a 5-smooth count, which keeps its irfft fast."""
+    k2 = 4.0 * math.pi**2 * problem.l**2
+    n = _magnus_steps(problem.period, max(abs(lam) * problem.rho_max, k2))
+    M = 2 * (_coefficients(problem)[0].size - 1)
+    return scipy.fft.next_fast_len(max(n, M + 1), real=True)
+
+
 def monodromy(problem: SLProblem, lam: float):
     """Fundamental solution matrix over [0, b], as M_P(lam)^q.
 
     Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
     Wronskian keeps det M = 1, which the caller may use as a health check.
-    M_P comes from the period sweep on the n steps of _rk4_steps, with rho
-    at their nodes and midpoints from its Fourier coefficients.  Raises
-    ValueError where _coefficients does.
+    M_P comes from the period sweep on the n steps of _mesh, with rho at
+    their Gauss nodes from its Fourier coefficients.  Raises ValueError
+    where _coefficients does.
     """
     k2 = 4.0 * math.pi**2 * problem.l**2
-    n = _rk4_steps(problem.period, max(lam * problem.rho_max, k2))
+    n = _mesh(problem, lam)
     M_P = _period_sweep(_samples(problem, n), problem.period / n, k2,
                         np.array([float(lam)]))
     return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
 
 
-def _rk4_step(H, V, g0, gm, g1, h) -> None:
-    """One RK4 step of size h for (H, V) = (h, h') under h'' = g h, in place,
-    with g at the step's start, middle and end."""
-    h6 = h / 6.0
-    k1v = g0 * H
-    k2h = V + 0.5 * h * k1v
-    k2v = gm * (H + 0.5 * h * V)
-    k3h = V + 0.5 * h * k2v
-    k3v = gm * (H + 0.5 * h * k2h)
-    k4h = V + h * k3v
-    k4v = g1 * (H + h * k3h)
-    H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
-    V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+def _magnus_step(rho: np.ndarray, h: float, k2: float,
+                 lams: np.ndarray) -> np.ndarray:
+    """Every step's matrix, a (2, 2, n, lams.size) array whose [:, :, j, k]
+    is step j at lams[k]: the sixth-order Magnus step exp(Omega) for
+    (h, h')' = A (h, h'), A = [[0, 1], [g, 0]], g = k2 - lambda rho, from
+    rho at the step's three Gauss nodes (a (3, n) rho).
+
+    With alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1) and alpha3 =
+    (10 h/3)(A3 - 2 A2 + A1), C1 = [alpha1, alpha2] and C2 = -[alpha1,
+    2 alpha3 + C1]/60, Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3
+    + C1, alpha2 + C2]/240 (Blanes, Casas & Ros, BIT 40, 2000).  Every
+    commutator of sl(2) is closed form; here x, y, z are h times the lower
+    entries of alpha1, alpha2, alpha3, and Omega = [[d, h u], [w/h, -d]].
+    Omega^2 = s2 I, so exp(Omega) = cosh(s) I + sinh(s)/s Omega, with cos
+    and sin where s2 < 0; constant coefficients make it exact.
+    """
+    g1, g2, g3 = k2 - lams * rho[:, :, None]
+    hh = h * h
+    x = hh * g2
+    y = (hh * math.sqrt(15.0) / 3.0) * (g3 - g1)
+    z = (hh * 10.0 / 3.0) * (g3 - 2.0 * g2 + g1)
+    yy = y * y
+    d = y * (x / 180.0 + z / 7200.0 - 1.0 / 12.0)
+    u = 1.0 + yy / 3600.0 - z / 180.0
+    w = x + z / 12.0 - yy / 120.0 + x * z / 180.0 + (z * z + x * yy) / 3600.0
+    s2 = d * d + u * w
+    s = np.sqrt(np.abs(s2))
+    grow = s2 > 0.0
+    c = np.where(grow, np.cosh(s), np.cos(s))
+    f = np.divide(np.where(grow, np.sinh(s), np.sin(s)), s,
+                  out=np.ones_like(s), where=s > 0.0)
+    fd = f * d
+    return np.stack([c + fd, (f * u) * h, (f * w) / h, c - fd]).reshape(
+        (2, 2) + s.shape)
 
 
 def _period_sweep(rho: np.ndarray, h: float, k2: float,
@@ -236,39 +273,28 @@ def _period_sweep(rho: np.ndarray, h: float, k2: float,
     """M_P(lambda) for every lambda in one sweep; M_P[r, c, k] is entry
     (r, c) of the one-period matrix at lams[k].
 
-    Fixed-step RK4 with step h over one period P = n h, n = (rho.size - 1)/2,
-    with rho sampled at the step nodes and midpoints.  A step over a few
+    Sixth-order Magnus steps of size h over one period P = n h, with rho
+    at the three Gauss nodes of each step (a (3, n) rho).  A step over a few
     lambdas costs numpy's per-call overhead, not its arithmetic, so all n
-    steps are taken at once from the identity, and M_P is the ordered
-    product of the n step matrices by a pairwise product tree.  A step
-    angle h sqrt(max |k2 - lambda rho|) above 1 raises ValueError: the mesh
-    does not resolve the batch.
+    step matrices are made at once, and M_P is their ordered product by a
+    pairwise product tree.  A step angle h sqrt(max |k2 - lambda rho|)
+    above 1 raises ValueError: the mesh does not resolve the batch.
     """
     corners = k2 - np.outer([lams.min(), lams.max()], [rho.min(), rho.max()])
     angle = h * math.sqrt(float(np.max(np.abs(corners))))
     if angle > 1.0:
-        raise ValueError(f"RK4 step angle {angle:.3g} exceeds 1: the mesh "
+        raise ValueError(f"Magnus step angle {angle:.3g} exceeds 1: the mesh "
                          "does not resolve the largest lambda of the batch")
-    n = (rho.size - 1) // 2
-    g = k2 - lams * rho[:, None]
-    # both fundamental solutions of every step, a (2, n, nl) state
-    H = np.zeros((2, n, lams.size))
-    V = np.zeros((2, n, lams.size))
-    H[0] = 1.0
-    V[1] = 1.0
-    _rk4_step(H, V, g[:-1:2], g[1::2], g[2::2], h)
-
-    # entries (0, 0), (0, 1), (1, 0), (1, 1) of the step matrices; each
-    # level puts every odd step onto the even one before it
-    M = [H[0], H[1], V[0], V[1]]
-    while len(M[0]) > 1:
-        a, b, c, d = (X[1::2] for X in M)
-        p, q, r, s = (X[:-1:2] for X in M)
-        pairs = [a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s]
-        if len(M[0]) % 2:  # an odd count carries its last step up
-            pairs = [np.concatenate([Y, X[-1:]]) for Y, X in zip(pairs, M)]
+    # each level puts every odd step onto the even one before it: entry
+    # (i, k) of a product is sum_j odd[i, j] even[j, k], two broadcast terms
+    M = _magnus_step(rho, h, k2, lams)
+    while M.shape[2] > 1:
+        odd, even = M[:, :, 1::2], M[:, :, :-1:2]
+        pairs = odd[:, :1] * even[:1] + odd[:, 1:] * even[1:]
+        if M.shape[2] % 2:  # an odd count carries its last step up
+            pairs = np.concatenate([pairs, M[:, :, -1:]], axis=2)
         M = pairs
-    return np.concatenate(M).reshape(2, 2, lams.size)
+    return M[:, :, 0]
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +393,7 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     The mode loop stops at l_max = ceil(sqrt(tau2+tau3-tau1)): beyond it the
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
-    are exact eigenfunctions with eigenvalue 2, from the RK4 monodromy.
+    are exact eigenfunctions with eigenvalue 2, from the Magnus monodromy.
     The certificates and the counts share rho's Fourier coefficients
     (ProfileSet.rho_samples), so rho is sampled on one small dyadic mesh and
     its period checked once for the whole op.

@@ -15,10 +15,12 @@ from eqtorus import spectral
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
+    GAUSS,
     SLProblem,
     _coefficients,
+    _magnus_step,
+    _mesh,
     _period_sweep,
-    _rk4_steps,
     _samples,
     assemble_N2,
     construct_strict_instance,
@@ -53,12 +55,18 @@ def _dop853(problem, lam, rtol):
     return np.array([[h1, h2], [v1, v2]])
 
 
-def _sweep(problem, lams):
-    """M_P for a batch of lambdas, on monodromy's mesh at lambda = 2."""
+def _sweep(problem, lams, n=None):
+    """M_P for a batch of lambdas on n steps, by default monodromy's mesh at
+    lambda = 2."""
     k2 = 4.0 * math.pi**2 * problem.l**2
-    n = _rk4_steps(problem.period, max(2.0 * problem.rho_max, k2))
+    n = n or _mesh(problem, 2.0)
     return _period_sweep(_samples(problem, n), problem.period / n, k2,
                          np.asarray(lams))
+
+
+def _gauss_nodes(n, period=1.0):
+    """The Gauss nodes of n steps over one period, a (3, n) array."""
+    return (np.arange(n) + GAUSS[:, None]) * (period / n)
 
 
 def _profiles(a, b, p, q, r):
@@ -129,7 +137,7 @@ class TestMonodromy:
                 np.testing.assert_allclose(M, want, rtol=0, atol=1e-9 * scale)
 
     def test_period_sweep_matches_adaptive(self):
-        # one RK4 period against DOP853 over one period, and its q-th power
+        # one Magnus period against DOP853 over one period, and its q-th power
         # (tr M^q = 2 T_q(tr M / 2)) against DOP853 over the full [0, b]
         point, params, tau, prof = _profiles(0.25, 2.1, 2, 3, 0)
         lams = np.array([0.3, 0.9, 1.5, 1.999])
@@ -147,28 +155,14 @@ class TestMonodromy:
 
 
 def _sequential_sweep(rho, h, k2, lams):
-    """The period sweep step by step: one RK4 step per iteration over a
-    (2, n_lam) state; M[r, c, k] as in _period_sweep."""
-    nl = lams.size
-    H = np.zeros((2, nl))
-    V = np.zeros((2, nl))
-    H[0] = 1.0
-    V[1] = 1.0
-    h6 = h / 6.0
-    for i in range(0, rho.size - 1, 2):
-        g0 = k2 - lams * rho[i]
-        gm = k2 - lams * rho[i + 1]
-        g1 = k2 - lams * rho[i + 2]
-        k1v = g0 * H
-        k2h = V + 0.5 * h * k1v
-        k2v = gm * (H + 0.5 * h * V)
-        k3h = V + 0.5 * h * k2v
-        k3v = gm * (H + 0.5 * h * k2h)
-        k4h = V + h * k3v
-        k4v = g1 * (H + h * k3h)
-        H += h6 * (V + 2.0 * k2h + 2.0 * k3h + k4h)
-        V += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return np.stack([H, V])
+    """The period sweep step by step: the same Magnus step matrices, each
+    put onto the product of those before it; M[r, c, k] as in
+    _period_sweep."""
+    steps = _magnus_step(rho, h, k2, lams)
+    M = steps[:, :, 0]
+    for i in range(1, steps.shape[2]):
+        M = np.einsum("ijk,jlk->ilk", steps[:, :, i], M)
+    return M
 
 
 def _assert_matches_sequential(M, M_seq):
@@ -179,9 +173,9 @@ def _assert_matches_sequential(M, M_seq):
 
 @st.composite
 def _sweep_cases(draw):
-    """(rho, h, k2, lams): a positive trig-polynomial rho over P = 1 on n
-    steps, and a batch of lambdas whose step angle h sqrt(max |k2 - lambda
-    rho|) is at most 1."""
+    """(rho, h, k2, lams): a positive trig-polynomial rho over P = 1 at the
+    Gauss nodes of n steps, and a batch of lambdas whose step angle
+    h sqrt(max |k2 - lambda rho|) is at most 1."""
     n = draw(st.integers(16, 1200))
     k2 = draw(st.sampled_from([0.0, 4.0 * math.pi**2, 16.0 * math.pi**2]))
     c0 = draw(st.floats(0.5, 50.0))
@@ -191,7 +185,7 @@ def _sweep_cases(draw):
     sin_c = draw(st.lists(unit, min_size=terms, max_size=terms))
     # sum |coefficients| <= 0.9 c0 keeps rho >= 0.1 c0 > 0
     scale = 0.9 * c0 / (2 * terms)
-    y = np.linspace(0.0, 1.0, 2 * n + 1)
+    y = _gauss_nodes(n)
     rho = np.full_like(y, c0)
     for k, (ck, sk) in enumerate(zip(cos_c, sin_c), start=1):
         arg = 2.0 * math.pi * k * y
@@ -213,7 +207,7 @@ class TestBlockedSweep:
         # powers of two); lambdas run from exponential growth (g > 0) to
         # ~20 oscillations
         steps = {"one": 1, "two": 2, "sqrt": math.isqrt(n), "all": n}[which]
-        y = np.linspace(0.0, 1.0, 2 * n + 1)[:2 * steps + 1]
+        y = _gauss_nodes(n)[:, :steps]
         rho = (30.0 + 10.0 * np.sin(2.0 * math.pi * y)
                + 3.0 * np.cos(6.0 * math.pi * y))
         k2 = 4.0 * math.pi**2
@@ -229,7 +223,7 @@ class TestBlockedSweep:
         # the same samples
         pb = sl_problem(_profiles(0.25, 2.1, 2, 3, 0)[3], 1)
         one = dataclasses.replace(pb, b=pb.period, q=1)
-        n = _rk4_steps(pb.period, 2.0 * pb.rho_max)
+        n = _mesh(pb, 2.0)
         M_seq = _sequential_sweep(_samples(pb, n), pb.period / n,
                                   4.0 * math.pi**2, np.array([2.0]))
         _assert_matches_sequential(monodromy(one, 2.0), M_seq[:, :, 0])
@@ -247,13 +241,79 @@ class TestBlockedSweep:
         # step angle h sqrt(max |k2 - lambda rho|) = 1.1 from the largest
         # lambda, or from k2 alone at lambda = 0; the smallest lambda passes
         n = 100
-        rho = np.ones(2 * n + 1)
+        rho = np.ones((3, n))
         lams = np.array([1.0, 1.21]) * n * n
         with pytest.raises(ValueError, match="step angle"):
             _period_sweep(rho, 1.0 / n, 0.0, lams)
         with pytest.raises(ValueError, match="step angle"):
             _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]))
         _period_sweep(rho, 1.0 / n, 0.0, lams[:1])
+
+
+def _closed_form(g, b):
+    """The fundamental matrix of h'' = g h over [0, b] for a constant g: a
+    rotation where g < 0, a shear at g = 0, a boost where g > 0."""
+    if g == 0.0:
+        return np.array([[1.0, b], [0.0, 1.0]])
+    if g < 0.0:
+        w = math.sqrt(-g)
+        return np.array([[math.cos(w * b), math.sin(w * b) / w],
+                         [-w * math.sin(w * b), math.cos(w * b)]])
+    k = math.sqrt(g)
+    return np.array([[math.cosh(k * b), math.sinh(k * b) / k],
+                     [k * math.sinh(k * b), math.cosh(k * b)]])
+
+
+class TestMagnusExact:
+    """The Magnus step is exact for constant coefficients: with rho constant
+    the sweep is the closed-form rotation or boost, up to rounding."""
+
+    @pytest.mark.parametrize("c,b,q", [(2.5, 1.3, 1), (7.0, 2.4, 3)])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_constant_density(self, c, b, q, l):
+        # lambda below k2/c (a boost; at l = 0 a negative lambda) and above
+        # it (a rotation), on monodromy's own meshes
+        k2 = 4.0 * math.pi**2 * l * l
+        pb = dataclasses.replace(_const_problem(c=c, b=b, l=l), q=q)
+        for lam in (k2 / c - 1.5, k2 / c + 1.0, k2 / c + 7.3):
+            want = _closed_form(k2 - lam * c, b)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            err = np.max(np.abs(monodromy(pb, lam) - want))
+            assert err <= 1e-13 * scale, (lam, err)
+
+    @pytest.mark.parametrize("n,g", [(1, -0.8), (1, 0.0), (1, 0.3),
+                                     (7, -30.0), (64, -30.0), (64, 12.0),
+                                     (400, -30.0), (400, 0.0), (400, 12.0)])
+    def test_step_counts(self, n, g):
+        # one period P = 1 on n steps
+        want = _closed_form(g, 1.0)
+        M = _period_sweep(np.full((3, n), 1.3), 1.0 / n, 0.0,
+                          np.array([-g / 1.3]))[:, :, 0]
+        assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_strict_instance_converged(self, instance, l):
+        # the traces at lambda = 2 on monodromy's mesh and on twice its
+        # steps agree to 1e-10
+        point, params, cert = instance
+        pb = sl_problem(build_profiles(cert["tau"], params, point), l)
+        n = _mesh(pb, 2.0)
+        traces = [np.trace(np.linalg.matrix_power(_sweep(pb, [2.0], k * n)
+                                                  [:, :, 0], pb.q))
+                  for k in (1, 2)]
+        assert abs(traces[0] - traces[1]) <= 1e-10
+
+    def test_least_smooth_instance_converges(self):
+        # (1,1,0) at (0, 2), l = 1, the least smooth rho of the criterion-4
+        # set: monodromy's 800 steps sit 2.6e-10 from 1600, inside the 1e-9
+        # of DOP853, and 1600 sit 4e-12 from 3200, the 64-fold cut of sixth
+        # order
+        pb = sl_problem(_profiles(0.0, 2.0, 1, 1, 0)[3], 1)
+        n = _mesh(pb, 2.0)
+        t1, t2, t4 = (np.trace(_sweep(pb, [2.0], k * n)[:, :, 0])
+                      for k in (1, 2, 4))
+        assert abs(t1 - t2) <= 5e-10
+        assert abs(t2 - t4) <= 1e-10
 
 
 class TestCountBelow:
@@ -435,10 +495,10 @@ class TestHillOracle:
 
 
 def _assert_samples_match(problem):
-    # rho at the nodes and midpoints of monodromy's mode-0 mesh at
-    # lambda = 2, from the coefficients, against rho itself
-    n = _rk4_steps(problem.period, 2.0 * problem.rho_max)
-    want = problem.rho(np.linspace(0.0, problem.period, 2 * n + 1))
+    # rho at the Gauss nodes of monodromy's mode-0 mesh at lambda = 2, from
+    # the coefficients, against rho itself
+    n = _mesh(problem, 2.0)
+    want = problem.rho(_gauss_nodes(n, problem.period))
     got = _samples(problem, n)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
@@ -488,7 +548,7 @@ class TestCoefficientMesh:
 
 def _assert_located(problem):
     # each eigenvalue and each value at the threshold solves the Floquet
-    # condition tr M_P(e) = 2 cos(phi_j) of some phase j, by the RK4 sweep
+    # condition tr M_P(e) = 2 cos(phi_j) of some phase j, by the Magnus sweep
     # of monodromy over one period; growing solutions scale its error
     mc = count_below(problem)
     one = dataclasses.replace(problem, b=problem.period, q=1)
@@ -608,7 +668,7 @@ def _assert_certificates_match_adaptive(prof):
 
 class TestLameCount:
     """count_below against the closed-form Lame count, an exact count that
-    shares neither the Hill matrix nor the RK4 sweep."""
+    shares neither the Hill matrix nor the Magnus sweep."""
 
     def test_theta_at_band_edges(self):
         # theta is 0 at dn's edge m and pi at cn's edge 1 and sn's 1 + m;
