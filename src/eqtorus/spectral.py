@@ -131,9 +131,10 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
 def _magnus_steps(period: float, omega2: float) -> int:
     """Magnus steps over one period P where max |k2 - lambda rho| is about
     omega2, by a sixth-order rule: n steps of angle theta/n, theta =
-    sqrt(omega2) P, err by about n (theta/n)^7 = theta^7/n^6, here 2e-9.
+    sqrt(omega2) P, err by about n (theta/n)^7 = theta^7/n^6, held at 2e-9.
     Measured, the l = 1 trace at (a, b) = (0, 2), the least smooth rho of
-    the criterion-4 set, errs by 3e-10 on its 800 steps and falls as n^-6
+    the criterion-4 set, errs by 3e-10 on its 800 steps, as the RK4 sweep
+    that wrote the golden certificates did, and the error falls as n^-6
     until rounding, ~5e-11, takes over."""
     theta = math.sqrt(max(omega2, 1.0)) * period
     return int((theta**7 / 2e-9) ** (1.0 / 6.0)) + 1
