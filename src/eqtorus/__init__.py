@@ -20,11 +20,12 @@ from eqtorus.functional import flat_lambda1, functional_value, moduli_scan
 from eqtorus.maps import (
     build_circle_map,
     build_profiles,
+    conformality_residual,
     export_mesh,
     harmonicity_residual,
     hopf_constants,
 )
-from eqtorus.otsuki import conformality_residual, omega_fn, otsuki_map, solve_otsuki
+from eqtorus.otsuki import omega_fn, otsuki_map, solve_otsuki
 from eqtorus.spectral import assemble_N2, construct_strict_instance, count_below, sl_problem
 from eqtorus.stability import (
     hersch_second_variation,

@@ -29,23 +29,16 @@ from eqtorus.tau_solver import (
 SCHEMA = "1"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+def _numpy_to_python(o):
+    """json.dumps hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=False))
+    print(json.dumps(payload, indent=2, default=_numpy_to_python))
 
 
 def _point(args) -> ModuliPoint:
@@ -150,8 +143,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_otsuki(args) -> int:
-    from eqtorus.maps import export_mesh, harmonicity_residual
-    from eqtorus.otsuki import conformality_residual, otsuki_map, solve_otsuki
+    from eqtorus.maps import conformality_residual, export_mesh, harmonicity_residual
+    from eqtorus.otsuki import otsuki_map, solve_otsuki
 
     _require_positive(("--nx", args.nx), ("--ny", args.ny))
     ot = solve_otsuki(args.pt, args.qt)
@@ -205,10 +198,10 @@ def cmd_stability(args) -> int:
             "integrability_possible": kp.integrability_possible,
         })
     elif args.report == "hersch":
-        value, quadrature = st._hersch_certified(args.b0)
         _emit({
             "report": "hersch", "b0": args.b0,
-            "value": value, "quadrature": quadrature,
+            "value": st.hersch_second_variation(args.b0),
+            "quadrature": st.hersch_quadrature(args.b0),
         })
     else:  # index
         point = _point(args)

@@ -46,6 +46,7 @@ __all__ = [
     "harmonicity_residual",
     "hopf_constants",
     "hopf_grid_residual",
+    "conformality_residual",
     "export_mesh",
 ]
 
@@ -297,6 +298,18 @@ def hopf_constants(tau: TauTriple) -> HopfConstants:
                          h_im=-math.pi * tau.d + 0.0)
 
 
+def _hopf_samples(map_like, n: int):
+    """(|u_x|^2 - |u_y|^2, -2 <u_x, u_y>) at x = 0.29 on an n-point y-grid:
+    4 H_re and 4 H_im of the Hopf differential's coefficient <d_z u, d_z u>,
+    from first derivatives."""
+    b = map_like.point.b
+    y = np.linspace(0.0, b, n, endpoint=False) + 0.137 * b / n
+    dx = _stack4(*map_like.dx_values(0.29, y))
+    dy = _stack4(*map_like.dy_values(0.29, y))
+    return (np.sum(dx * dx, axis=0) - np.sum(dy * dy, axis=0),
+            -2.0 * np.sum(dx * dy, axis=0))
+
+
 def hopf_grid_residual(map_like, n: int = 64):
     """Sampled (4 H_re, 4 H_im) from first derivatives on a y-grid.
 
@@ -304,16 +317,20 @@ def hopf_grid_residual(map_like, n: int = 64):
     deviation of either component from its mean; a harmonic torus must make
     this machine-small since the Hopf differential is holomorphic.
     """
-    b = map_like.point.b
-    y = np.linspace(0.0, b, n, endpoint=False) + 0.137 * b / n
-    x = 0.29
-    dx = _stack4(*map_like.dx_values(x, y))
-    dy = _stack4(*map_like.dy_values(x, y))
-    re4 = np.sum(dx * dx, axis=0) - np.sum(dy * dy, axis=0)
-    im4 = -2.0 * np.sum(dx * dy, axis=0)
+    re4, im4 = _hopf_samples(map_like, n)
     spread = max(float(np.max(re4) - np.min(re4)),
                  float(np.max(im4) - np.min(im4)))
     return float(np.mean(re4)) / 4.0, float(np.mean(im4)) / 4.0, spread / 4.0
+
+
+def conformality_residual(map_like, n: int = 512) -> tuple[float, float]:
+    """(max | |du/dx|^2 - |du/dy|^2 |, max |<du/dx, du/dy>|) over a y-grid.
+
+    Both vanish (to 1e-8) exactly when the map is minimal, i.e. when
+    A = 4 pi^2 and d = 0.
+    """
+    re4, im4 = _hopf_samples(map_like, n)
+    return float(np.max(np.abs(re4))), float(np.max(np.abs(im4))) / 2.0
 
 
 def export_mesh(map_like, nx: int, ny: int, fh) -> int:

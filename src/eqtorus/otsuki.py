@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from scipy.optimize import brentq
 
 from eqtorus.elliptic import complete_K
-from eqtorus.maps import build_profiles
+from eqtorus.maps import build_profiles, conformality_residual
 from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
@@ -118,20 +117,3 @@ def otsuki_map(params_ot: OtsukiParams, k: int = 1, r_t: int = 0):
                          "minimal specialization needs the nonlimit one")
     tau = otsuki_tau_triple(params_ot.m_star)
     return point, params, tau, build_profiles(tau, params, point)
-
-
-def conformality_residual(map_like, n: int = 512) -> tuple[float, float]:
-    """(max | |du/dx|^2 - |du/dy|^2 |, max |<du/dx, du/dy>|) over a y-grid.
-
-    Both vanish (to 1e-8) exactly when the map is minimal, i.e. when
-    A = 4 pi^2 and d = 0.
-    """
-    b = map_like.point.b
-    y = np.linspace(0.0, b, n, endpoint=False) + 0.173 * b / n
-    x = 0.41
-    dx1, dx2 = map_like.dx_values(x, y)
-    dy1, dy2 = map_like.dy_values(x, y)
-    nx2 = np.abs(dx1) ** 2 + np.abs(dx2) ** 2
-    ny2 = np.abs(dy1) ** 2 + np.abs(dy2) ** 2
-    inner = (dx1.conjugate() * dy1 + dx2.conjugate() * dy2).real
-    return float(np.max(np.abs(nx2 - ny2))), float(np.max(np.abs(inner)))

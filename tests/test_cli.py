@@ -4,9 +4,10 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from eqtorus.cli import build_parser, main
+from eqtorus.cli import _emit, build_parser, main
 from eqtorus.config import Tolerances, tolerances
 from eqtorus.functional import lambda_bar_quadrature, moduli_scan
 from eqtorus.stability import index_nullity_estimate
@@ -26,6 +27,50 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return _run
+
+
+# _emit's exact text for numpy scalars and arrays, int keys, a tuple, None
+# and a bool: every CLI payload is made of these, and its stdout must not
+# drift by a byte
+EMIT_PINNED = """\
+{
+  "schema": "1",
+  "f": 0.30000000000000004,
+  "i": -7,
+  "m": [
+    [
+      1.5,
+      -0.0
+    ],
+    [
+      2.0,
+      1e-300
+    ]
+  ],
+  "d": {
+    "1": "one",
+    "20": [
+      1,
+      2
+    ]
+  },
+  "t": [
+    1,
+    2.5,
+    "x"
+  ],
+  "n": null,
+  "ok": true
+}
+"""
+
+
+def test_emit_pinned_text(capsys):
+    _emit({"f": np.float64(0.1) * 3, "i": np.int64(-7),
+           "m": np.array([[1.5, -0.0], [2.0, 1e-300]]),
+           "d": {1: "one", 20: [1, 2]}, "t": (1, 2.5, "x"),
+           "n": None, "ok": True})
+    assert capsys.readouterr().out == EMIT_PINNED
 
 
 class TestSolveTau:
@@ -208,6 +253,7 @@ class TestStability:
         doc = json.loads(out)
         assert code == 0
         assert doc["value"] == pytest.approx(math.pi**2 / 2, abs=1e-12)
+        assert doc["quadrature"] == pytest.approx(doc["value"], rel=1e-13)
 
     def test_kernel(self, run):
         code, out, _ = run("stability", "--report", "kernel",

@@ -137,9 +137,9 @@ class TestHersch:
         assert val > 0.0
 
     def test_quadrature_agreement(self):
-        for b0 in (0.9, 1.0):
+        for b0 in (math.sqrt(3) / 2, 0.9, 0.95, 1.0):
             assert hersch_quadrature(b0) == pytest.approx(
-                hersch_closed_form(b0), abs=1e-9)
+                hersch_closed_form(b0), rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(ValueError):
