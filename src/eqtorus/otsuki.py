@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.optimize import brentq
-
 from eqtorus.elliptic import complete_K
 from eqtorus.maps import build_profiles, conformality_residual
 from eqtorus.tau_solver import (
@@ -78,7 +76,10 @@ def solve_otsuki(p_t: int, q_t: int) -> OtsukiParams:
 
     The ratio-1/2 boundary is rejected: there the family degenerates (the
     maps stop being linearly full) and no minimal torus of this kind exists.
+    scipy.optimize is imported here, so that only this solve loads it.
     """
+    from scipy.optimize import brentq
+
     p_t, q_t = int(p_t), int(q_t)
     if p_t <= 0 or q_t <= 0 or math.gcd(p_t, q_t) != 1:
         raise InfeasibleParametersError(

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
 
 from eqtorus.maps import ProfileSet, build_profiles
 from eqtorus.tau_solver import (
@@ -98,8 +97,9 @@ class SLProblem:
     bc_phase: float           # 2 pi l a mod 2 pi
     rho_max: float
     q: int = 1                # number of rho periods in [0, b]
-    # {P: (coef, N)} from _coefficients and {(P, n): rho} from _samples;
-    # one memo serves all modes of a map, a hand-built problem's is empty
+    # {P: (coef, N)} from _coefficients, {(P, n): rho} from _samples and
+    # {(P, "B^-1"): B^-1} from _hill_inverse; one memo serves all modes of
+    # a map, a hand-built problem's is empty
     samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -214,7 +214,22 @@ def _mesh(problem: SLProblem, lam: float) -> int:
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = _magnus_steps(problem.period, max(abs(lam) * problem.rho_max, k2))
     M = 2 * (_coefficients(problem)[0].size - 1)
-    return scipy.fft.next_fast_len(max(n, M + 1), real=True)
+    return _smooth5(max(n, M + 1))
+
+
+def _smooth5(n: int) -> int:
+    """The least 2^i 3^j 5^k >= n, for n >= 1: the value of scipy.fft's
+    next_fast_len(n, real=True), without importing scipy.fft."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 2^i >= n: 2^i >= ceil(n / p35)
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def monodromy(problem: SLProblem, lam: float):
@@ -312,6 +327,21 @@ class ModeCount:
     warnings: list[str] = field(default_factory=list)
 
 
+def _hill_inverse(problem: SLProblem) -> np.ndarray:
+    """B^-1, B[i, j] the Fourier coefficient n_i - n_j of rho, |n| <= N,
+    from _coefficients; B depends on neither mode nor phase, so it is
+    inverted once per period and memoized under (P, "B^-1")."""
+    key = (problem.period, "B^-1")
+    if key not in problem.samples:
+        coef, N = _coefficients(problem)
+        # |n_i - n_j| <= 2N <= M/2
+        n = np.arange(-N, N + 1)
+        d = n[:, None] - n[None, :]
+        B = np.where(d >= 0, coef[np.abs(d)], coef[np.abs(d)].conj())
+        problem.samples[key] = np.linalg.inv(B)
+    return problem.samples[key]
+
+
 def count_below(problem: SLProblem) -> ModeCount:
     """Count eigenvalues strictly below 2, with multiplicity.
 
@@ -321,28 +351,27 @@ def count_below(problem: SLProblem) -> ModeCount:
     the basis e^{i(kappa_j + 2 pi n/P) y}, |n| <= N, kappa_j = -phi_j/P:
     the pencil diag((kappa_j + 2 pi n/P)^2 + 4 pi^2 l^2) x = lambda B x,
     where B is the Hermitian Toeplitz matrix of rho's Fourier coefficients.
-    One inverse of B serves every phase.  The constant (l = 0,
-    phase 0, lambda = 0) is not counted.  Eigenvalues within
+    One inverse of B serves every phase and every mode.  The constant
+    (l = 0, phase 0, lambda = 0) is not counted.  Eigenvalues within
     AT_THRESHOLD_TOL of 2 are the boundary eigenvalues at 2 (the map
     components), listed apart and not counted.
 
-    B's coefficients and the reach N come from _coefficients, once per
-    map.  B keeps every coefficient up to 2N, so a Galerkin value errs by
-    about the square of what the basis leaves out, and only upward
-    (min-max).  Raises ValueError where _coefficients does.
+    B's coefficients and the reach N come from _coefficients, and B^-1
+    from _hill_inverse, once per map.  B keeps every coefficient up to 2N,
+    so a Galerkin value errs by about the square of what the basis leaves
+    out, and only upward (min-max).  Raises ValueError where _coefficients
+    does.
     """
     P, q = problem.period, problem.q
-    coef, N = _coefficients(problem)
-    # B[i, j] is coefficient n_i - n_j, |n_i - n_j| <= 2N <= M/2
+    B_inv = _hill_inverse(problem)
+    N = B_inv.shape[0] // 2
     n = np.arange(-N, N + 1)
-    d = n[:, None] - n[None, :]
-    B = np.where(d >= 0, coef[np.abs(d)], coef[np.abs(d)].conj())
     # the pencil A_j x = lambda B x has the eigenvalues of
-    # A_j^1/2 B^-1 A_j^1/2: one inverse of B serves every phase
+    # A_j^1/2 B^-1 A_j^1/2
     kappa = -(problem.bc_phase + TWO_PI * np.arange(q)) / (q * P)
     k = kappa[:, None] + TWO_PI * n / P
     root = np.sqrt(k * k + 4.0 * math.pi**2 * problem.l**2)
-    C = root[:, :, None] * np.linalg.inv(B) * root[:, None, :]
+    C = root[:, :, None] * B_inv * root[:, None, :]
     eigs = np.sort(np.linalg.eigvalsh(C), axis=None)
     if problem.l == 0 and problem.bc_phase == 0.0:
         eigs = eigs[1:]  # the constant

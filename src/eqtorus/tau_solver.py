@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import elliprd, elliprf, elliprj
 
 from eqtorus.config import Tolerances
@@ -622,7 +621,9 @@ def third_limit_asymptote(point: ModuliPoint, p: int, q: int, r: int):
 def _cubic_quad(weight: Callable[[float], float], tau1: float, tau2: float,
                 tau3: float) -> float:
     """integral of weight(t) / sqrt((t-tau1)(tau2-t)(tau3-t)) over [tau1,tau2]
-    via t = tau1 + (tau2-tau1) sin^2 s, which removes both endpoint roots."""
+    via t = tau1 + (tau2-tau1) sin^2 s, which removes both endpoint roots.
+    scipy.integrate is imported here, so that only this oracle loads it."""
+    from scipy.integrate import quad
 
     dt = tau2 - tau1
 

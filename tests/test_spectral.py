@@ -22,6 +22,7 @@ from eqtorus.spectral import (
     _mesh,
     _period_sweep,
     _samples,
+    _smooth5,
     assemble_N2,
     construct_strict_instance,
     count_below,
@@ -314,6 +315,16 @@ class TestMagnusExact:
                       for k in (1, 2, 4))
         assert abs(t1 - t2) <= 5e-10
         assert abs(t2 - t4) <= 1e-10
+
+
+def test_smooth5_is_next_fast_len():
+    # _mesh's step count must be scipy.fft's real fast length exactly, or
+    # a certificate would move
+    import scipy.fft
+
+    n = np.arange(1, 2**17 + 1)
+    ours = [_smooth5(int(k)) for k in n]
+    assert ours == [scipy.fft.next_fast_len(int(k), real=True) for k in n]
 
 
 class TestCountBelow:
@@ -763,6 +774,22 @@ class TestAssembleN2:
                                            mc.l))
             assert (alone.count, alone.eigenvalues, alone.at_threshold) == (
                 mc.count, mc.eigenvalues, mc.at_threshold)
+
+    def test_inverts_hill_matrix_once(self, monkeypatch):
+        # every mode of a map shares rho's period, so one inverse of B
+        # serves all the counts of an op
+        point, params, tau, _ = _profiles(0.25, 2.1, 2, 3, 0)
+        calls = []
+        real_inv = np.linalg.inv
+
+        def inv(B):
+            calls.append(B.shape)
+            return real_inv(B)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        rep = assemble_N2(tau, params, point)
+        assert len(rep.counts_below_2) > 1
+        assert len(calls) == 1
 
     def test_one_irfft_per_certificate_mesh(self, monkeypatch):
         # at (0, 2) the l = 0 and l = 1 certificates step on one mesh, so
