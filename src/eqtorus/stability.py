@@ -1,11 +1,14 @@
 """Second-variation diagnostics: Fourier blocks of the Jacobi operator on
 the constant-latitude maps, their kernel at the distinguished latitude, the
 conformal-direction second variation, and a discretized index/nullity count
-for the generic (1,1,0) maps: each mode form is a Hermitian band, counted by
-shifted LDL^H inertia and certified to ZERO_TOL by Richardson-extrapolated
-eigenvalues from shift-invert over its banded Cholesky factor.  Its frame
-(i u, e^{2 pi i x} j u, i e^{2 pi i x} j u), from the map and its first
-derivatives alone, turns by e^{2 pi i a} on the lattice (_mode_matrix).
+for the generic (1,1,0) maps: each mode form is a Hermitian band, its
+l-independent part built once per mesh (_mode_parts) and its l-terms added
+per mode (_mode_matrix), counted by the inertia of unpivoted LDL^H factors of
+the shifted band (_band_inertia) and certified to ZERO_TOL by
+Richardson-extrapolated eigenvalues from shift-invert over its banded
+Cholesky factor (_mode_spectrum).  Its frame (i u, e^{2 pi i x} j u,
+i e^{2 pi i x} j u), from the map and its first derivatives alone, turns by
+e^{2 pi i a} on the lattice (_mode_parts).
 
 For the constant-latitude map at (r+a)^2 + b^2 = p^2 the Jacobi operator has
 constant coefficients in the orthonormal frame
@@ -25,10 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
-from scipy.sparse import csc_matrix, dia_matrix, identity
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from eqtorus.maps import build_circle_map, build_profiles
@@ -275,6 +281,11 @@ class _GridFrame:
     rho: np.ndarray          # (n,) at the nodes
     omega_y_mid: np.ndarray  # (n, 3, 3) at the midpoints
 
+    @cached_property
+    def parts(self) -> _ModeParts:
+        """The l-independent parts of every mode form, built on first use."""
+        return _mode_parts(self)
+
 
 def _grid_frames(profiles, sizes) -> list[_GridFrame]:
     """The frames at each n of `sizes` from one evaluation of the map on the
@@ -296,42 +307,89 @@ def _grid_frames(profiles, sizes) -> list[_GridFrame]:
     return frames
 
 
-def _mode_matrix(frame: _GridFrame, l: int) -> np.ndarray:
-    """Hermitian form of the mode-l second variation, mass = identity, as
-    the band ab[_BAND + i - j, j] = K[i, j], |i - j| <= _BAND, of its nodes
-    in the order 0, n-1, 1, n-2, ..., where neighbours on the period (the
-    wrap included) are at most two 3x3 blocks apart; ab[:_BAND + 1] is
-    LAPACK's upper band storage.  Row j of the staggered first difference B
-    holds L_j = Omega_y/2 - I/h at node j and R_j = Omega_y/2 + I/h at
-    j + 1 mod n; K = B^H B (no checkerboard null modes) + pointwise terms
-    couples j to j + 1 by L_j^H R_j.  The wrap R_{n-1} carries
-    e^{-2 pi i l a} and turns its (E_1, E_2) columns by -2 pi a: u closes on
-    the lattice, so E_1 + i E_2 at (a, b) is e^{2 pi i a} times that at
-    (0, 0).  Mode 0 has neither, and its form is returned as real."""
+class _ModeParts(NamedTuple):
+    """What _mode_matrix adds the l-terms to: the real band of the mode-0
+    form, rows _BAND - 2 to _BAND + 2 of the band of Omega_x^T - Omega_x on
+    the diagonal blocks (every other entry 0), where in the band the wrap
+    coupling and its transpose sit, and the band's CSC pattern: every entry
+    of its 3x3 blocks, as one that is 0 in mode 0 need not be in mode l."""
+
+    band: np.ndarray
+    skew: np.ndarray
+    wrap_at: tuple
+    wrap_t_at: tuple
+    pattern: tuple
+
+
+def _mode_parts(frame: _GridFrame) -> _ModeParts:
+    """The band ab[_BAND + i - j, j] = K_0[i, j], |i - j| <= _BAND, of the
+    l-independent form K_0, its nodes in the order 0, n-1, 1, n-2, ...,
+    where neighbours on the period (the wrap included) are at most two 3x3
+    blocks apart.  Row j of the staggered first difference B holds
+    L_j = Omega_y/2 - I/h at node j and R_j = Omega_y/2 + I/h at j + 1 mod
+    n; K_0 = B^T B (no checkerboard null modes) + pointwise terms couples j
+    to j + 1 by L_j^T R_j.  The wrap R_{n-1} turns its (E_1, E_2) columns
+    by -2 pi a: u closes on the lattice, so E_1 + i E_2 at (a, b) is
+    e^{2 pi i a} times that at (0, 0).  The diagonal block of node j is
+    L_j^T L_j + R_{j-1}^T R_{j-1} + Omega_x^T Omega_x + sigma sigma^T
+    - 2 rho_j I."""
     n = frame.rho.size
     eye = np.eye(3)
     half_omega = 0.5 * frame.omega_y_mid
     left = half_omega - eye / frame.h
-    right = (half_omega + eye / frame.h).astype(complex)
+    right = half_omega + eye / frame.h
     c, s = math.cos(2.0 * math.pi * frame.a), math.sin(2.0 * math.pi * frame.a)
-    right[-1] *= np.exp(-2j * math.pi * l * frame.a)
     right[-1, :, 1:] = right[-1, :, 1:] @ np.array([[c, s], [-s, c]])
-    # the diagonal block of node j is G_j^H G_j - 2 rho_j I, G_j its factors
-    dx = 2j * math.pi * l * eye + frame.omega_x
     sigma = np.stack([frame.sigma_x, frame.sigma_y], 1)
-    factors = np.concatenate([left, np.roll(right, 1, 0), dx, sigma], 1)
-    diag = (np.einsum("nki,nkj->nij", factors.conj(), factors)
+    factors = np.concatenate([left, np.roll(right, 1, 0), frame.omega_x,
+                              sigma], 1)
+    diag = (np.einsum("nki,nkj->nij", factors, factors)
             - 2.0 * frame.rho[:, None, None] * eye)
     coupling = np.einsum("nki,nkj->nij", left, right)
     place = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
     place_next = np.roll(place, -1)
-    row = np.concatenate([place, place, place_next])[:, None, None]
-    col = np.concatenate([place, place_next, place])[:, None, None]
     ii, jj = np.indices((3, 3))
-    ab = np.zeros((2 * _BAND + 1, 3 * n), dtype=complex)
-    ab[_BAND + 3 * (row - col) + ii - jj, 3 * col + jj] = np.concatenate(
-        [diag, coupling, coupling.conj().transpose(0, 2, 1)])
-    return ab.real if l == 0 else ab
+
+    def at(row, col):
+        row, col = row[:, None, None], col[:, None, None]
+        return _BAND + 3 * (row - col) + ii - jj, 3 * col + jj
+
+    band, skew = np.zeros((2 * _BAND + 1, 3 * n)), np.zeros((5, 3 * n))
+    blocks = np.zeros(band.shape, dtype=bool)
+    diag_at, coupling_at, coupling_t_at = (
+        at(place, place), at(place, place_next), at(place_next, place))
+    band[diag_at] = diag
+    band[coupling_at] = coupling
+    band[coupling_t_at] = coupling.transpose(0, 2, 1)
+    skew[diag_at[0] - (_BAND - 2), diag_at[1]] = (
+        frame.omega_x.transpose(0, 2, 1) - frame.omega_x)
+    for where in (diag_at, coupling_at, coupling_t_at):
+        blocks[where] = True
+    return _ModeParts(band, skew,
+                      tuple(i[-1].copy() for i in coupling_at),
+                      tuple(i[-1].copy() for i in coupling_t_at),
+                      _band_pattern(blocks))
+
+
+def _mode_matrix(frame: _GridFrame, l: int) -> np.ndarray:
+    """Hermitian form of the mode-l second variation, mass = identity, as
+    the band ab[_BAND + i - j, j] = K[i, j] of _mode_parts' node order;
+    ab[:_BAND + 1] is LAPACK's upper band storage.  The x-derivative
+    D_x = 2 pi i l I + Omega_x adds D_x^H D_x - Omega_x^T Omega_x
+    = 4 pi^2 l^2 I + 2 pi i l (Omega_x^T - Omega_x) to each diagonal block,
+    and the wrap R_{n-1} carries e^{-2 pi i l a}, which multiplies its
+    coupling and leaves R_{n-1}^H R_{n-1} as it is.  Mode 0 has neither,
+    and its form is returned as real."""
+    parts = frame.parts
+    if l == 0:
+        return parts.band.copy()
+    ab = parts.band.astype(complex)
+    ab[_BAND] += 4.0 * math.pi**2 * l * l
+    ab[_BAND - 2:_BAND + 3] += 2j * math.pi * l * parts.skew
+    phase = np.exp(-2j * math.pi * l * frame.a)
+    ab[parts.wrap_at] *= phase
+    ab[parts.wrap_t_at] *= phase.conjugate()
+    return ab
 
 
 # Half-width of the inertia window around zero: on the (1,1,0) forms the
@@ -342,42 +400,68 @@ _DELTA = 1.0
 ZERO_TOL = 1e-5
 # The two meshes of the estimate, coarse first.
 RESOLUTIONS = (512, 1024)
-# Half-width of every mode form in _mode_matrix's node order.
+# Half-width of every mode form in _mode_parts' node order.
 _BAND = 8
 # ARPACK's stopping tolerance: values off by ~ARPACK_TOL |lambda - sigma_low|
 # <= 1e-8, far inside ZERO_TOL, for a third fewer solves than at tol = 0.
 ARPACK_TOL = 1e-10
 
 
-def _shifted_lu(K: csc_matrix, sigma: float):
-    """Unpivoted LDL^H of K - sigma I and nu(sigma), its number of negative
-    pivots D = diag(U), U = D L^H: by Sylvester's law of inertia, the number
-    of eigenvalues below sigma.  A row swap (SuperLU's answer to an exactly
-    zero pivot) or a pivot below eps ||K - sigma I|| dim raises."""
-    dim = K.shape[0]
-    A = (K - sigma * identity(dim, dtype=K.dtype, format="csc")).tocsc()
-    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+def _band_pattern(nonzero: np.ndarray) -> tuple:
+    """The CSC pattern of the entries marked in the band-shaped `nonzero`,
+    its diagonal always included: their flat index in the band, column by
+    column, their rows, indptr, and where in that order the diagonal sits."""
+    marked = nonzero.T.copy()
+    marked[:, _BAND] = True
+    dim = marked.shape[0]
+    col, offset = np.divmod(np.flatnonzero(marked), 2 * _BAND + 1)
+    rows = col + offset - _BAND
+    return ((offset * dim + col).astype(np.intc), rows.astype(np.intc),
+            np.searchsorted(col, np.arange(dim + 1)).astype(np.intc),
+            np.flatnonzero(rows == col))
+
+
+def _band_inertia(ab: np.ndarray, sigma: float, pattern: tuple) -> int:
+    """nu(sigma), the number of eigenvalues below sigma of the Hermitian band
+    ab[_BAND + i - j, j] = K[i, j], zero off `pattern`: by Sylvester's law
+    of inertia, the number of negative pivots D = diag(U), U = D L^H, of the
+    unpivoted LDL^H of K - sigma I.  Its one CSC matrix is a copy of the
+    pattern's entries with sigma taken off the diagonal.  A row swap
+    (SuperLU's answer to an exactly zero pivot) or a pivot below
+    eps ||K - sigma I|| dim raises; the column sums of the Hermitian
+    K - sigma I, each column holding its diagonal, are its row sums."""
+    at, indices, indptr, diagonal = pattern
+    dim = ab.shape[1]
+    data = ab.ravel()[at]
+    data[diagonal] -= sigma
+    lu = splu(csc_matrix((data, indices, indptr), shape=(dim, dim)),
+              permc_spec="NATURAL", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     pivots = lu.U.diagonal()
-    floor = np.finfo(float).eps * float(abs(A).sum(axis=1).max()) * dim
+    norm = np.add.reduceat(np.abs(data), indptr[:-1]).max()
+    floor = np.finfo(float).eps * float(norm) * dim
     if (np.any(np.stack([lu.perm_r, lu.perm_c]) != np.arange(dim))
             or not np.all(np.isfinite(pivots) & (np.abs(pivots) >= floor))):
         raise RuntimeError(f"LDL^H of K - sigma I at sigma = {sigma!r}: "
                            "SuperLU pivoted, or a pivot is not finite or "
                            f"below {floor:.3g}")
-    return lu, int(np.count_nonzero(pivots.real < 0.0))
+    return int(np.count_nonzero(pivots.real < 0.0))
 
 
 def _mode_spectrum(frame: _GridFrame, l: int):
     """The lowest eigenvalues of the mode-l form, as many as lie below
-    +_DELTA (at least one), by shift-invert at sigma_low = -2 max rho - 1
-    through the banded Cholesky factor of K - sigma_low I, which exists as
-    K >= -2 rho (the other terms are Gram matrices), and the inertia
-    (nu(-_DELTA), nu(+_DELTA)) of a CSC copy of the band, congruent to K."""
+    +_DELTA (at least one), and its inertia (nu(-_DELTA), nu(+_DELTA)) from
+    the band.  nu is monotone in sigma, so nu(+_DELTA) = 0 proves
+    nu(-_DELTA) = 0, and -_DELTA is factored only where nu(+_DELTA) > 0.
+    The values come by shift-invert at sigma_low = -2 max rho - 1 through
+    the banded Cholesky factor U^H U of K - sigma_low I, which exists as
+    K >= -2 rho (the other terms are Gram matrices); eigsh sees K as the
+    operator U^H U + sigma_low I."""
     ab = _mode_matrix(frame, l)
-    K = dia_matrix((ab, np.arange(_BAND, -_BAND - 1, -1)),
-                   shape=(ab.shape[1],) * 2).tocsc()
-    inertia = (_shifted_lu(K, -_DELTA)[1], _shifted_lu(K, _DELTA)[1])
+    pattern = frame.parts.pattern
+    below_plus = _band_inertia(ab, _DELTA, pattern)
+    inertia = (_band_inertia(ab, -_DELTA, pattern) if below_plus else 0,
+               below_plus)
     sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
     pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
     ab[_BAND] -= sigma_low
@@ -385,10 +469,15 @@ def _mode_spectrum(frame: _GridFrame, l: int):
     if info:
         raise RuntimeError(f"mode {l}: K - sigma I is not positive definite "
                            f"at sigma = {sigma_low!r} (?pbtrf info {info})")
+    tbmv = get_blas_funcs("tbmv", (chol,))
+    dim = chol.shape[1]
+    K = LinearOperator((dim, dim), dtype=chol.dtype, matvec=lambda v: (
+        tbmv(_BAND, chol, tbmv(_BAND, chol, v), trans=2) + sigma_low * v))
     # a fixed ARPACK start vector makes the output reproducible to the bit
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0]).astype(K.dtype)
-    op = LinearOperator(K.shape, lambda v: pbtrs(chol, v)[0], dtype=K.dtype)
-    vals = eigsh(K, k=max(inertia[1], 1), sigma=sigma_low, which="LM", v0=v0,
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(chol.dtype)
+    op = LinearOperator((dim, dim), lambda v: pbtrs(chol, v)[0],
+                        dtype=chol.dtype)
+    vals = eigsh(K, k=max(below_plus, 1), sigma=sigma_low, which="LM", v0=v0,
                  OPinv=op, tol=ARPACK_TOL, return_eigenvectors=False)
     return np.sort(vals.real), inertia
 

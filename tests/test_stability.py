@@ -2,23 +2,24 @@
 index/nullity counts."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse import csc_matrix
 
 from eqtorus import stability
 from eqtorus.maps import build_profiles
 from eqtorus.stability import (
+    _band_inertia,
+    _band_pattern,
     _frame_coefficients,
     _grid_frames,
     _GridFrame,
     _mode_matrix,
     _mode_spectrum,
     _quaternion_j,
-    _shifted_lu,
     hersch_closed_form,
     hersch_quadrature,
     hersch_second_variation,
@@ -206,6 +207,17 @@ def _band_dense(ab):
         j = np.arange(max(k, 0), min(dim, dim + k))
         K[j - k, j] = ab[kd - k, j]
     return K
+
+
+def _dense_band(K):
+    """The band ab[kd + i - j, j] = K[i, j], kd = _BAND, of a dense matrix,
+    zero outside it."""
+    kd, dim = stability._BAND, K.shape[0]
+    ab = np.zeros((2 * kd + 1, dim), dtype=K.dtype)
+    for k in range(-kd, kd + 1):
+        j = np.arange(max(k, 0), min(dim, dim + k))
+        ab[kd - k, j] = K[j - k, j]
+    return ab
 
 
 def _natural(ab):
@@ -396,12 +408,18 @@ class TestSpectrumSlicing:
         prof = _profiles_110(point.a, point.b)
         for n, frame in zip((16, 32, 64), _grid_frames(prof, (16, 32, 64))):
             sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+            # the form's own pattern, every entry of its 3x3 blocks, holds
+            # all of its nonzeros
+            off_pattern = np.ones((17, 3 * n), dtype=bool)
+            off_pattern.flat[frame.parts.pattern[0]] = False
             for l in (0, 1, 2):
+                assert not np.any(_mode_matrix(frame, l)[off_pattern])
                 K = _band_dense(_mode_matrix(frame, l))
                 dense = np.linalg.eigvalsh(K)
-                K = csc_matrix(K)
+                ab = _dense_band(K)
+                pattern = _band_pattern(ab != 0.0)
                 for sigma in (-1e-2, 1e-2, -1.0, 1.0, sigma_low):
-                    _, below = _shifted_lu(K, sigma)
+                    below = _band_inertia(ab, sigma, pattern)
                     assert below == int(np.sum(dense < sigma)), (n, l, sigma)
                 vals, inertia = _mode_spectrum(frame, l)
                 assert inertia == (int(np.sum(dense < -1.0)),
@@ -412,27 +430,72 @@ class TestSpectrumSlicing:
 
     def test_one_cholesky_and_two_inertia_factors_per_mode(self,
                                                             monkeypatch):
+        # nu(+delta) = 0 proves nu(-delta) = 0, so -delta is factored only
+        # where nu(+delta) > 0: modes 0 and 1 here, and not mode 2
         frame = _grid_frames(_profiles_110(0.3, 1.4), (32,))[0]
         shifts, routines = [], []
-        shifted_lu = stability._shifted_lu
+        band_inertia = stability._band_inertia
         get_lapack_funcs = stability.get_lapack_funcs
 
-        def spy_lu(K, sigma):
+        def spy_inertia(ab, sigma, pattern):
             shifts.append(sigma)
-            return shifted_lu(K, sigma)
+            return band_inertia(ab, sigma, pattern)
 
         def spy_lapack(names, arrays):
             routines.extend(names)
             return get_lapack_funcs(names, arrays)
 
-        monkeypatch.setattr(stability, "_shifted_lu", spy_lu)
+        monkeypatch.setattr(stability, "_band_inertia", spy_inertia)
         monkeypatch.setattr(stability, "get_lapack_funcs", spy_lapack)
-        for l in (0, 1):
+        delta = stability._DELTA
+        below_plus = []
+        for l in (0, 1, 2):
             shifts.clear()
             routines.clear()
-            _mode_spectrum(frame, l)
-            assert shifts == [-stability._DELTA, stability._DELTA]
+            _, inertia = _mode_spectrum(frame, l)
+            below_plus.append(inertia[1])
+            assert shifts == ([delta, -delta] if inertia[1] else [delta])
             assert routines.count("pbtrf") == 1
+        assert below_plus[0] > 0 and below_plus[1] > 0 and below_plus[2] == 0
+
+    def test_mode_parts_built_once_per_frame(self, monkeypatch):
+        # the l-independent parts are memoized on the frame: modes 0-3 of
+        # two meshes build them twice, once per _GridFrame
+        frames = _grid_frames(_profiles_110(0.3, 1.4), (16, 32))
+        built = []
+        mode_parts = stability._mode_parts
+
+        def spy_parts(frame):
+            built.append(frame)
+            return mode_parts(frame)
+
+        monkeypatch.setattr(stability, "_mode_parts", spy_parts)
+        for l in range(4):
+            for frame in frames:
+                _mode_spectrum(frame, l)
+        assert len(built) == 2
+        assert all(a is b for a, b in zip(built, frames))
+
+    def test_eigsh_sees_the_form(self, monkeypatch):
+        # eigsh gets K as an operator, U^H U + sigma_low I from the banded
+        # Cholesky factor, not a sparse copy of the band
+        frame = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
+        seen = []
+        eigsh = stability.eigsh
+
+        def spy_eigsh(A, **kwargs):
+            seen.append(A)
+            return eigsh(A, **kwargs)
+
+        monkeypatch.setattr(stability, "eigsh", spy_eigsh)
+        x = np.random.default_rng(3).standard_normal(48)
+        for l in (0, 1):
+            seen.clear()
+            _mode_spectrum(frame, l)
+            K = _band_dense(_mode_matrix(frame, l))
+            Kx = K @ x.astype(K.dtype)
+            assert np.max(np.abs(seen[0] @ x.astype(K.dtype) - Kx)) <= \
+                1e-12 * np.max(np.abs(Kx))
 
     def test_cholesky_proves_sigma_low_bound(self, monkeypatch):
         # a form with a value below sigma_low = -2 max rho - 1 has no
@@ -461,8 +524,9 @@ class TestSpectrumSlicing:
     def test_unpivoted_factorization_guarded(self, dense):
         # an exactly zero pivot makes SuperLU swap rows and a tiny one
         # leaves the sign count untrustworthy: both raise, naming the shift
+        ab = _dense_band(np.array(dense, dtype=complex))
         with pytest.raises(RuntimeError, match="sigma = 0.0"):
-            _shifted_lu(csc_matrix(np.array(dense, dtype=complex)), 0.0)
+            _band_inertia(ab, 0.0, _band_pattern(ab != 0.0))
 
     @pytest.mark.parametrize("bad", [0.0, -1e-5, 0.1, 1.0, math.nan])
     def test_zero_tol_rejected(self, bad):
@@ -472,9 +536,22 @@ class TestSpectrumSlicing:
         assert stability.ZERO_TOL == 1e-5
 
 
+@functools.lru_cache(maxsize=None)
+def _estimate(a, b):
+    """index_nullity_estimate at (a, b), computed once per test session."""
+    return index_nullity_estimate(ModuliPoint(a, b))
+
+
 @pytest.fixture(scope="module")
 def reference_estimate():
-    return index_nullity_estimate(ModuliPoint(0.3, 1.4))
+    return _estimate(0.3, 1.4)
+
+
+# the regression set: the three criterion-9 points, a -> 1/2 at b = 1.4,
+# two points at larger b and the point where the map misses closing
+PINNED_POINTS = [(0.3, 1.4), (0.0, 1.6), (0.45, 1.25), (0.49, 1.4),
+                 (0.499, 1.4), (0.4999, 1.4), (0.5, 1.4), (-0.5, 1.4),
+                 (0.1, 2.5), (0.0, 3.0), (0.49999, 1.4)]
 
 
 class TestIndexNullity:
@@ -521,7 +598,7 @@ class TestIndexNullity:
         # at (0.49999, 1.4), 1 - tau2 = 5.2e-12, the zero values of modes 0
         # and 1 extrapolate to |v| ~ 1e-5 to 1.5e-4, above ZERO_TOL: the
         # inertia still counts them, and they are flagged
-        est = index_nullity_estimate(ModuliPoint(0.49999, 1.4))
+        est = _estimate(0.49999, 1.4)
         assert (est.index, est.nullity) == (3, 7)
         assert not est.converged
         for l, counts, inertia in ((0, (1, 3), [1, 4]), (1, (1, 2), [1, 3])):
@@ -539,9 +616,26 @@ class TestIndexNullity:
     def test_converged_where_sin_phi_turns_fast(self, a, b):
         # the latitude-angle frame turned at alpha' = d / sin^2 phi and read
         # (5, 3) at a = 0.499 and 0.4999, and flagged the others
-        est = index_nullity_estimate(ModuliPoint(a, b))
+        est = _estimate(a, b)
         assert (est.index, est.nullity) == (3, 7)
         assert est.converged
+
+    @pytest.mark.parametrize("a,b", PINNED_POINTS)
+    def test_pinned_inertia(self, a, b):
+        # on both meshes mode 0 reads [nu(-1), nu(+1)] = [1, 4], mode 1
+        # [1, 3] and mode 2 [0, 0], which ends the loop; only the open map
+        # at (0.49999, 1.4) has borderline values, three in mode 0 and one
+        # in mode 1
+        est = _estimate(a, b)
+        closes = (a, b) != (0.49999, 1.4)
+        assert (est.index, est.nullity, est.converged) == (3, 7, closes)
+        assert list(est.per_mode) == [0, 1, 2]
+        for l, inertia, borderline in ((0, [1, 4], 3), (1, [1, 3], 1),
+                                       (2, [0, 0], 0)):
+            row = est.per_mode[l]
+            assert row["inertia"] == {"512": inertia, "1024": inertia}
+            assert row["counts_match"] is True
+            assert len(row["borderline"]) == (0 if closes else borderline)
 
     @pytest.mark.parametrize("a,b,resolutions", [
         (0.3, 1.4, (2, 3)), (0.3, 1.4, (2, 4)), (0.3, 1.4, (3, 6)),
@@ -576,6 +670,35 @@ class TestIndexNullity:
         assert est.converged
 
     def test_rectangular_point(self):
-        est = index_nullity_estimate(ModuliPoint(0.0, 1.6))
+        est = _estimate(0.0, 1.6)
         assert est.index <= 4
         assert est.nullity >= 6
+
+
+class TestBoundaryBracket:
+    """The index count against the constant-latitude boundary map at
+    a^2 + b0^2 = 1 with latitude arccos(sqrt(3)/(2 b0)), whose Jacobi
+    operator splits into the 3x3 blocks of jacobi_block.  Index is lower
+    and index + nullity upper semicontinuous, so the (1,1,0) maps just
+    inside the boundary have index >= 2 and index + nullity <= 11."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.45])
+    def test_interior_count_within_boundary_bracket(self, a):
+        b0 = math.sqrt(1.0 - a * a)
+        phi0 = math.acos(math.sqrt(3.0) / (2.0 * b0))
+        # only the blocks with |k|, |l| <= 1 are not positive definite
+        vals = np.concatenate([
+            np.linalg.eigvalsh(jacobi_block(ModuliPoint(a, b0), 1, 0, phi0,
+                                            k, l).matrix)
+            for k in range(-12, 13) for l in range(-6, 7)])
+        assert np.sum(vals < -1e-9) == 2
+        assert np.sum(np.abs(vals) <= 1e-9) == 9
+        smallest = []
+        for eps in (1e-2, 1e-3):
+            est = index_nullity_estimate(ModuliPoint(a, b0 + eps))
+            assert est.index >= 2
+            assert est.index + est.nullity <= 11
+            smallest.append(est.per_mode[0]["smallest"])
+        # the third negative value, mode 0's lowest, goes to 0 like
+        # sqrt(eps): the ratio over a decade of eps is near sqrt(10)
+        assert 2.5 <= smallest[0] / smallest[1] <= 4.0
