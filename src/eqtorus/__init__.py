@@ -18,7 +18,6 @@ from eqtorus.elliptic import (
 )
 from eqtorus.functional import flat_lambda1, functional_value, moduli_scan
 from eqtorus.maps import (
-    build_circle_map,
     build_profiles,
     conformality_residual,
     export_mesh,
@@ -53,7 +52,7 @@ __all__ = [
     "ModuliPoint", "MapParams", "TauTriple", "Regime",
     "InfeasibleParametersError", "classify_params", "phi_fn", "solve_n",
     "psi_fn", "solve_tau", "third_limit_asymptote",
-    "build_profiles", "build_circle_map",
+    "build_profiles",
     "harmonicity_residual", "hopf_constants", "export_mesh",
     "sl_problem", "count_below", "assemble_N2", "construct_strict_instance",
     "functional_value", "flat_lambda1", "moduli_scan",

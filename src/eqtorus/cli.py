@@ -234,14 +234,13 @@ def cmd_mesh(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_point_args(sp, with_pqr: bool = True):
+def _add_point_args(sp):
     sp.add_argument("--a", required=True,
                     help="lattice shear; decimal or exact rational like 1/4")
     sp.add_argument("--b", type=float, required=True, help="lattice height > 0")
-    if with_pqr:
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--r", type=int, required=True)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--r", type=int, required=True)
 
 
 @functools.cache

@@ -206,24 +206,26 @@ def xi_tilde_fn(m: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def _energy(point: ModuliPoint, p=1, q=1, r=0) -> float:
-    params = classify_params(point, p, q, r)
+def _energy(point: ModuliPoint) -> float:
+    """The energy of the (1,1,0) map at point."""
+    params = classify_params(point, 1, 1, 0)
     tau = solve_tau(point, params)
     return 0.5 * lambda_bar_closed_form(tau, params, point)
 
 
-def hopf_derivative_check(point: ModuliPoint, h: float = 1e-4) -> dict:
+def hopf_derivative_check(point: ModuliPoint) -> dict:
     """Finite-difference energy derivatives of the (1,1,0) family vs 2 H.
 
-    Central differences with one Richardson step at h/2 for d E/d a and
-    d E/d b; the holomorphicity of the Hopf differential predicts
-    dE/da = 2 H_im and dE/db = 2 H_re.  Returns both sides and the errors.
+    Central differences of step h = 1e-4 with one Richardson step at h/2
+    for d E/d a and d E/d b; the holomorphicity of the Hopf differential
+    predicts dE/da = 2 H_im and dE/db = 2 H_re.  Returns both sides and the
+    errors.
     """
-    a, b = point.a, point.b
+    a, b, h = point.a, point.b, 1e-4
     # small negative a is fine (the class is mirror symmetric); only the
     # constant-latitude boundary must stay strictly outside the stencil
     if (abs(a) + h) ** 2 + (b - h) ** 2 <= 1.0:
-        raise ValueError("step crosses the circle-family boundary; shrink h")
+        raise ValueError("step crosses the circle-family boundary")
     if abs(a) + h > 0.5:
         raise ValueError(f"|a| + h = {abs(a) + h} leaves the |r+a|/q <= 1/2 "
                          "region")

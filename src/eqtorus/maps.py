@@ -42,7 +42,6 @@ __all__ = [
     "CircleMap",
     "HopfConstants",
     "build_profiles",
-    "build_circle_map",
     "harmonicity_residual",
     "hopf_constants",
     "hopf_grid_residual",
@@ -65,7 +64,7 @@ class ProfileSet:
     def __init__(self, tau: TauTriple, params: MapParams, point: ModuliPoint):
         if params.regime is Regime.CIRCLE_FAMILY:
             raise InfeasibleParametersError(
-                "circle-family parameters: use build_circle_map")
+                "circle-family parameters: use CircleMap")
         self.tau = tau
         self.params = params
         self.point = point
@@ -252,10 +251,6 @@ class CircleMap:
         return np.zeros_like(z2), TWO_PI * 1j * z2
 
 
-def build_circle_map(point: ModuliPoint, p: int, r: int, phi0: float) -> CircleMap:
-    return CircleMap(point, p, r, phi0)
-
-
 # --------------------------------------------------------------------------
 # numerical certification
 # --------------------------------------------------------------------------
@@ -310,26 +305,27 @@ def _hopf_samples(map_like, n: int):
             -2.0 * np.sum(dx * dy, axis=0))
 
 
-def hopf_grid_residual(map_like, n: int = 64):
-    """Sampled (4 H_re, 4 H_im) from first derivatives on a y-grid.
+def hopf_grid_residual(map_like):
+    """Sampled (4 H_re, 4 H_im) from first derivatives on a 64-point y-grid.
 
     Returns (mean_re, mean_im, max_std) where max_std bounds the pointwise
     deviation of either component from its mean; a harmonic torus must make
     this machine-small since the Hopf differential is holomorphic.
     """
-    re4, im4 = _hopf_samples(map_like, n)
+    re4, im4 = _hopf_samples(map_like, 64)
     spread = max(float(np.max(re4) - np.min(re4)),
                  float(np.max(im4) - np.min(im4)))
     return float(np.mean(re4)) / 4.0, float(np.mean(im4)) / 4.0, spread / 4.0
 
 
-def conformality_residual(map_like, n: int = 512) -> tuple[float, float]:
-    """(max | |du/dx|^2 - |du/dy|^2 |, max |<du/dx, du/dy>|) over a y-grid.
+def conformality_residual(map_like) -> tuple[float, float]:
+    """(max | |du/dx|^2 - |du/dy|^2 |, max |<du/dx, du/dy>|) over a 512-point
+    y-grid.
 
     Both vanish (to 1e-8) exactly when the map is minimal, i.e. when
     A = 4 pi^2 and d = 0.
     """
-    re4, im4 = _hopf_samples(map_like, n)
+    re4, im4 = _hopf_samples(map_like, 512)
     return float(np.max(np.abs(re4))), float(np.max(np.abs(im4))) / 2.0
 
 

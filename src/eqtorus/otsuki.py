@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from eqtorus.elliptic import complete_K
-from eqtorus.maps import build_profiles, conformality_residual
+from eqtorus.maps import build_profiles
 from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
@@ -36,7 +36,6 @@ __all__ = [
     "solve_otsuki",
     "otsuki_tau_triple",
     "otsuki_map",
-    "conformality_residual",
 ]
 
 OMEGA_AT_0 = math.sqrt(2.0) * math.pi / 2.0

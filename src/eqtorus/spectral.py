@@ -243,15 +243,14 @@ def monodromy(problem: SLProblem, lam: float):
     """
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = _mesh(problem, lam)
-    M_P = _period_sweep(_samples(problem, n), problem.period / n, k2,
-                        np.array([float(lam)]))
-    return np.linalg.matrix_power(M_P[:, :, 0], problem.q)
+    M_P = _period_sweep(_samples(problem, n), problem.period / n, k2, lam)
+    return np.linalg.matrix_power(M_P, problem.q)
 
 
 def _magnus_step(rho: np.ndarray, h: float, k2: float,
-                 lams: np.ndarray) -> np.ndarray:
-    """Every step's matrix, a (2, 2, n, lams.size) array whose [:, :, j, k]
-    is step j at lams[k]: the sixth-order Magnus step exp(Omega) for
+                 lam: float) -> np.ndarray:
+    """Every step's matrix, a (2, 2, n) array whose [:, :, j] is step j:
+    the sixth-order Magnus step exp(Omega) for
     (h, h')' = A (h, h'), A = [[0, 1], [g, 0]], g = k2 - lambda rho, from
     rho at the step's three Gauss nodes (a (3, n) rho).
 
@@ -264,7 +263,7 @@ def _magnus_step(rho: np.ndarray, h: float, k2: float,
     Omega^2 = s2 I, so exp(Omega) = cosh(s) I + sinh(s)/s Omega, with cos
     and sin where s2 < 0; constant coefficients make it exact.
     """
-    g1, g2, g3 = k2 - lams * rho[:, :, None]
+    g1, g2, g3 = k2 - lam * rho
     hh = h * h
     x = hh * g2
     y = (hh * math.sqrt(15.0) / 3.0) * (g3 - g1)
@@ -285,25 +284,24 @@ def _magnus_step(rho: np.ndarray, h: float, k2: float,
 
 
 def _period_sweep(rho: np.ndarray, h: float, k2: float,
-                  lams: np.ndarray) -> np.ndarray:
-    """M_P(lambda) for every lambda in one sweep; M_P[r, c, k] is entry
-    (r, c) of the one-period matrix at lams[k].
+                  lam: float) -> np.ndarray:
+    """M_P(lam), the (2, 2) matrix of one period.
 
     Sixth-order Magnus steps of size h over one period P = n h, with rho
-    at the three Gauss nodes of each step (a (3, n) rho).  A step over a few
-    lambdas costs numpy's per-call overhead, not its arithmetic, so all n
-    step matrices are made at once, and M_P is their ordered product by a
-    pairwise product tree.  A step angle h sqrt(max |k2 - lambda rho|)
-    above 1 raises ValueError: the mesh does not resolve the batch.
+    at the three Gauss nodes of each step (a (3, n) rho).  A step costs
+    numpy's per-call overhead, not its arithmetic, so all n step matrices
+    are made at once, and M_P is their ordered product by a pairwise
+    product tree.  A step angle h sqrt(max |k2 - lam rho|) above 1 raises
+    ValueError: the mesh does not resolve lam.
     """
-    corners = k2 - np.outer([lams.min(), lams.max()], [rho.min(), rho.max()])
-    angle = h * math.sqrt(float(np.max(np.abs(corners))))
+    angle = h * math.sqrt(max(abs(k2 - lam * rho.min()),
+                              abs(k2 - lam * rho.max())))
     if angle > 1.0:
         raise ValueError(f"Magnus step angle {angle:.3g} exceeds 1: the mesh "
-                         "does not resolve the largest lambda of the batch")
+                         "does not resolve lambda")
     # each level puts every odd step onto the even one before it: entry
     # (i, k) of a product is sum_j odd[i, j] even[j, k], two broadcast terms
-    M = _magnus_step(rho, h, k2, lams)
+    M = _magnus_step(rho, h, k2, lam)
     while M.shape[2] > 1:
         odd, even = M[:, :, 1::2], M[:, :, :-1:2]
         pairs = odd[:, :1] * even[:1] + odd[:, 1:] * even[1:]
@@ -463,8 +461,7 @@ def _T_fn(m: float, n0: float, n1: float) -> float:
     return n1 / (n1 - n0) * (1.0 - n0 / m + n0)
 
 
-def construct_strict_instance(seed=(Fraction(1, 6), -6.0, Fraction(9, 10)),
-                              max_denominator: int = 60):
+def construct_strict_instance(seed=(Fraction(1, 6), -6.0, Fraction(9, 10))):
     """Parameters (a, b, p, q, r) whose Weyl count exceeds the lower bound.
 
     Recipe: starting from the seed (m, n0~, n1) with T = tau1+tau3-tau2 > 4,
@@ -485,7 +482,7 @@ def construct_strict_instance(seed=(Fraction(1, 6), -6.0, Fraction(9, 10)),
 
     x = phi_fn(n0_seed, m) / math.pi
     frac = None
-    for den in range(3, max_denominator + 1):
+    for den in range(3, 61):
         cand = Fraction(x).limit_denominator(den)
         if cand <= Fraction(1, 2):
             continue
@@ -495,8 +492,8 @@ def construct_strict_instance(seed=(Fraction(1, 6), -6.0, Fraction(9, 10)),
             break
     if frac is None:
         raise RuntimeError(
-            f"no rational theta target with denominator <= {max_denominator} "
-            "keeps T > 4 near the seed")
+            "no rational theta target with denominator <= 60 keeps T > 4 "
+            "near the seed")
     p0, q0 = frac.numerator, frac.denominator
     n0 = solve_n(math.pi * p0 / q0, "theta", m)
     T0 = _T_fn(m, n0, n1)

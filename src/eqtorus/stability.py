@@ -37,7 +37,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from eqtorus.maps import build_circle_map, build_profiles
+from eqtorus.maps import CircleMap, build_profiles
 from eqtorus.tau_solver import (
     ModuliPoint,
     classify_params,
@@ -191,7 +191,7 @@ def hersch_quadrature(b0: float) -> float:
     """
     a0 = math.sqrt(max(1.0 - b0 * b0, 0.0))
     phi0 = math.acos(math.sqrt(3.0) / (2.0 * b0))
-    cm = build_circle_map(ModuliPoint(a0, b0), 1, 0, phi0)
+    cm = CircleMap(ModuliPoint(a0, b0), 1, 0, phi0)
     t = np.arange(16) / 16.0
     z1, _ = cm.map_values(t[:, None], b0 * t)
     return b0 * float(np.mean(3.0 * z1.real**2 - 1.0)) * 2.0 * cm.energy_density

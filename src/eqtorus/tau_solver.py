@@ -115,14 +115,6 @@ class ModuliPoint:
         object.__setattr__(self, "a", float(frac))
         object.__setattr__(self, "b", float(self.b))
 
-    @property
-    def a_class(self) -> str:
-        if self.a_exact == 0:
-            return "zero"
-        if self.a_exact == Fraction(1, 2):
-            return "half"
-        return "generic"
-
 
 @dataclass(frozen=True)
 class MapParams:
@@ -557,8 +549,8 @@ def solve_taus(points, params: MapParams) -> list:
             "(r+a)^2 + b^2 > p^2")
     for i in np.flatnonzero(j == psi_table.size):
         out[i] = InfeasibleParametersError(
-            "root of Psi(m) lies beyond m = 1 - 1e-12; b is too large to "
-            "resolve")
+            f"root of Psi(m) lies beyond m = 1 - {_TABLE_M1[-1]:.2g}; b is "
+            "too large to resolve")
     rows = np.flatnonzero((psi_table[0] <= goal) & (j < psi_table.size))
     if rows.size:
         # Psi rises along the table: its entry hi >= goal, lo < goal

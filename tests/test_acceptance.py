@@ -19,11 +19,10 @@ from eqtorus.functional import (
     lambda_bar_closed_form,
     lambda_bar_quadrature,
 )
-from eqtorus.maps import build_profiles
+from eqtorus.maps import build_profiles, conformality_residual
 from eqtorus.otsuki import (
     OMEGA_AT_0,
     OMEGA_AT_1,
-    conformality_residual,
     omega_fn,
     otsuki_map,
     solve_otsuki,

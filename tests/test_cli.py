@@ -106,6 +106,14 @@ class TestSolveTau:
         assert "b^2" in err
         assert out == ""
 
+    def test_root_past_the_psi_table_exit_2(self, run):
+        # the message names where the table of Psi ends, m1 = 2^-39
+        code, out, err = run("solve-tau", "--a", "0.3", "--b", "5",
+                             "--p", "1", "--q", "1", "--r", "0")
+        assert code == 2
+        assert "beyond m = 1 - 1.8e-12;" in err
+        assert out == ""
+
     def test_deterministic_output(self, run):
         args = ("solve-tau", "--a", "1/4", "--b", "2.1",
                 "--p", "2", "--q", "3", "--r", "0")

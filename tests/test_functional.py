@@ -229,13 +229,13 @@ class TestHopfDerivative:
         assert abs(rep["dE_da"]) <= 1e-6
 
     def test_boundary_guard(self):
-        with pytest.raises(ValueError):
-            hopf_derivative_check(ModuliPoint(0.2, math.sqrt(1 - 0.04) + 1e-6),
-                                  h=1e-3)
+        # the step h = 1e-4 crosses the circle-family boundary
+        with pytest.raises(ValueError, match="circle-family boundary"):
+            hopf_derivative_check(ModuliPoint(0.2, math.sqrt(1 - 0.04) + 1e-6))
         # the region test is on |a| + h, and so is the printed value
-        for a in (0.45, -0.45):
-            with pytest.raises(ValueError, match=r"\|a\| \+ h = 0\.55 "):
-                hopf_derivative_check(ModuliPoint(a, 1.5), h=0.1)
+        for a in (0.49995, -0.49995):
+            with pytest.raises(ValueError, match=r"\|a\| \+ h = 0\.50005 "):
+                hopf_derivative_check(ModuliPoint(a, 1.5))
 
     def test_scaling_covariance(self):
         # lambda_bar = lambda_1 * area is scale free: scaling the metric by

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eqtorus.maps import (
-    build_circle_map,
+    CircleMap,
     build_profiles,
     export_mesh,
     harmonicity_residual,
@@ -208,22 +208,22 @@ class TestEvalMap:
 class TestCircleMap:
     def test_degenerate_latitudes(self):
         pt = ModuliPoint(0.0, 1.0)
-        eq = build_circle_map(pt, 1, 0, 0.0)
+        eq = CircleMap(pt, 1, 0, 0.0)
         z1, z2 = eq.map_values(0.3, 0.7)
         assert abs(z2) == pytest.approx(0.0, abs=1e-15)
-        pole = build_circle_map(pt, 1, 0, math.pi / 2)
+        pole = CircleMap(pt, 1, 0, math.pi / 2)
         z1, z2 = pole.map_values(0.3, 0.7)
         assert abs(z1) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_density_and_harmonicity(self):
         pt = ModuliPoint(-0.6, math.sqrt(0.84))
-        cm = build_circle_map(pt, 1, 1, 0.7)
+        cm = CircleMap(pt, 1, 1, 0.7)
         assert cm.energy_density == pytest.approx(
             2 * math.pi**2 / pt.b**2, rel=1e-12)
         assert harmonicity_residual(cm) <= 1e-9
 
     def test_clifford_family(self):
-        cm = build_circle_map(ModuliPoint(0.0, 1.0), 1, 0, math.pi / 4)
+        cm = CircleMap(ModuliPoint(0.0, 1.0), 1, 0, math.pi / 4)
         y = np.linspace(0, 1, 11)
         z1, z2 = cm.map_values(0.0, y)
         np.testing.assert_allclose(np.abs(z1), np.abs(z2), atol=1e-15)
@@ -231,9 +231,9 @@ class TestCircleMap:
 
     def test_boundary_violation_rejected(self):
         with pytest.raises(InfeasibleParametersError):
-            build_circle_map(ModuliPoint(0.0, 2.0), 1, 0, 0.3)
+            CircleMap(ModuliPoint(0.0, 2.0), 1, 0, 0.3)
         with pytest.raises(ValueError):
-            build_circle_map(ModuliPoint(0.0, 1.0), 1, 0, 2.0)
+            CircleMap(ModuliPoint(0.0, 1.0), 1, 0, 2.0)
 
 
 class TestHarmonicity:

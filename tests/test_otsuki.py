@@ -7,12 +7,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from eqtorus.maps import build_circle_map, harmonicity_residual
+from eqtorus.maps import CircleMap, conformality_residual, harmonicity_residual
 from eqtorus.otsuki import (
     OMEGA_AT_0,
     OMEGA_AT_1,
     OtsukiParams,
-    conformality_residual,
     omega_fn,
     otsuki_map,
     otsuki_tau_triple,
@@ -171,7 +170,7 @@ class TestOtsukiMap:
         assert diag > 1e-3 and offdiag > 1e-3
 
     def test_clifford_conformal(self):
-        cm = build_circle_map(ModuliPoint(0, 1.0), 1, 0, math.pi / 4)
+        cm = CircleMap(ModuliPoint(0, 1.0), 1, 0, math.pi / 4)
         diag, offdiag = conformality_residual(cm)
         assert diag <= 1e-10 and offdiag <= 1e-10
 

@@ -56,13 +56,11 @@ def _dop853(problem, lam, rtol):
     return np.array([[h1, h2], [v1, v2]])
 
 
-def _sweep(problem, lams, n=None):
-    """M_P for a batch of lambdas on n steps, by default monodromy's mesh at
-    lambda = 2."""
+def _sweep(problem, lam, n=None):
+    """M_P at lam on n steps, by default monodromy's mesh at lambda = 2."""
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = n or _mesh(problem, 2.0)
-    return _period_sweep(_samples(problem, n), problem.period / n, k2,
-                         np.asarray(lams))
+    return _period_sweep(_samples(problem, n), problem.period / n, k2, lam)
 
 
 def _gauss_nodes(n, period=1.0):
@@ -119,9 +117,9 @@ class TestMonodromy:
         prof = _profiles(0.25, 2.1, 2, 3, 0)[3]
         for l in (0, 1):
             pb = sl_problem(prof, l)
-            M_P = _sweep(pb, [2.0])
+            M_P = _sweep(pb, 2.0)
             np.testing.assert_array_equal(
-                monodromy(pb, 2.0), np.linalg.matrix_power(M_P[:, :, 0], pb.q))
+                monodromy(pb, 2.0), np.linalg.matrix_power(M_P, pb.q))
 
     @pytest.mark.parametrize("case", [(0.25, 2.1, 2, 3, 0),
                                       (0.1, 3.1, 3, 4, 0)])
@@ -145,8 +143,7 @@ class TestMonodromy:
         for l in (0, 1):
             pb = sl_problem(prof, l)
             one = dataclasses.replace(pb, b=pb.period, q=1)
-            M = _sweep(pb, lams)
-            fast = M[0, 0] + M[1, 1]
+            fast = np.array([np.trace(_sweep(pb, lam)) for lam in lams])
             slow = [np.trace(_dop853(one, lam, 1e-11)) for lam in lams]
             np.testing.assert_allclose(fast, slow, atol=1e-9)
             full = 2.0 * np.polynomial.chebyshev.chebval(
@@ -155,14 +152,13 @@ class TestMonodromy:
             np.testing.assert_allclose(full, slow, atol=1e-8)
 
 
-def _sequential_sweep(rho, h, k2, lams):
+def _sequential_sweep(rho, h, k2, lam):
     """The period sweep step by step: the same Magnus step matrices, each
-    put onto the product of those before it; M[r, c, k] as in
-    _period_sweep."""
-    steps = _magnus_step(rho, h, k2, lams)
+    put onto the product of those before it."""
+    steps = _magnus_step(rho, h, k2, lam)
     M = steps[:, :, 0]
     for i in range(1, steps.shape[2]):
-        M = np.einsum("ijk,jlk->ilk", steps[:, :, i], M)
+        M = steps[:, :, i] @ M
     return M
 
 
@@ -175,7 +171,7 @@ def _assert_matches_sequential(M, M_seq):
 @st.composite
 def _sweep_cases(draw):
     """(rho, h, k2, lams): a positive trig-polynomial rho over P = 1 at the
-    Gauss nodes of n steps, and a batch of lambdas whose step angle
+    Gauss nodes of n steps, and lambdas whose step angle
     h sqrt(max |k2 - lambda rho|) is at most 1."""
     n = draw(st.integers(16, 1200))
     k2 = draw(st.sampled_from([0.0, 4.0 * math.pi**2, 16.0 * math.pi**2]))
@@ -213,11 +209,12 @@ class TestBlockedSweep:
                + 3.0 * np.cos(6.0 * math.pi * y))
         k2 = 4.0 * math.pi**2
         lams = np.sort(np.random.default_rng(nl).uniform(0.1, 150.0, nl))
-        M = _period_sweep(rho, 1.0 / n, k2, lams)
-        M_seq = _sequential_sweep(rho, 1.0 / n, k2, lams)
-        _assert_matches_sequential(M, M_seq)
-        if steps == 1:  # one step is the sequential sweep, bit for bit
-            np.testing.assert_array_equal(M, M_seq)
+        for lam in lams:
+            M = _period_sweep(rho, 1.0 / n, k2, lam)
+            M_seq = _sequential_sweep(rho, 1.0 / n, k2, lam)
+            _assert_matches_sequential(M, M_seq)
+            if steps == 1:  # one step is the sequential sweep, bit for bit
+                np.testing.assert_array_equal(M, M_seq)
 
     def test_default_blocks(self):
         # monodromy's one-period matrix matches the sequential sweep over
@@ -226,8 +223,8 @@ class TestBlockedSweep:
         one = dataclasses.replace(pb, b=pb.period, q=1)
         n = _mesh(pb, 2.0)
         M_seq = _sequential_sweep(_samples(pb, n), pb.period / n,
-                                  4.0 * math.pi**2, np.array([2.0]))
-        _assert_matches_sequential(monodromy(one, 2.0), M_seq[:, :, 0])
+                                  4.0 * math.pi**2, 2.0)
+        _assert_matches_sequential(monodromy(one, 2.0), M_seq)
 
     @settings(max_examples=100, deadline=None)
     @given(_sweep_cases())
@@ -235,20 +232,20 @@ class TestBlockedSweep:
         # the product tree of the step matrices against the step-by-step
         # sweep, for any resolving mesh
         rho, h, k2, lams = case
-        _assert_matches_sequential(_period_sweep(rho, h, k2, lams),
-                                   _sequential_sweep(rho, h, k2, lams))
+        for lam in lams:
+            _assert_matches_sequential(_period_sweep(rho, h, k2, lam),
+                                       _sequential_sweep(rho, h, k2, lam))
 
     def test_rejects_unresolved_mesh(self):
-        # step angle h sqrt(max |k2 - lambda rho|) = 1.1 from the largest
-        # lambda, or from k2 alone at lambda = 0; the smallest lambda passes
+        # step angle h sqrt(max |k2 - lambda rho|) = 1.1 from lambda, or
+        # from k2 alone at lambda = 0; step angle 1 passes
         n = 100
         rho = np.ones((3, n))
-        lams = np.array([1.0, 1.21]) * n * n
         with pytest.raises(ValueError, match="step angle"):
-            _period_sweep(rho, 1.0 / n, 0.0, lams)
+            _period_sweep(rho, 1.0 / n, 0.0, 1.21 * n * n)
         with pytest.raises(ValueError, match="step angle"):
-            _period_sweep(rho, 1.0 / n, 1.21 * n * n, np.array([0.0]))
-        _period_sweep(rho, 1.0 / n, 0.0, lams[:1])
+            _period_sweep(rho, 1.0 / n, 1.21 * n * n, 0.0)
+        _period_sweep(rho, 1.0 / n, 0.0, 1.0 * n * n)
 
 
 def _closed_form(g, b):
@@ -288,8 +285,7 @@ class TestMagnusExact:
     def test_step_counts(self, n, g):
         # one period P = 1 on n steps
         want = _closed_form(g, 1.0)
-        M = _period_sweep(np.full((3, n), 1.3), 1.0 / n, 0.0,
-                          np.array([-g / 1.3]))[:, :, 0]
+        M = _period_sweep(np.full((3, n), 1.3), 1.0 / n, 0.0, -g / 1.3)
         assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("l", [0, 1])
@@ -299,8 +295,7 @@ class TestMagnusExact:
         point, params, cert = instance
         pb = sl_problem(build_profiles(cert["tau"], params, point), l)
         n = _mesh(pb, 2.0)
-        traces = [np.trace(np.linalg.matrix_power(_sweep(pb, [2.0], k * n)
-                                                  [:, :, 0], pb.q))
+        traces = [np.trace(np.linalg.matrix_power(_sweep(pb, 2.0, k * n), pb.q))
                   for k in (1, 2)]
         assert abs(traces[0] - traces[1]) <= 1e-10
 
@@ -311,8 +306,7 @@ class TestMagnusExact:
         # order
         pb = sl_problem(_profiles(0.0, 2.0, 1, 1, 0)[3], 1)
         n = _mesh(pb, 2.0)
-        t1, t2, t4 = (np.trace(_sweep(pb, [2.0], k * n)[:, :, 0])
-                      for k in (1, 2, 4))
+        t1, t2, t4 = (np.trace(_sweep(pb, 2.0, k * n)) for k in (1, 2, 4))
         assert abs(t1 - t2) <= 5e-10
         assert abs(t2 - t4) <= 1e-10
 

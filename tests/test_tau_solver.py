@@ -56,10 +56,9 @@ def raw_integral_two(tau1, tau2, tau3):
 
 class TestModuliPoint:
     def test_a_class_from_exact_input(self):
-        assert ModuliPoint(0, 1.5).a_class == "zero"
-        assert ModuliPoint(0.5, 1.5).a_class == "half"
-        assert ModuliPoint("1/2", 1.5).a_class == "half"
-        assert ModuliPoint(0.25, 1.5).a_class == "generic"
+        assert ModuliPoint(0, 1.5).a_exact == 0
+        assert ModuliPoint(0.5, 1.5).a_exact == Fraction(1, 2)
+        assert ModuliPoint("1/2", 1.5).a_exact == Fraction(1, 2)
 
     def test_string_rational(self):
         pt = ModuliPoint("1/4", 2.1)
@@ -89,7 +88,7 @@ class TestClassify:
     def test_circle_boundary_decided_once(self, eps, on_boundary):
         # the regime, the limiting data, the circle map and the Jacobi blocks
         # all accept exactly the points within CIRCLE_TOL of the boundary
-        from eqtorus.maps import build_circle_map
+        from eqtorus.maps import CircleMap
         from eqtorus.stability import jacobi_block
 
         pt = ModuliPoint(0, math.sqrt(1.0 + eps))
@@ -97,7 +96,7 @@ class TestClassify:
         regime = classify_params(pt, 1, 2, 0).regime
         assert (regime is Regime.CIRCLE_FAMILY) == on_boundary
         for build in (lambda: third_limit_asymptote(pt, 1, 2, 0),
-                      lambda: build_circle_map(pt, 1, 0, 0.5),
+                      lambda: CircleMap(pt, 1, 0, 0.5),
                       lambda: jacobi_block(pt, 1, 0, 0.5, 1, 0)):
             if on_boundary:
                 build()
