@@ -15,25 +15,30 @@ amplitude.  They also make z1'' = ((cos phi)'' - theta'^2 cos phi) e^{i theta}
 and z2'' = ((sin phi)'' - alpha'^2 sin phi) e^{i psi}, so harmonicity_residual
 checks every map with closed-form second derivatives.
 
+rho has the classical cosine series of sn^2 in the nome (DLMF 22.11.13),
+which ProfileSet.rho_series gives once per map for the spectral layer.
+
 The constant-latitude ("circle") family lives on the boundary
 (r+a)^2 + b^2 = p^2 and is exactly harmonic with constant energy density.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from eqtorus.elliptic import incomplete_Pi, jacobi_sn_cn_dn_am
+from eqtorus.elliptic import complete_K, incomplete_Pi, jacobi_sn_cn_dn_am
 from eqtorus.tau_solver import (
     InfeasibleParametersError,
     MapParams,
     ModuliPoint,
     Regime,
     TauTriple,
+    _carlson,
     require_circle_boundary,
 )
 
@@ -50,14 +55,16 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# largest relative defect |w b/q - 2K| / (2K) of rho's period 2K/w
+PERIOD_TOL = 1e-9
 
 
 class ProfileSet:
     """Evaluable closed forms phi, theta, alpha, rho of one harmonic map.
 
-    Immutable after construction, apart from the rho_samples memo; all
-    evaluators are vectorized in y and pure.  theta and alpha are globally
-    smooth (unwrapped) and satisfy theta(y+b) = theta(y) + 2 pi p,
+    Immutable after construction, apart from the rho_series and rho_samples
+    memos; all evaluators are vectorized in y and pure.  theta and alpha are
+    globally smooth (unwrapped) and satisfy theta(y+b) = theta(y) + 2 pi p,
     alpha(y+b) = alpha(y) - 2 pi (r+a).
     """
 
@@ -70,8 +77,8 @@ class ProfileSet:
         self.point = point
         self.w = TWO_PI * math.sqrt(tau.tau3 - tau.tau1)
         self.rpa = params.r_plus_a(point)
-        # rho's Fourier data for the spectral layer, which every Fourier
-        # mode of this map shares (spectral.SLProblem.samples)
+        # rho's samples and Hill inverse for the spectral layer, which every
+        # Fourier mode of this map shares (spectral.SLProblem.samples)
         self.rho_samples: dict = {}
         t1, t2, t3 = tau.taus
         self._dt = t2 - t1
@@ -146,6 +153,35 @@ class ProfileSet:
 
     def rho(self, y):
         return 2.0 * math.pi**2 * (self._sigma - 2.0 * self.cos2_phi(y))
+
+    @functools.cached_property
+    def rho_series(self) -> np.ndarray:
+        """(c_0, c_1, ...) of rho = c_0 + 2 sum c_k cos(2 pi k y/P), P = 2K/w,
+        from the series of sn^2 in the nome e^{-x}, x = pi K'/K (DLMF
+        22.11.13): c_0 = 2 pi^2 (tau1 + tau2 - tau3 + 2 (tau3 - tau1) E/K),
+        c_k = 2 pi^4 (tau3 - tau1) k / (K^2 sinh(k x)), with 1 - m = (gap2 +
+        gap3)/(tau3 - tau1) from the carried gaps.  The c_k fall; the series
+        stops before the first below 2^-53 c_0, so what is made from it is
+        exact to rounding.  Raises ValueError unless P = b/q to PERIOD_TOL."""
+        t1, t2, t3 = self.tau.taus
+        m1 = (self.tau.gap2 + self.tau.gap3) / (t3 - t1)
+        K, Ra, _ = _carlson(m1)
+        q = self.params.q
+        defect = abs(self.w * self.point.b / q - 2.0 * K) / (2.0 * K)
+        if not defect <= PERIOD_TOL:
+            raise ValueError(
+                f"rho is not periodic with period b/q = {self.point.b / q:.9g} "
+                f"(q = {q}): relative defect {defect:.3g}; a wrong q or a tau "
+                "solve that does not close the profile")
+        E = K - (1.0 - m1) * Ra / 3.0
+        coef = [2.0 * math.pi**2 * (t1 + t2 - t3 + 2.0 * (t3 - t1) * E / K)]
+        x = math.pi * complete_K(m1) / K
+        scale = 2.0 * math.pi**4 * (t3 - t1) / (K * K)
+        k = 1
+        while (c := scale * k / math.sinh(k * x)) >= 2.0**-53 * coef[0]:
+            coef.append(c)
+            k += 1
+        return np.array(coef)
 
     # -- derivatives (closed forms) --------------------------------------
 

@@ -9,12 +9,11 @@ is the union over j < q of the one-period problems with multiplier
 e^{i phi_j}, phi_j = (2 pi l a + 2 pi j)/q.  count_below solves all of them
 at once by Rayleigh-Ritz (Galerkin) in the Fourier basis of the
 quasi-periodic functions, the Hill matrix (Magnus & Winkler, *Hill's
-Equation*, 1966): rho enters only through the Hermitian Toeplitz matrix of
-its Fourier coefficients, which every phase and every mode of a map share.
+Equation*, 1966): rho enters only through the real symmetric Toeplitz matrix
+of its cosine coefficients, which every phase and every mode of a map share.
 Galerkin values bound the eigenvalues from above (min-max), so a truncation
 can only undercount; the truncation is read off the decay of rho's
-coefficients and the kinetic terms that an eigenvalue below 2 can reach,
-and samples that cannot resolve it raise instead of counting.
+coefficients and the kinetic terms that an eigenvalue below 2 can reach.
 
 monodromy gives the fundamental matrix over [0, b] as M_P^q, from one
 fixed-step sweep over [0, P] by the sixth-order Magnus integrator on three
@@ -22,13 +21,12 @@ Gauss nodes (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999; Blanes,
 Casas & Ros, BIT 40, 2000), exact for constant coefficients; it makes
 every step matrix at once and multiplies them by a pairwise product tree
 (_period_sweep), and carries the certificates that the map components have
-eigenvalue 2.  rho is one function with one period for every mode, so the
-modes of one map share its Fourier coefficients (ProfileSet.rho_samples):
-rho is sampled on 64 uniform nodes of the period, doubled until they
-resolve the Hill matrix, and its period is checked once (_coefficients).
-Each certificate mesh takes rho at its Gauss nodes from these coefficients
-by one phase-shifted irfft, shared by the modes on that mesh, so
-assemble_N2 evaluates rho at a few hundred points.
+eigenvalue 2.  A problem takes rho as the coefficients c_k of its cosine
+series rho = c_0 + 2 sum c_k cos(2 pi k y/P); a map's come in closed form
+from ProfileSet.rho_series, which also checks the period, once per map.
+Each certificate mesh takes rho at its Gauss nodes from them by one
+phase-shifted irfft, shared by the modes on that mesh, so assemble_N2
+evaluates rho itself at no point.
 
 The mode counts assemble into the Weyl count N(2) of the metric:
 
@@ -78,11 +76,8 @@ TWO_PI = 2.0 * math.pi
 AT_THRESHOLD_TOL = 1e-7
 # the Hill basis reaches every Fourier coefficient of rho at or above this
 # fraction of its mean.  A Galerkin value errs by about the square of what
-# the basis leaves out, and the cut stays far above the coefficient floor,
-# about 1e-12, that a period defect within PERIOD_TOL leaves
+# the basis leaves out
 FOURIER_CUT = 1e-9
-# largest relative defect |rho(y + b/q) - rho(y)| accepted as periodicity
-PERIOD_TOL = 1e-9
 # Gauss-Legendre nodes of one Magnus step, in units of the step
 GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -92,14 +87,16 @@ class SLProblem:
     """One Fourier-mode Hill problem with its Floquet boundary phase."""
 
     l: int
-    rho: object  # vectorized y -> rho(y) > 0, period b / q
+    # c_0, c_1, ... of rho = c_0 + 2 sum c_k cos(2 pi k y / P) > 0, with
+    # P = b / q; the terms past the array are taken as 0
+    coef: np.ndarray = field(repr=False, compare=False)
     b: float
     bc_phase: float           # 2 pi l a mod 2 pi
     rho_max: float
     q: int = 1                # number of rho periods in [0, b]
-    # {P: (coef, N)} from _coefficients, {(P, n): rho} from _samples and
-    # {(P, "B^-1"): B^-1} from _hill_inverse; one memo serves all modes of
-    # a map, a hand-built problem's is empty
+    # {(P, n): rho} from _samples and {(P, "B^-1"): B^-1} from
+    # _hill_inverse; one memo serves all modes of a map, a hand-built
+    # problem's is empty
     samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -118,8 +115,8 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
     phase = TWO_PI * float(la - math.floor(la))
     t1, t2, t3 = profiles.tau.taus
     rho_max = 2.0 * math.pi**2 * (t2 + t3 - t1)
-    return SLProblem(l=int(l), rho=profiles.rho, b=point.b, bc_phase=phase,
-                     rho_max=rho_max, q=profiles.params.q,
+    return SLProblem(l=int(l), coef=profiles.rho_series, b=point.b,
+                     bc_phase=phase, rho_max=rho_max, q=profiles.params.q,
                      samples=profiles.rho_samples)
 
 
@@ -140,81 +137,30 @@ def _magnus_steps(period: float, omega2: float) -> int:
     return int((theta**7 / 2e-9) ** (1.0 / 6.0)) + 1
 
 
-def _coefficients(problem: SLProblem) -> tuple[np.ndarray, int]:
-    """(coef, N): rho's rfft coefficients over one period P, divided by the
-    sample count M, and the reach N of the Hill basis; memoized per P.
-
-    rho is sampled on M = 64 uniform nodes, where its period is checked.
-    N = R + K: R is the last coefficient at or above FOURIER_CUT of the
-    mean, K the last n whose kinetic term is at most 2 max rho, where every
-    eigenvalue below 2 lives (a flat rho has R = 0).  While 4N > M, M
-    doubles by sampling the midpoints.  A failed period check raises
-    ValueError, and so does an M past 8 times the steps of monodromy's
-    mode-0 mesh at lambda = 2, which then would run on M + 1 steps, more
-    than its error asks; then nothing is stored.
-    """
-    P = problem.period
-    if P in problem.samples:
-        return problem.samples[P]
-    cap = 8 * _magnus_steps(P, 2.0 * problem.rho_max)
-    M = 64
-    y = np.arange(M) * (P / M)
-    rho = np.asarray(problem.rho(y), dtype=float)
-    _check_period(problem, y, rho)
-    while True:
-        coef = np.fft.rfft(rho) / M
-        reach = np.flatnonzero(np.abs(coef) >= FOURIER_CUT * coef[0].real)[-1]
-        N = int(reach + math.sqrt(2.0 * rho.max()) * P / TWO_PI) + 1
-        if 4 * N <= M:
-            break
-        if 2 * M > cap:
-            raise ValueError(f"{M} samples of rho cannot resolve a Hill "
-                             f"matrix of |n| <= {N}: its Fourier coefficients "
-                             f"stay above {FOURIER_CUT:g} of its mean up to "
-                             f"n = {reach}")
-        mid = problem.rho((np.arange(M) + 0.5) * (P / M))
-        rho, M = np.stack([rho, mid], axis=1).ravel(), 2 * M
-    problem.samples[P] = coef, N
-    return coef, N
-
-
 def _samples(problem: SLProblem, n: int) -> np.ndarray:
     """rho at the Gauss nodes (j + GAUSS[i]) P/n of n steps over one period
     P, as a (3, n) array, by one zero-padded irfft of its coefficients, each
     row's shifted by the phase of its node (numpy's irfft: scipy's plan
-    cache costs 1.5 MB of peak RSS).  n > M keeps every coefficient an
-    ordinary term; those past the reach are below FOURIER_CUT and falling,
-    so it errs by ~FOURIER_CUT^2.  Memoized per (P, n), so modes on the
-    same mesh share it."""
+    cache costs 1.5 MB of peak RSS).  n is above twice the last k of the
+    series (_mesh), so every term is an ordinary cosine.  Memoized per
+    (P, n), so modes on the same mesh share it."""
     key = (problem.period, n)
     if key not in problem.samples:
-        coef = _coefficients(problem)[0] * n
-        coef[-1] /= 2.0  # the last term of M samples is one cosine, not a pair
+        coef = problem.coef * n
         shift = np.exp(np.multiply.outer(GAUSS, np.arange(coef.size))
                        * (2j * math.pi / n))
         problem.samples[key] = np.fft.irfft(coef * shift, n)
     return problem.samples[key]
 
 
-def _check_period(problem: SLProblem, y: np.ndarray, rho: np.ndarray) -> None:
-    """Raise ValueError unless rho(y + P) = rho(y) to PERIOD_TOL relative."""
-    P = problem.period
-    defect = float(np.max(np.abs(problem.rho(y + P) - rho)) / np.max(np.abs(rho)))
-    if not defect <= PERIOD_TOL:
-        raise ValueError(f"rho is not periodic with period b/q = {P:.9g} "
-                         f"(q = {problem.q}): relative defect {defect:.3g}; a "
-                         "wrong q or a tau solve that does not close the profile")
-
-
 def _mesh(problem: SLProblem, lam: float) -> int:
     """Steps of monodromy's sweep over one period at lam: the sixth-order
-    count of _magnus_steps, raised above the M samples of rho's
-    coefficients, so that _samples keeps every coefficient, and rounded up
-    to a 5-smooth count, which keeps its irfft fast."""
+    count of _magnus_steps, raised above twice the last k of rho's series,
+    so that _samples keeps every term, and rounded up to a 5-smooth count,
+    which keeps its irfft fast."""
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = _magnus_steps(problem.period, max(abs(lam) * problem.rho_max, k2))
-    M = 2 * (_coefficients(problem)[0].size - 1)
-    return _smooth5(max(n, M + 1))
+    return _smooth5(max(n, 2 * problem.coef.size - 1))
 
 
 def _smooth5(n: int) -> int:
@@ -238,8 +184,7 @@ def monodromy(problem: SLProblem, lam: float):
     Columns are the solutions with (h, h')(0) = (1, 0) and (0, 1); the
     Wronskian keeps det M = 1, which the caller may use as a health check.
     M_P comes from the period sweep on the n steps of _mesh, with rho at
-    their Gauss nodes from its Fourier coefficients.  Raises ValueError
-    where _coefficients does.
+    their Gauss nodes from its cosine coefficients.
     """
     k2 = 4.0 * math.pi**2 * problem.l**2
     n = _mesh(problem, lam)
@@ -326,17 +271,23 @@ class ModeCount:
 
 
 def _hill_inverse(problem: SLProblem) -> np.ndarray:
-    """B^-1, B[i, j] the Fourier coefficient n_i - n_j of rho, |n| <= N,
-    from _coefficients; B depends on neither mode nor phase, so it is
-    inverted once per period and memoized under (P, "B^-1")."""
+    """B^-1, B[i, j] = c_|n_i - n_j| the cosine coefficient of rho, |n| <= N;
+    B is real symmetric and depends on neither mode nor phase, so it is
+    inverted once per period and memoized under (P, "B^-1").
+
+    N = R + K: R is the last coefficient of rho at or above FOURIER_CUT of
+    its mean in size, K the last n whose kinetic term is at most 2 max rho,
+    where every eigenvalue below 2 lives (a flat rho has R = 0)."""
     key = (problem.period, "B^-1")
     if key not in problem.samples:
-        coef, N = _coefficients(problem)
-        # |n_i - n_j| <= 2N <= M/2
-        n = np.arange(-N, N + 1)
-        d = n[:, None] - n[None, :]
-        B = np.where(d >= 0, coef[np.abs(d)], coef[np.abs(d)].conj())
-        problem.samples[key] = np.linalg.inv(B)
+        reach = np.flatnonzero(np.abs(problem.coef)
+                               >= FOURIER_CUT * problem.coef[0])[-1]
+        N = int(reach + math.sqrt(2.0 * problem.rho_max) * problem.period
+                / TWO_PI) + 1
+        coef = np.zeros(2 * N + 1)
+        coef[:problem.coef.size] = problem.coef[:2 * N + 1]
+        n = np.arange(2 * N + 1)
+        problem.samples[key] = np.linalg.inv(coef[np.abs(n[:, None] - n)])
     return problem.samples[key]
 
 
@@ -348,17 +299,16 @@ def count_below(problem: SLProblem) -> ModeCount:
     phi_j = (bc_phase + 2 pi j)/q.  Phase j is solved by Rayleigh-Ritz in
     the basis e^{i(kappa_j + 2 pi n/P) y}, |n| <= N, kappa_j = -phi_j/P:
     the pencil diag((kappa_j + 2 pi n/P)^2 + 4 pi^2 l^2) x = lambda B x,
-    where B is the Hermitian Toeplitz matrix of rho's Fourier coefficients.
+    where B is the real symmetric Toeplitz matrix of rho's cosine
+    coefficients.
     One inverse of B serves every phase and every mode.  The constant
     (l = 0, phase 0, lambda = 0) is not counted.  Eigenvalues within
     AT_THRESHOLD_TOL of 2 are the boundary eigenvalues at 2 (the map
     components), listed apart and not counted.
 
-    B's coefficients and the reach N come from _coefficients, and B^-1
-    from _hill_inverse, once per map.  B keeps every coefficient up to 2N,
-    so a Galerkin value errs by about the square of what the basis leaves
-    out, and only upward (min-max).  Raises ValueError where _coefficients
-    does.
+    B^-1 and its reach N come from _hill_inverse, once per map.  B keeps
+    every coefficient up to 2N, so a Galerkin value errs by about the square
+    of what the basis leaves out, and only upward (min-max).
     """
     P, q = problem.period, problem.q
     B_inv = _hill_inverse(problem)
@@ -422,9 +372,9 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
     are exact eigenfunctions with eigenvalue 2, from the Magnus monodromy.
-    The certificates and the counts share rho's Fourier coefficients
-    (ProfileSet.rho_samples), so rho is sampled on one small dyadic mesh and
-    its period checked once for the whole op.
+    The certificates and the counts share rho's cosine series
+    (ProfileSet.rho_series), made and its period checked once for the whole
+    op, and rho itself is evaluated at no point.
     """
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1

@@ -39,7 +39,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 from scipy.special import elliprd, elliprf, elliprj
@@ -610,49 +609,41 @@ def third_limit_asymptote(point: ModuliPoint, p: int, q: int, r: int):
 # --------------------------------------------------------------------------
 
 
-def _cubic_quad(weight: Callable[[float], float], tau1: float, tau2: float,
-                tau3: float) -> float:
-    """integral of weight(t) / sqrt((t-tau1)(tau2-t)(tau3-t)) over [tau1,tau2]
-    via t = tau1 + (tau2-tau1) sin^2 s, which removes both endpoint roots.
-    scipy.integrate is imported here, so that only this oracle loads it."""
+def lattice_integrals(tau: TauTriple) -> tuple[float, float, float]:
+    """Adaptive quadrature of the three defining integrals of
+    weight(t) / sqrt((t-tau1)(tau2-t)(tau3-t)) over [tau1, tau2], by
+    t = tau1 + D sin^2 s, D = tau2 - tau1, which removes both endpoint
+    roots.  1 - t = gap2 + D cos^2 s, tau3 - t = gap3 + (1 - t) and the third
+    weight sqrt((1-tau1) gap2 gap3) / (1-t) come from the carried gaps, free
+    of the taus' cancellation near 1.  The second (third) integrand is
+    improper at tau1 = 0 (tau2 = 1) and is returned as its limit, pi.
+    scipy.integrate is imported here, so that only this oracle loads it.
+    """
     from scipy.integrate import quad
 
-    dt = tau2 - tau1
+    t1, gap2, gap3, D = tau.tau1, tau.gap2, tau.gap3, tau.tau2 - tau.tau1
+    w2 = math.sqrt(t1 * tau.tau2 * tau.tau3)
+    w3 = math.sqrt((1.0 - t1) * gap2 * gap3)
 
-    def g(s: float) -> float:
-        t = tau1 + dt * math.sin(s) ** 2
-        return 2.0 * weight(t) / math.sqrt(tau3 - t)
+    def integral(weight) -> float:  # weight(t, 1 - t)
+        def g(s: float) -> float:
+            one_t = gap2 + D * math.cos(s) ** 2
+            return (2.0 * weight(t1 + D * math.sin(s) ** 2, one_t)
+                    / math.sqrt(gap3 + one_t))
 
-    val, _ = quad(g, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-13, limit=200)
-    return val
+        return quad(g, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-13,
+                    limit=200)[0]
 
-
-def lattice_integrals(tau1: float, tau2: float,
-                      tau3: float) -> tuple[float, float, float]:
-    """Adaptive quadrature of the three defining integrals.
-
-    The second (resp. third) integrand is improper when tau1 = 0 (resp.
-    tau2 = 1); those are returned as their limits, pi.
-    """
-    one = _cubic_quad(lambda t: 1.0, tau1, tau2, tau3)
-    if tau1 == 0.0:
-        two = math.pi
-    else:
-        w2 = math.sqrt(tau1 * tau2 * tau3)
-        two = _cubic_quad(lambda t: w2 / t, tau1, tau2, tau3)
-    if tau2 == 1.0:
-        three = math.pi
-    else:
-        w3 = math.sqrt((1.0 - tau1) * (1.0 - tau2) * (tau3 - 1.0))
-        three = _cubic_quad(lambda t: w3 / (1.0 - t), tau1, tau2, tau3)
-    return one, two, three
+    return (integral(lambda t, one_t: 1.0),
+            math.pi if t1 == 0.0 else integral(lambda t, one_t: w2 / t),
+            math.pi if gap2 == 0.0 else integral(lambda t, one_t: w3 / one_t))
 
 
 def integral_residuals(tau: TauTriple, point: ModuliPoint,
                        params: MapParams) -> tuple[float, float, float]:
     """Absolute residuals of the three defining integrals against their
     quantized right-hand sides 2 pi b/q, 2 pi p/q, 2 pi |r+a|/q."""
-    i1, i2, i3 = lattice_integrals(tau.tau1, tau.tau2, tau.tau3)
+    i1, i2, i3 = lattice_integrals(tau)
     q = params.q
     rpa = params.r_plus_a(point)
     return (

@@ -447,7 +447,8 @@ REMOVED_OPTIONS = {
     "index_tol": _rejects(
         "tol", lambda: index_nullity_estimate(_POINT, tol=None)),
     "lattice_integrals_epsabs": _rejects(
-        "epsabs", lambda: lattice_integrals(0.2, 0.6, 1.5, epsabs=1e-12)),
+        "epsabs", lambda: lattice_integrals(solve_tau(_POINT, _PARAMS),
+                                            epsabs=1e-12)),
     "lambda_bar_quadrature_epsabs": _rejects(
         "epsabs", lambda: lambda_bar_quadrature(None, epsabs=1e-11)),
     "tolerances_record": _tolerances_record,

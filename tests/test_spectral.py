@@ -11,13 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from eqtorus import spectral
-from eqtorus.maps import ProfileSet, build_profiles
+from eqtorus import maps
+from eqtorus.maps import PERIOD_TOL, ProfileSet, build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
+    FOURIER_CUT,
     GAUSS,
     SLProblem,
-    _coefficients,
+    _hill_inverse,
     _magnus_step,
     _mesh,
     _period_sweep,
@@ -34,17 +35,26 @@ from eqtorus.tau_solver import ModuliPoint, classify_params, solve_tau
 
 
 def _const_problem(c=1.0, b=1.0, l=0, phase=0.0):
-    return SLProblem(l=l, rho=lambda y: np.full_like(np.asarray(y, float), c),
-                     b=b, bc_phase=phase, rho_max=c)
+    return SLProblem(l=l, coef=np.array([c]), b=b, bc_phase=phase, rho_max=c)
+
+
+def _cosine_sum(problem, y):
+    """rho at y from the problem's own series c_0 + 2 sum c_k cos(2 pi k
+    y/P), term by term."""
+    k = np.arange(1, problem.coef.size)
+    arg = (2.0 * math.pi / problem.period) * np.multiply.outer(
+        np.asarray(y, dtype=float), k)
+    return problem.coef[0] + 2.0 * np.cos(arg) @ problem.coef[1:]
 
 
 def _dop853(problem, lam, rtol):
     """Fundamental solution matrix over [0, b] by adaptive Runge-Kutta: the
-    integrator-independent oracle for monodromy and the period sweep."""
+    integrator-independent oracle for monodromy and the period sweep, on
+    the problem's series summed directly."""
     k2 = 4.0 * math.pi**2 * problem.l**2
 
     def rhs(y, state):
-        g = k2 - lam * float(problem.rho(y))
+        g = k2 - lam * float(_cosine_sum(problem, y))
         h1, v1, h2, v2 = state
         return [v1, g * h1, v2, g * h2]
 
@@ -401,44 +411,13 @@ class TestCountBelow:
         for lam in mc0.at_threshold + mc1.at_threshold:
             assert lam == pytest.approx(2.0, abs=1e-7)
 
-    def test_rejects_unresolved_rho(self):
-        # a kink in rho leaves coefficients ~ 1/n^2, far above the cut on
-        # every mesh that may be sampled: no truncation of the Hill matrix is
-        # certified by them, so no count is returned, and monodromy, which
-        # takes rho from the same coefficients, integrates nothing
-        pb = SLProblem(l=0, rho=lambda y: 3.0 + np.abs(np.sin(math.pi * y)),
-                       b=1.0, bc_phase=0.0, rho_max=4.0)
-        with pytest.raises(ValueError, match="cannot resolve"):
-            count_below(pb)
-        with pytest.raises(ValueError, match="cannot resolve"):
-            monodromy(pb, 2.0)
-
-    def test_rejects_wrong_period(self):
-        # rho has period b but not b/2: claiming q = 2 must fail loudly
-        pb = SLProblem(l=0, rho=lambda y: 3.0 + np.sin(2.0 * math.pi * y),
-                       b=1.0, bc_phase=0.0, rho_max=4.0, q=2)
-        with pytest.raises(ValueError, match="period"):
-            count_below(pb)
-        with pytest.raises(ValueError, match="period"):
-            monodromy(pb, 1.0)
-        count_below(dataclasses.replace(pb, q=1))  # the true period passes
-
-    def test_wrong_period_raises_before_doubling(self):
-        # the period is checked on the first 64-node mesh, before any
-        # doubling: a wrong q reads "period", whatever the coefficients
-        sizes = []
-
-        def rho(y):
-            sizes.append(np.size(y))
-            return 3.0 + np.abs(np.sin(math.pi * y))
-
-        for entry in (count_below, lambda pb: monodromy(pb, 2.0)):
-            sizes.clear()
-            pb = SLProblem(l=0, rho=rho, b=1.0, bc_phase=0.0, rho_max=4.0,
-                           q=3)
-            with pytest.raises(ValueError, match="period"):
-                entry(pb)
-            assert sizes == [64, 64]
+    def test_rejects_wrong_period_of_map(self):
+        # rho's period 2K/w is b/q; a map claimed with twice its q reads
+        # a defect of 1/2, and its problems are refused
+        point, params, tau, _ = _profiles(0.25, 2.1, 2, 3, 0)
+        wrong = build_profiles(tau, dataclasses.replace(params, q=6), point)
+        with pytest.raises(ValueError, match="period .* defect 0.5"):
+            sl_problem(wrong, 0)
 
 
 MIXED_CASES = [
@@ -449,17 +428,18 @@ MIXED_CASES = [
 ]
 
 
-def _hill_oracle(problem, threshold=2.0, nmax=64):
+def _hill_oracle(problem, rho, threshold=2.0, nmax=64):
     """Eigenvalues below and at the threshold, at a fixed truncation.
 
     Fourier (Hill-matrix) Galerkin over one period P = b/q: for each j the
     multiplier e^{-i phi_j} is carried by e^{i kappa_j y}, kappa_j =
     -phi_j/P, so A = diag((kappa_j + 2 pi n/P)^2 + 4 pi^2 l^2) and B is the
-    Hermitian Toeplitz matrix of rho's Fourier coefficients, |n| <= nmax.
+    Hermitian Toeplitz matrix of the Fourier coefficients of rho, sampled
+    (ProfileSet.rho, not the problem's series), |n| <= nmax.
     """
     P = problem.period
     samples = 8 * nmax
-    coef = np.fft.fft(problem.rho(np.arange(samples) * P / samples)) / samples
+    coef = np.fft.fft(rho(np.arange(samples) * P / samples)) / samples
     n = np.arange(-nmax, nmax + 1)
     B = coef[(n[:, None] - n[None, :]) % samples]
     eigs = []
@@ -474,10 +454,11 @@ def _hill_oracle(problem, threshold=2.0, nmax=64):
     return eigs[:split], eigs[split:]
 
 
-def _assert_matches_oracle(problem):
-    # count_below's truncation against the fixed |n| <= 64
+def _assert_matches_oracle(problem, rho):
+    # count_below's series and truncation against rho's sampled
+    # coefficients and the fixed |n| <= 64
     mc = count_below(problem)
-    below, at = _hill_oracle(problem)
+    below, at = _hill_oracle(problem, rho)
     assert mc.count == len(mc.eigenvalues) == len(below)
     assert len(mc.at_threshold) == len(at)
     np.testing.assert_allclose(mc.eigenvalues, below, rtol=0, atol=1e-10)
@@ -490,49 +471,43 @@ class TestHillOracle:
         _, _, tau, prof = _profiles(*case)
         l_max = math.ceil(math.sqrt(tau.tau2 + tau.tau3 - tau.tau1))
         for l in range(l_max + 1):
-            _assert_matches_oracle(sl_problem(prof, l))
+            _assert_matches_oracle(sl_problem(prof, l), prof.rho)
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_strict_instance_modes(self, instance, l):
         point, params, cert = instance
         prof = build_profiles(cert["tau"], params, point)
-        _assert_matches_oracle(sl_problem(prof, l))
+        _assert_matches_oracle(sl_problem(prof, l), prof.rho)
 
 
 def _assert_samples_match(problem):
-    # rho at the Gauss nodes of monodromy's mode-0 mesh at lambda = 2, from
-    # the coefficients, against rho itself
+    # rho at the Gauss nodes of monodromy's mode-0 mesh at lambda = 2, by
+    # the irfft of _samples, against the series summed directly
     n = _mesh(problem, 2.0)
-    want = problem.rho(_gauss_nodes(n, problem.period))
+    want = _cosine_sum(problem, _gauss_nodes(n, problem.period))
     got = _samples(problem, n)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 @st.composite
 def _trig_problems(draw):
-    """An SLProblem whose rho is a positive trig polynomial of degree <= 12
-    with period b/q."""
+    """An SLProblem whose rho is a positive cosine polynomial of degree
+    <= 12 with period b/q: a map's rho is even."""
     b = draw(st.floats(0.5, 3.0))
     q = draw(st.integers(1, 4))
     c0 = draw(st.floats(0.5, 200.0))
     terms = draw(st.integers(1, 12))
     unit = st.floats(-1.0, 1.0)
     cos_c = np.array(draw(st.lists(unit, min_size=terms, max_size=terms)))
-    sin_c = np.array(draw(st.lists(unit, min_size=terms, max_size=terms)))
-    # sum |coefficients| <= 0.9 c0 keeps rho >= 0.1 c0 > 0
-    scale = 0.9 * c0 / (2 * terms)
-    k = np.arange(1, terms + 1)
-
-    def rho(y):
-        arg = 2.0 * math.pi * q / b * np.multiply.outer(np.asarray(y), k)
-        return c0 + scale * (np.cos(arg) @ cos_c + np.sin(arg) @ sin_c)
-
-    return SLProblem(l=0, rho=rho, b=b, bc_phase=0.0, rho_max=1.9 * c0, q=q)
+    # sum |2 c_k| <= 0.9 c0 keeps rho >= 0.1 c0 > 0
+    coef = np.concatenate([[c0], (0.45 * c0 / terms) * cos_c])
+    return SLProblem(l=0, coef=coef, b=b, bc_phase=0.0, rho_max=1.9 * c0, q=q)
 
 
 class TestCoefficientMesh:
-    """monodromy's samples of rho come from the Fourier coefficients of a
-    small dyadic mesh; they must equal rho where it is sampled directly."""
+    """monodromy's samples of rho come from its series by one irfft; they
+    must equal the series summed term by term, and a map's series must
+    equal rho."""
 
     @pytest.mark.parametrize("case", MIXED_CASES)
     def test_mixed_cases(self, case):
@@ -547,8 +522,28 @@ class TestCoefficientMesh:
     @given(_trig_problems())
     def test_trig_polynomials(self, problem):
         _assert_samples_match(problem)
-        coef, N = _coefficients(problem)
-        assert 4 * N <= 2 * (coef.size - 1)
+        # the Hill basis |n| <= N reaches every term at or above the cut
+        last = np.flatnonzero(np.abs(problem.coef) >= FOURIER_CUT * problem.coef[0])
+        assert _hill_inverse(problem).shape[0] // 2 > last[-1]
+
+    @pytest.mark.parametrize("case", [c for c in MIXED_CASES
+                                      if c[:2] != (0.0, 2.0)])
+    def test_series_matches_rho(self, case):
+        # where m1 >= 1e-3 (all the mixed cases but (0, 2), m1 = 9.9e-5)
+        _assert_series_matches_rho(_profiles(*case)[3])
+
+    def test_strict_series_matches_rho(self, instance):
+        point, params, cert = instance
+        _assert_series_matches_rho(build_profiles(cert["tau"], params, point))
+
+
+def _assert_series_matches_rho(prof):
+    # the series summed directly against ProfileSet.rho, to 1e-13 of the
+    # mean, over a period and at points past it
+    pb = sl_problem(prof, 0)
+    y = np.linspace(-pb.b, 2.0 * pb.b, 997)
+    err = np.max(np.abs(_cosine_sum(pb, y) - prof.rho(y)))
+    assert err <= 1e-13 * pb.coef[0]
 
 
 def _assert_located(problem):
@@ -740,29 +735,27 @@ class TestAssembleN2:
     @pytest.mark.parametrize("case", [(0.0, 2.0, 1, 1, 0),
                                       (0.25, 2.1, 2, 3, 0)])
     def test_samples_rho_once(self, monkeypatch, case):
-        # one set of Fourier coefficients serves both certificates and every
-        # count: no node is sampled twice, the period is checked once, and
-        # rho is evaluated at no more than 512 points in all; each count
-        # equals the count of a fresh problem that samples rho itself
+        # one cosine series serves both certificates and every count: it
+        # is made once, and rho itself is evaluated at no point; each
+        # count equals the count of a fresh problem with a series of its
+        # own
         point, params, tau, _ = _profiles(*case)
-        nodes, checks = [], []
-        real_rho, real_check = ProfileSet.rho, spectral._check_period
+        nodes, series = [], []
+        real_rho, real_carlson = ProfileSet.rho, maps._carlson
 
         def spy(self, y):
-            nodes.append(np.array(y, dtype=float))
+            nodes.append(np.size(y))
             return real_rho(self, y)
 
-        def check(problem, y, rho):
-            checks.append(np.size(y))
-            return real_check(problem, y, rho)
+        def carlson(m1):  # one call per series
+            series.append(m1)
+            return real_carlson(m1)
 
         monkeypatch.setattr(ProfileSet, "rho", spy)
-        monkeypatch.setattr(spectral, "_check_period", check)
+        monkeypatch.setattr(maps, "_carlson", carlson)
         rep = assemble_N2(tau, params, point)
-        y = np.concatenate(nodes)
-        assert len(checks) == 1
-        assert y.size <= 512
-        assert np.unique(y).size == y.size
+        assert nodes == []
+        assert len(series) == 1
         for mc in rep.counts_below_2:
             alone = count_below(sl_problem(build_profiles(tau, params, point),
                                            mc.l))
@@ -805,22 +798,15 @@ class TestAssembleN2:
                 np.trace(monodromy(alone, 2.0)) - alone.trace_target)
 
     def test_rejects_unclosed_profile(self):
-        # tau3 off by 1e-6 breaks the period b/q of rho: the one period
-        # check of the op must still catch it
+        # tau3 off by 1e-6 breaks the period b/q of rho (a defect of
+        # 3.6e-7, over PERIOD_TOL): the one period check of the op must
+        # still catch it
         point, params, tau, _ = _profiles(0.25, 2.1, 2, 3, 0)
         bad = dataclasses.replace(tau, tau3=tau.tau3 + 1e-6)
-        with pytest.raises(ValueError, match="period"):
+        with pytest.raises(ValueError, match="period") as err:
             assemble_N2(bad, params, point)
-
-    def test_failed_check_stores_nothing(self):
-        pb = SLProblem(l=0, rho=lambda y: 3.0 + np.sin(2.0 * math.pi * y),
-                       b=1.0, bc_phase=0.0, rho_max=4.0, q=2)
-        with pytest.raises(ValueError, match="period"):
-            count_below(pb)
-        assert pb.samples == {}
-        with pytest.raises(ValueError, match="period"):
-            monodromy(pb, 1.0)
-        assert pb.samples == {}
+        defect = float(str(err.value).split("defect ")[1].split(";")[0])
+        assert PERIOD_TOL < defect < 1e-6
 
     def test_certificates_at_two(self):
         point, params, tau, prof = _profiles(0.25, 2.1, 2, 3, 0)

@@ -477,14 +477,15 @@ class TestSpectrumSlicing:
         assert all(a is b for a, b in zip(built, frames))
 
     def test_eigsh_sees_the_form(self, monkeypatch):
-        # eigsh gets K as an operator, U^H U + sigma_low I from the banded
-        # Cholesky factor, not a sparse copy of the band
+        # shift-invert ARPACK applies OPinv alone, never the operator K it
+        # is given: OPinv must solve (K - sigma_low I) y = x for the dense
+        # form, through the banded Cholesky factor
         frame = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
         seen = []
         eigsh = stability.eigsh
 
         def spy_eigsh(A, **kwargs):
-            seen.append(A)
+            seen.append(kwargs)
             return eigsh(A, **kwargs)
 
         monkeypatch.setattr(stability, "eigsh", spy_eigsh)
@@ -493,9 +494,10 @@ class TestSpectrumSlicing:
             seen.clear()
             _mode_spectrum(frame, l)
             K = _band_dense(_mode_matrix(frame, l))
-            Kx = K @ x.astype(K.dtype)
-            assert np.max(np.abs(seen[0] @ x.astype(K.dtype) - Kx)) <= \
-                1e-12 * np.max(np.abs(Kx))
+            sigma, solve = seen[0]["sigma"], seen[0]["OPinv"]
+            y = solve @ x.astype(K.dtype)
+            residual = K @ y - sigma * y - x
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(x))
 
     def test_cholesky_proves_sigma_low_bound(self, monkeypatch):
         # a form with a value below sigma_low = -2 max rho - 1 has no
