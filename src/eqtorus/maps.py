@@ -109,7 +109,10 @@ class ProfileSet:
         one place that decides these roots and their signs (DLMF 22.13): the
         signed sqrt(D) sn or sqrt(D) cn where the regime makes tau1 or 1 - tau2
         exactly zero, elsewhere the positive roots of the module's squares."""
-        sn, cn, dn, _ = self._sn_cn_dn_am(y)
+        return self._latitude(*self._sn_cn_dn_am(y)[:3])
+
+    def _latitude(self, sn, cn, dn):
+        """latitude(y) from sn, cn, dn at (w y | m)."""
         w, m, dt, reg = self.w, self.tau.m, self._dt, self.params.regime
 
         def root(const, signed, f, df, d2f):
@@ -140,16 +143,19 @@ class ProfileSet:
         return np.arctan2(sphi, cphi)
 
     def theta(self, y):
-        if self._pref_theta == 0.0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        am = self._sn_cn_dn_am(y)[3]
-        return self._pref_theta * incomplete_Pi(self.tau.n0, am, self.tau.m)
+        return self._angle(self._pref_theta, self.tau.n0, y)
 
     def alpha(self, y):
-        if self._pref_alpha == 0.0:
+        return self._angle(self._pref_alpha, self.tau.n1, y)
+
+    def _angle(self, pref, n, y, am=None):
+        """pref Pi(n; am | m) at am = am(w y | m), computed unless given;
+        zeros, with no Jacobi call, where pref is 0."""
+        if pref == 0.0:
             return np.zeros_like(np.asarray(y, dtype=float))
-        am = self._sn_cn_dn_am(y)[3]
-        return self._pref_alpha * incomplete_Pi(self.tau.n1, am, self.tau.m)
+        if am is None:
+            am = self._sn_cn_dn_am(y)[3]
+        return pref * incomplete_Pi(n, am, self.tau.m)
 
     def rho(self, y):
         return 2.0 * math.pi**2 * (self._sigma - 2.0 * self.cos2_phi(y))
@@ -203,16 +209,21 @@ class ProfileSet:
 
     # -- the map and its y-derivatives -----------------------------------
 
-    def _phases(self, x, y):
-        """(e^{i theta}, e^{i psi}) with psi = 2 pi x + alpha(y)."""
-        psi = TWO_PI * np.asarray(x, dtype=float) + self.alpha(y)
-        return np.exp(1j * self.theta(y)), np.exp(1j * psi)
+    def _latitude_and_phases(self, x, y):
+        """latitude(y) and (e^{i theta}, e^{i psi}), psi = 2 pi x + alpha(y),
+        from one evaluation of sn, cn, dn, am at (w y | m)."""
+        sn, cn, dn, am = self._sn_cn_dn_am(y)
+        psi = (TWO_PI * np.asarray(x, dtype=float)
+               + self._angle(self._pref_alpha, self.tau.n1, y, am))
+        theta = self._angle(self._pref_theta, self.tau.n0, y, am)
+        return (self._latitude(sn, cn, dn),
+                (np.exp(1j * theta), np.exp(1j * psi)))
 
     def jet(self, x, y):
         """((z1, z2), (z1_y, z2_y)): the map and its y-derivative at (x, y)."""
-        (cphi, sphi), (dcphi, dsphi), _ = self.latitude(y)
+        lat, (e1, e2) = self._latitude_and_phases(x, y)
+        (cphi, sphi), (dcphi, dsphi), _ = lat
         dth, dal = self._rates(cphi, sphi)
-        e1, e2 = self._phases(x, y)
         return ((cphi * e1, sphi * e2),
                 ((dcphi + 1j * dth * cphi) * e1, (dsphi + 1j * dal * sphi) * e2))
 
@@ -224,9 +235,9 @@ class ProfileSet:
         return self.jet(x, y)[1]
 
     def d2y_values(self, x, y):
-        (cphi, sphi), _, (d2cphi, d2sphi) = self.latitude(y)
+        lat, (e1, e2) = self._latitude_and_phases(x, y)
+        (cphi, sphi), _, (d2cphi, d2sphi) = lat
         dth, dal = self._rates(cphi, sphi)
-        e1, e2 = self._phases(x, y)
         return ((d2cphi - dth ** 2 * cphi) * e1, (d2sphi - dal ** 2 * sphi) * e2)
 
     def dx_values(self, x, y):

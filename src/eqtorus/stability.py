@@ -3,10 +3,13 @@ the constant-latitude maps, their kernel at the distinguished latitude, the
 conformal-direction second variation, and a discretized index/nullity count
 for the generic (1,1,0) maps: each mode form is a Hermitian band, its
 l-independent part built once per mesh (_mode_parts) and its l-terms added
-per mode (_mode_matrix), counted by the inertia of unpivoted LDL^H factors of
-the shifted band (_band_inertia) and certified to ZERO_TOL by
-Richardson-extrapolated eigenvalues from shift-invert over its banded
-Cholesky factor (_mode_spectrum).  Its frame (i u, e^{2 pi i x} j u,
+per mode (_mode_matrix).  Its values below +_DELTA come from shift-invert
+over a banded Cholesky factor, shifted to the tightest proven lower bound on
+the spectrum; an unpivoted LDL^H of the band shifted by +_DELTA
+(_band_inertia) counts them, Kahan's bound on their Ritz residual places
+them against -_DELTA (an LDL^H at -_DELTA only where it cannot), and
+Richardson-extrapolated, they certify the zero cluster to ZERO_TOL
+(_mode_spectrum).  The frame (i u, e^{2 pi i x} j u,
 i e^{2 pi i x} j u), from the map and its first derivatives alone, turns by
 e^{2 pi i a} on the lattice (_mode_parts).
 
@@ -32,6 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh, qr
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse import csc_matrix
@@ -448,38 +452,73 @@ def _band_inertia(ab: np.ndarray, sigma: float, pattern: tuple) -> int:
     return int(np.count_nonzero(pivots.real < 0.0))
 
 
-def _mode_spectrum(frame: _GridFrame, l: int):
+def _mode_spectrum(frame: _GridFrame, l: int, coarse_lowest=None):
     """The lowest eigenvalues of the mode-l form, as many as lie below
-    +_DELTA (at least one), and its inertia (nu(-_DELTA), nu(+_DELTA)) from
-    the band.  nu is monotone in sigma, so nu(+_DELTA) = 0 proves
-    nu(-_DELTA) = 0, and -_DELTA is factored only where nu(+_DELTA) > 0.
-    The values come by shift-invert at sigma_low = -2 max rho - 1 through
-    the banded Cholesky factor U^H U of K - sigma_low I, which exists as
-    K >= -2 rho (the other terms are Gram matrices); eigsh sees K as the
-    operator U^H U + sigma_low I."""
+    +_DELTA (at least one), and its inertia (nu(-_DELTA), nu(+_DELTA)).
+
+    k = nu(+_DELTA) comes from the LDL^H of the band.  The values come by
+    shift-invert eigsh, ARPACK keeping 2k + 2 vectors, through the banded
+    Cholesky factor U^H U of K - s I, s the largest of these lower bounds on
+    the spectrum: sigma_low = -2 max rho - 1 (K >= -2 rho, its other terms
+    being Gram matrices); +_DELTA where k = 0, as K - _DELTA I > 0 then;
+    coarse_lowest - (1 + 0.1 |coarse_lowest|), where coarse_lowest is the
+    lowest value of the mode on a coarser mesh.  The factor's existence
+    proves s; where it fails, the error names the mode.
+
+    The values returned are the eigenvalues theta of H = Q^H K Q, Q the
+    orthonormalized Ritz vectors.  By Kahan's theorem (Parlett, The
+    Symmetric Eigenvalue Problem, 11.5) K has k eigenvalues within ||R||_2,
+    R = K Q - Q H, of the theta.  When max theta + ||R||_2 < +_DELTA they
+    are the k below +_DELTA, and if also every |theta + _DELTA| >
+    ||R||_2, nu(-_DELTA) is the number of theta below -_DELTA.  Only where
+    that bound cannot decide is K + _DELTA I factored; k = 0 gives
+    nu(-_DELTA) = 0, as nu is monotone."""
     ab = _mode_matrix(frame, l)
     pattern = frame.parts.pattern
     below_plus = _band_inertia(ab, _DELTA, pattern)
-    inertia = (_band_inertia(ab, -_DELTA, pattern) if below_plus else 0,
-               below_plus)
-    sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+    bounds = [-2.0 * float(np.max(frame.rho)) - 1.0]
+    if not below_plus:
+        bounds.append(_DELTA)
+    if coarse_lowest is not None:
+        bounds.append(coarse_lowest - (1.0 + 0.1 * abs(coarse_lowest)))
+    shift = float(max(bounds))
     pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
-    ab[_BAND] -= sigma_low
-    chol, info = pbtrf(ab[:_BAND + 1], overwrite_ab=True)
+    upper = ab[:_BAND + 1]
+    shifted = upper.copy()
+    shifted[_BAND] -= shift
+    chol, info = pbtrf(shifted, overwrite_ab=True)
     if info:
         raise RuntimeError(f"mode {l}: K - sigma I is not positive definite "
-                           f"at sigma = {sigma_low!r} (?pbtrf info {info})")
-    tbmv = get_blas_funcs("tbmv", (chol,))
-    dim = chol.shape[1]
-    K = LinearOperator((dim, dim), dtype=chol.dtype, matvec=lambda v: (
-        tbmv(_BAND, chol, tbmv(_BAND, chol, v), trans=2) + sigma_low * v))
+                           f"at sigma = {shift!r} (?pbtrf info {info})")
+    bmv = get_blas_funcs("hbmv" if np.iscomplexobj(ab) else "sbmv", (ab,))
+    dim = ab.shape[1]
+    K = LinearOperator((dim, dim), dtype=ab.dtype,
+                       matvec=lambda v: bmv(_BAND, 1.0, upper, v))
     # a fixed ARPACK start vector makes the output reproducible to the bit
-    v0 = np.random.default_rng(0).standard_normal(dim).astype(chol.dtype)
+    v0 = np.random.default_rng(0).standard_normal(dim).astype(ab.dtype)
     op = LinearOperator((dim, dim), lambda v: pbtrs(chol, v)[0],
-                        dtype=chol.dtype)
-    vals = eigsh(K, k=max(below_plus, 1), sigma=sigma_low, which="LM", v0=v0,
-                 OPinv=op, tol=ARPACK_TOL, return_eigenvectors=False)
-    return np.sort(vals.real), inertia
+                        dtype=ab.dtype)
+    k = max(below_plus, 1)
+    _, ritz = eigsh(K, k=k, sigma=shift, which="LM", v0=v0, ncv=2 * k + 2,
+                    OPinv=op, tol=ARPACK_TOL)
+    q = qr(ritz, mode="economic")[0]
+    kq = K @ q
+    # scipy's gemm, not numpy's @: its BLAS is the one ARPACK and the
+    # factors already run, where numpy's would add its own pages
+    gemm = get_blas_funcs("gemm", (ab,))
+    h = gemm(1.0, q, kq, trans_a=2)
+    vals = eigh(h, eigvals_only=True)
+    residual = kq - gemm(1.0, q, h)
+    # ||R||_2 as the root of the largest eigenvalue of R^H R, k x k
+    radius = math.sqrt(max(eigh(gemm(1.0, residual, residual, trans_a=2),
+                                eigvals_only=True)[-1], 0.0))
+    if not below_plus:
+        inertia = (0, 0)
+    elif vals[-1] + radius < _DELTA and np.all(np.abs(vals + _DELTA) > radius):
+        inertia = (int(np.count_nonzero(vals < -_DELTA)), below_plus)
+    else:
+        inertia = (_band_inertia(ab, -_DELTA, pattern), below_plus)
+    return vals, inertia
 
 
 def index_nullity_estimate(point: ModuliPoint) -> IndexNullity:
@@ -488,11 +527,15 @@ def index_nullity_estimate(point: ModuliPoint) -> IndexNullity:
     Each x-Fourier mode gives a one-dimensional quadratic form in the frame
     components, discretized at the two meshes RESOLUTIONS = (n_lo, n_hi),
     whose frames share one evaluation of the map.  The inertia
-    of unpivoted LDL^H factors of K -+ _DELTA I at n_hi gives the counts:
-    nu(-_DELTA) negative eigenvalues and nu(+_DELTA) - nu(-_DELTA) in the
-    zero cluster.  Only the eigenvalues below +_DELTA (at least one) are
-    computed, Richardson-extrapolated across the pair when the inertia
-    agrees on both meshes, and used to certify the zero cluster.
+    (nu(-_DELTA), nu(+_DELTA)) at n_hi gives the counts: nu(-_DELTA)
+    negative eigenvalues and nu(+_DELTA) - nu(-_DELTA) in the zero cluster.
+    nu(+_DELTA) comes from an unpivoted LDL^H of K - _DELTA I, and
+    nu(-_DELTA) from the eigenvalues below +_DELTA (at least one) and
+    Kahan's bound on their Ritz residual, or, where that cannot decide,
+    from an LDL^H of K + _DELTA I (_mode_spectrum).  n_hi's shift-invert
+    starts from n_lo's lowest value of the same mode.  The values are
+    Richardson-extrapolated across the pair when the inertia agrees on both
+    meshes, and used to certify the zero cluster.
     Modes l >= 1 count twice (real and imaginary parts).  The mode loop
     stops at the first mode with nu(+_DELTA) = 0, which the l^2 growth of
     the x-term makes final, and at the latest at the first l with
@@ -521,7 +564,7 @@ def index_nullity_estimate(point: ModuliPoint) -> IndexNullity:
     per_mode = {}
     for l in range(l_positive + 1):
         lo, inertia_lo = _mode_spectrum(frame_lo, l)
-        hi, inertia_hi = _mode_spectrum(frame_hi, l)
+        hi, inertia_hi = _mode_spectrum(frame_hi, l, lo[0])
         counts_match = inertia_lo == inertia_hi
         vals = (s2 * hi - lo) / (s2 - 1.0) if counts_match else hi
         neg, below_plus = inertia_hi

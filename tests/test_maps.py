@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eqtorus import maps
 from eqtorus.maps import (
     CircleMap,
     build_profiles,
@@ -203,6 +204,32 @@ class TestEvalMap:
                 u1 = map_at(prof, x + point.a, y + point.b)
                 assert abs(u1[0] - u0[0]) < 1e-10, name
                 assert abs(u1[1] - u0[1]) < 1e-10, name
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_jet_evaluates_jacobi_once(self, built, monkeypatch, name):
+        # jet takes latitude, theta and alpha from one sn, cn, dn, am
+        # evaluation, with the values of the separate evaluators to the bit
+        prof = built[name][3]
+        x, y = 0.37, np.linspace(0.0, 2.0 * prof.point.b, 41)
+        (cphi, sphi), (dcphi, dsphi), _ = prof.latitude(y)
+        dth, dal = prof.dtheta(y), prof.dalpha(y)
+        e1 = np.exp(1j * prof.theta(y))
+        e2 = np.exp(1j * (2.0 * math.pi * x + prof.alpha(y)))
+        separate = ((cphi * e1, sphi * e2),
+                    ((dcphi + 1j * dth * cphi) * e1,
+                     (dsphi + 1j * dal * sphi) * e2))
+        calls = []
+        jacobi = maps.jacobi_sn_cn_dn_am
+
+        def spy(u, m):
+            calls.append(u)
+            return jacobi(u, m)
+
+        monkeypatch.setattr(maps, "jacobi_sn_cn_dn_am", spy)
+        jet = prof.jet(x, y)
+        assert len(calls) == 1
+        for got, want in zip(np.ravel(jet), np.ravel(separate)):
+            assert np.array_equal(got, want)
 
 
 class TestCircleMap:

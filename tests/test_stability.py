@@ -4,6 +4,7 @@ index/nullity counts."""
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,7 +373,7 @@ class TestResolutions:
         # six zeros, the fewest a converged estimate may have
         exact = np.array([-2.5, -1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0])
 
-        def fake_spectrum(frame, l):
+        def fake_spectrum(frame, l, coarse_lowest=None):
             if l > 0:
                 return np.array([50.0]), (0, 0)
             return exact + 40.0 * frame.h**2, (2, 8)
@@ -428,14 +429,17 @@ class TestSpectrumSlicing:
                 assert np.max(np.abs(vals - dense[:vals.size])) <= \
                     1e-10 * max(1.0, np.max(np.abs(vals)))
 
-    def test_one_cholesky_and_two_inertia_factors_per_mode(self,
-                                                            monkeypatch):
-        # nu(+delta) = 0 proves nu(-delta) = 0, so -delta is factored only
-        # where nu(+delta) > 0: modes 0 and 1 here, and not mode 2
-        frame = _grid_frames(_profiles_110(0.3, 1.4), (32,))[0]
-        shifts, routines = [], []
+    def test_one_inertia_factor_and_one_cholesky_per_mode(self,
+                                                          monkeypatch):
+        # on each mesh a mode form makes one LDL^H, at +delta, one ?pbtrf
+        # and one eigsh call: the Ritz residual decides nu(-delta), at
+        # modes 0 and 1 here, and nu(+delta) = 0 decides it at mode 2; the
+        # finer mesh shifts from the coarser one's lowest value
+        frames = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
+        shifts, routines, solves = [], [], []
         band_inertia = stability._band_inertia
         get_lapack_funcs = stability.get_lapack_funcs
+        eigsh = stability.eigsh
 
         def spy_inertia(ab, sigma, pattern):
             shifts.append(sigma)
@@ -445,17 +449,29 @@ class TestSpectrumSlicing:
             routines.extend(names)
             return get_lapack_funcs(names, arrays)
 
+        def spy_eigsh(A, **kwargs):
+            solves.append(kwargs["sigma"])
+            return eigsh(A, **kwargs)
+
         monkeypatch.setattr(stability, "_band_inertia", spy_inertia)
         monkeypatch.setattr(stability, "get_lapack_funcs", spy_lapack)
+        monkeypatch.setattr(stability, "eigsh", spy_eigsh)
         delta = stability._DELTA
         below_plus = []
         for l in (0, 1, 2):
-            shifts.clear()
-            routines.clear()
-            _, inertia = _mode_spectrum(frame, l)
+            coarse_lowest = None
+            for frame in frames:
+                shifts.clear()
+                routines.clear()
+                solves.clear()
+                vals, inertia = _mode_spectrum(frame, l, coarse_lowest)
+                assert shifts == [delta]
+                assert routines.count("pbtrf") == 1 and len(solves) == 1
+                if coarse_lowest is not None:
+                    assert solves[0] == coarse_lowest - (
+                        1.0 + 0.1 * abs(coarse_lowest))
+                coarse_lowest = vals[0]
             below_plus.append(inertia[1])
-            assert shifts == ([delta, -delta] if inertia[1] else [delta])
-            assert routines.count("pbtrf") == 1
         assert below_plus[0] > 0 and below_plus[1] > 0 and below_plus[2] == 0
 
     def test_mode_parts_built_once_per_frame(self, monkeypatch):
@@ -477,46 +493,112 @@ class TestSpectrumSlicing:
         assert all(a is b for a, b in zip(built, frames))
 
     def test_eigsh_sees_the_form(self, monkeypatch):
-        # shift-invert ARPACK applies OPinv alone, never the operator K it
-        # is given: OPinv must solve (K - sigma_low I) y = x for the dense
-        # form, through the banded Cholesky factor
+        # eigsh's A is the band product K x, the one the Ritz residual
+        # uses, and OPinv solves (K - sigma I) y = x for eigsh's sigma,
+        # through the banded Cholesky factor, at sigma_low, at +delta (mode
+        # 2) and at a shift from a coarser mesh's lowest value
         frame = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
         seen = []
         eigsh = stability.eigsh
 
         def spy_eigsh(A, **kwargs):
-            seen.append(kwargs)
+            seen.append((A, kwargs))
             return eigsh(A, **kwargs)
 
         monkeypatch.setattr(stability, "eigsh", spy_eigsh)
+        eye = np.eye(48)
         x = np.random.default_rng(3).standard_normal(48)
-        for l in (0, 1):
+        sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+        for l, coarse_lowest, sigma in (
+                (0, None, sigma_low), (1, None, sigma_low),
+                (2, None, stability._DELTA), (0, -30.0, -34.0),
+                (2, 35.0, 30.5)):
             seen.clear()
-            _mode_spectrum(frame, l)
+            _mode_spectrum(frame, l, coarse_lowest)
             K = _band_dense(_mode_matrix(frame, l))
-            sigma, solve = seen[0]["sigma"], seen[0]["OPinv"]
-            y = solve @ x.astype(K.dtype)
+            A, kwargs = seen[0]
+            assert kwargs["sigma"] == sigma
+            dense = A @ eye.astype(K.dtype)
+            assert np.max(np.abs(dense - K)) <= 1e-12 * np.max(np.abs(K))
+            y = kwargs["OPinv"] @ x.astype(K.dtype)
             residual = K @ y - sigma * y - x
             assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(x))
 
     def test_cholesky_proves_sigma_low_bound(self, monkeypatch):
-        # a form with a value below sigma_low = -2 max rho - 1 has no
-        # Cholesky factor of K - sigma_low I, and the error names the mode
-        frame = _grid_frames(_profiles_110(0.3, 1.4), (32,))[0]
-        sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+        # a form with a value below its shift, sigma_low = -2 max rho - 1
+        # or, on a finer mesh, one from a coarser mesh's lowest value, has
+        # no Cholesky factor of K - sigma I, and the error names the mode
+        frame_lo, frame_hi = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
+        sigma_low = -2.0 * float(np.max(frame_lo.rho)) - 1.0
+        coarse = {l: _mode_spectrum(frame_lo, l)[0][0] for l in (0, 1, 2)}
         mode_matrix = stability._mode_matrix
+        sink = {}
 
         def sunk(frame, l):
             ab = mode_matrix(frame, l)
-            # the Rayleigh quotient of e_7 drops below sigma_low
-            ab[stability._BAND, 7] = sigma_low - 1.0
+            # the Rayleigh quotient of e_7 drops below the shift
+            ab[stability._BAND, 7] = sink[l]
             return ab
 
         monkeypatch.setattr(stability, "_mode_matrix", sunk)
         for l in (0, 1):
+            sink[l] = sigma_low - 1.0
             with pytest.raises(RuntimeError,
                                match=f"mode {l}: .*not positive definite"):
-                _mode_spectrum(frame, l)
+                _mode_spectrum(frame_lo, l)
+        for l in (0, 1, 2):
+            shift = float(coarse[l] - (1.0 + 0.1 * abs(coarse[l])))
+            sink[l] = shift - 1.0
+            with pytest.raises(RuntimeError,
+                               match=f"mode {l}: .*not positive definite "
+                                     f"at sigma = {re.escape(repr(shift))} "):
+                _mode_spectrum(frame_hi, l, coarse[l])
+
+    def test_band_inertia_where_the_bound_cannot_decide(self, monkeypatch):
+        # the lowest value moved to 1e-7 below -delta, and eigsh's Ritz
+        # vectors coarsened to a residual near 1e-4, far above it: Kahan's
+        # bound cannot place that value against -delta, so K + delta I is
+        # factored, and the counts are the dense form's.  ARPACK keeps
+        # 2k + 2 vectors for the k values wanted
+        frame = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
+        delta = stability._DELTA
+        mode_matrix = stability._mode_matrix
+        band_inertia = stability._band_inertia
+        eigsh = stability.eigsh
+        moved, shifts, spaces = {}, [], []
+
+        def moved_form(frame, l):
+            ab = mode_matrix(frame, l)
+            ab[stability._BAND] += moved[l]
+            return ab
+
+        def spy_inertia(ab, sigma, pattern):
+            shifts.append(sigma)
+            return band_inertia(ab, sigma, pattern)
+
+        def spy_eigsh(A, **kwargs):
+            spaces.append((kwargs["k"], kwargs["ncv"]))
+            vals, vecs = eigsh(A, **kwargs)
+            rng = np.random.default_rng(5)
+            return vals, vecs + 1e-6 * rng.standard_normal(vecs.shape)
+
+        for l in (0, 1):
+            lowest = np.linalg.eigvalsh(_band_dense(mode_matrix(frame, l)))[0]
+            moved[l] = -delta - 1e-7 - lowest
+        monkeypatch.setattr(stability, "_mode_matrix", moved_form)
+        monkeypatch.setattr(stability, "_band_inertia", spy_inertia)
+        monkeypatch.setattr(stability, "eigsh", spy_eigsh)
+        for l in (0, 1):
+            dense = np.linalg.eigvalsh(_band_dense(moved_form(frame, l)))
+            assert -delta - 2e-7 < dense[0] < -delta < dense[1]
+            shifts.clear()
+            spaces.clear()
+            _, inertia = _mode_spectrum(frame, l)
+            assert inertia == (int(np.sum(dense < -delta)),
+                               int(np.sum(dense < delta)))
+            assert shifts == [delta, -delta]
+            k = max(inertia[1], 1)
+            assert spaces == [(k, 2 * k + 2)]
 
     @pytest.mark.parametrize("dense", [
         [[0.0, 1.0], [1.0, 0.0]],                          # zero first pivot
@@ -651,7 +733,7 @@ class TestIndexNullity:
         # map reads mismatched counts there, so a fake _mode_spectrum
         # replays that reading; the six rotational Jacobi fields force
         # nullity >= 6, so the estimate must not certify itself
-        def fake_spectrum(frame, l):
+        def fake_spectrum(frame, l, coarse_lowest=None):
             return {0: (np.array([-5.0, 3.0]), (1, 1)),
                     1: (np.array([-4.0, -3.0, -2.0]), (3, 3))}.get(
                         l, (np.array([50.0]), (0, 0)))
@@ -696,7 +778,8 @@ class TestBoundaryBracket:
         assert np.sum(vals < -1e-9) == 2
         assert np.sum(np.abs(vals) <= 1e-9) == 9
         smallest = []
-        for eps in (1e-2, 1e-3):
+        # at eps = 3e-4 mode 0's lowest value, about -1.2, nears -delta
+        for eps in (1e-2, 1e-3, 3e-4):
             est = index_nullity_estimate(ModuliPoint(a, b0 + eps))
             assert est.index >= 2
             assert est.index + est.nullity <= 11
