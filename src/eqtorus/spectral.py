@@ -78,6 +78,9 @@ AT_THRESHOLD_TOL = 1e-7
 # fraction of its mean.  A Galerkin value errs by about the square of what
 # the basis leaves out
 FOURIER_CUT = 1e-9
+# a lambda = 2 trace certificate above this is flagged in its mode's
+# warnings, as "l = <l>: trace residual <value>"
+CERTIFICATE_TOL = 1e-7
 # Gauss-Legendre nodes of one Magnus step, in units of the step
 GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
@@ -92,12 +95,17 @@ class SLProblem:
     coef: np.ndarray = field(repr=False, compare=False)
     b: float
     bc_phase: float           # 2 pi l a mod 2 pi
-    rho_max: float
     q: int = 1                # number of rho periods in [0, b]
     # {(P, n): rho} from _samples and {(P, "B^-1"): B^-1} from
     # _hill_inverse; one memo serves all modes of a map, a hand-built
     # problem's is empty
     samples: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def rho_max(self) -> float:
+        """c_0 + 2 sum |c_k|, a bound on rho; a map's c_k are all positive,
+        so there it is rho(0) = 2 pi^2 (tau2 + tau3 - tau1), the maximum."""
+        return float(self.coef[0] + 2.0 * np.abs(self.coef[1:]).sum())
 
     @property
     def trace_target(self) -> float:
@@ -113,28 +121,14 @@ def sl_problem(profiles: ProfileSet, l: int) -> SLProblem:
     point = profiles.point
     la = l * point.a_exact
     phase = TWO_PI * float(la - math.floor(la))
-    t1, t2, t3 = profiles.tau.taus
-    rho_max = 2.0 * math.pi**2 * (t2 + t3 - t1)
     return SLProblem(l=int(l), coef=profiles.rho_series, b=point.b,
-                     bc_phase=phase, rho_max=rho_max, q=profiles.params.q,
+                     bc_phase=phase, q=profiles.params.q,
                      samples=profiles.rho_samples)
 
 
 # --------------------------------------------------------------------------
 # monodromy
 # --------------------------------------------------------------------------
-
-
-def _magnus_steps(period: float, omega2: float) -> int:
-    """Magnus steps over one period P where max |k2 - lambda rho| is about
-    omega2, by a sixth-order rule: n steps of angle theta/n, theta =
-    sqrt(omega2) P, err by about n (theta/n)^7 = theta^7/n^6, held at 2e-9.
-    Measured, the l = 1 trace at (a, b) = (0, 2), the least smooth rho of
-    the criterion-4 set, errs by 3e-10 on its 800 steps, as the RK4 sweep
-    that wrote the golden certificates did, and the error falls as n^-6
-    until rounding, ~5e-11, takes over."""
-    theta = math.sqrt(max(omega2, 1.0)) * period
-    return int((theta**7 / 2e-9) ** (1.0 / 6.0)) + 1
 
 
 def _samples(problem: SLProblem, n: int) -> np.ndarray:
@@ -154,12 +148,17 @@ def _samples(problem: SLProblem, n: int) -> np.ndarray:
 
 
 def _mesh(problem: SLProblem, lam: float) -> int:
-    """Steps of monodromy's sweep over one period at lam: the sixth-order
-    count of _magnus_steps, raised above twice the last k of rho's series,
-    so that _samples keeps every term, and rounded up to a 5-smooth count,
-    which keeps its irfft fast."""
+    """Steps of monodromy's sweep over one period P at lam, by a sixth-order
+    rule: n steps of angle theta/n, theta = sqrt(max |k2 - lam rho|) P (at
+    least P), err by about n (theta/n)^7 = theta^7/n^6, held at 2e-9.
+    Measured, the l = 1 trace at (a, b) = (0, 2), the least smooth rho of
+    the criterion-4 set, errs by 3e-10 on its 800 steps, and the error
+    falls as n^-6 until rounding, ~5e-11, takes over.  n is raised above
+    twice the last k of rho's series, so that _samples keeps every term,
+    and rounded up to a 5-smooth count, which keeps its irfft fast."""
     k2 = 4.0 * math.pi**2 * problem.l**2
-    n = _magnus_steps(problem.period, max(abs(lam) * problem.rho_max, k2))
+    theta = math.sqrt(max(abs(lam) * problem.rho_max, k2, 1.0)) * problem.period
+    n = int((theta**7 / 2e-9) ** (1.0 / 6.0)) + 1
     return _smooth5(max(n, 2 * problem.coef.size - 1))
 
 
@@ -371,8 +370,9 @@ def assemble_N2(tau: TauTriple, params: MapParams,
     The mode loop stops at l_max = ceil(sqrt(tau2+tau3-tau1)): beyond it the
     Rayleigh bound forces lambda_0(l) >= 2.  Emits certificates
     |trace M(2) - 2 cos(2 pi l a)| for l = 0, 1, where the map components
-    are exact eigenfunctions with eigenvalue 2, from the Magnus monodromy.
-    The certificates and the counts share rho's cosine series
+    are exact eigenfunctions with eigenvalue 2, from the Magnus monodromy;
+    one above CERTIFICATE_TOL is flagged in the warnings of its mode and of
+    the report.  The certificates and the counts share rho's cosine series
     (ProfileSet.rho_series), made and its period checked once for the whole
     op, and rho itself is evaluated at no point.
     """
@@ -385,6 +385,9 @@ def assemble_N2(tau: TauTriple, params: MapParams,
         certs[l] = abs(np.trace(monodromy(problem, 2.0))
                        - problem.trace_target)
     counts = [count_below(sl_problem(profiles, l)) for l in range(l_max + 1)]
+    for l, cert in certs.items():
+        if cert > CERTIFICATE_TOL:
+            counts[l].warnings.append(f"l = {l}: trace residual {cert:.2e}")
     warnings = [w for mc in counts for w in mc.warnings]
     n2 = 1 + counts[0].count + 2 * sum(mc.count for mc in counts[1:])
     bound = n2_lower_bound(params, point)

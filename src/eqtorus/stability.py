@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -271,53 +270,38 @@ def _frame_coefficients(profiles, y):
     return omega_x, sigma_x, omega_y, sigma_y, rho
 
 
-@dataclass(frozen=True)
-class _GridFrame:
-    """Frame coefficients on the n nodes j h of [0, b) and the y-rotation at
-    the midpoints (j + 1/2) h: everything of the second-variation form that
-    does not depend on the Fourier mode l."""
-
-    a: float
-    h: float
-    omega_x: np.ndarray      # (n, 3, 3) at the nodes
-    sigma_x: np.ndarray      # (n, 3) at the nodes
-    sigma_y: np.ndarray      # (n, 3) at the nodes
-    rho: np.ndarray          # (n,) at the nodes
-    omega_y_mid: np.ndarray  # (n, 3, 3) at the midpoints
-
-    @cached_property
-    def parts(self) -> _ModeParts:
-        """The l-independent parts of every mode form, built on first use."""
-        return _mode_parts(self)
-
-
-def _grid_frames(profiles, sizes) -> list[_GridFrame]:
-    """The frames at each n of `sizes` from one evaluation of the map on the
-    half-step grid k b / (2 N), N = lcm(sizes): the nodes of n are every
-    (2 N / n)-th point from 0 and its midpoints every such point from N / n
-    (for (512, 1024), every fourth point from 0 and from 2 for n = 512)."""
+def _grid_frames(profiles, sizes) -> list[_ModeParts]:
+    """The l-independent form of each n of `sizes` (_mode_parts), its frame
+    coefficients from one evaluation of the map on the half-step grid
+    k b / (2 N), N = lcm(sizes): the nodes j h, h = b / n, of n are every
+    (2 N / n)-th point from 0 and its midpoints (j + 1/2) h every such point
+    from N / n (for (512, 1024), every fourth point from 0 and from 2 for
+    n = 512)."""
     point = profiles.point
     n_all = math.lcm(*sizes)
     y = np.arange(2 * n_all) * (point.b / (2 * n_all))
     omega_x, sigma_x, omega_y, sigma_y, rho = _frame_coefficients(profiles, y)
-    frames = []
+    parts = []
     for n in sizes:
         step = 2 * n_all // n
         nodes, mids = slice(0, None, step), slice(step // 2, None, step)
-        frames.append(_GridFrame(
-            a=point.a, h=point.b / n, omega_x=omega_x[nodes],
-            sigma_x=sigma_x[nodes], sigma_y=sigma_y[nodes], rho=rho[nodes],
-            omega_y_mid=omega_y[mids]))
-    return frames
+        parts.append(_mode_parts(point.a, point.b / n, omega_x[nodes],
+                                 sigma_x[nodes], sigma_y[nodes], rho[nodes],
+                                 omega_y[mids]))
+    return parts
 
 
 class _ModeParts(NamedTuple):
-    """What _mode_matrix adds the l-terms to: the real band of the mode-0
-    form, rows _BAND - 2 to _BAND + 2 of the band of Omega_x^T - Omega_x on
-    the diagonal blocks (every other entry 0), where in the band the wrap
-    coupling and its transpose sit, and the band's CSC pattern: every entry
-    of its 3x3 blocks, as one that is 0 in mode 0 need not be in mode l."""
+    """One mesh's l-independent part of every mode form, what _mode_matrix
+    adds the l-terms to: the lattice's a, max rho over the nodes, the real
+    band of the mode-0 form, rows _BAND - 2 to _BAND + 2 of the band of
+    Omega_x^T - Omega_x on the diagonal blocks (every other entry 0), where
+    in the band the wrap coupling and its transpose sit, and the band's CSC
+    pattern: every entry of its 3x3 blocks, as one that is 0 in mode 0 need
+    not be in mode l."""
 
+    a: float
+    rho_max: float
     band: np.ndarray
     skew: np.ndarray
     wrap_at: tuple
@@ -325,30 +309,32 @@ class _ModeParts(NamedTuple):
     pattern: tuple
 
 
-def _mode_parts(frame: _GridFrame) -> _ModeParts:
+def _mode_parts(a, h, omega_x, sigma_x, sigma_y, rho,
+                omega_y_mid) -> _ModeParts:
     """The band ab[_BAND + i - j, j] = K_0[i, j], |i - j| <= _BAND, of the
-    l-independent form K_0, its nodes in the order 0, n-1, 1, n-2, ...,
-    where neighbours on the period (the wrap included) are at most two 3x3
-    blocks apart.  Row j of the staggered first difference B holds
-    L_j = Omega_y/2 - I/h at node j and R_j = Omega_y/2 + I/h at j + 1 mod
-    n; K_0 = B^T B (no checkerboard null modes) + pointwise terms couples j
-    to j + 1 by L_j^T R_j.  The wrap R_{n-1} turns its (E_1, E_2) columns
-    by -2 pi a: u closes on the lattice, so E_1 + i E_2 at (a, b) is
-    e^{2 pi i a} times that at (0, 0).  The diagonal block of node j is
-    L_j^T L_j + R_{j-1}^T R_{j-1} + Omega_x^T Omega_x + sigma sigma^T
-    - 2 rho_j I."""
-    n = frame.rho.size
+    l-independent form K_0 on the n nodes j h of [0, b), from the frame
+    coefficients there ((n, 3, 3) omega_x, (n, 3) sigma_x and sigma_y, (n,)
+    rho) and the y-rotation at the midpoints ((n, 3, 3) omega_y_mid), its
+    nodes in the order 0, n-1, 1, n-2, ..., where neighbours on the period
+    (the wrap included) are at most two 3x3 blocks apart.  Row j of the
+    staggered first difference B holds L_j = Omega_y/2 - I/h at node j and
+    R_j = Omega_y/2 + I/h at j + 1 mod n; K_0 = B^T B (no checkerboard null
+    modes) + pointwise terms couples j to j + 1 by L_j^T R_j.  The wrap
+    R_{n-1} turns its (E_1, E_2) columns by -2 pi a: u closes on the
+    lattice, so E_1 + i E_2 at (a, b) is e^{2 pi i a} times that at (0, 0).
+    The diagonal block of node j is L_j^T L_j + R_{j-1}^T R_{j-1}
+    + Omega_x^T Omega_x + sigma sigma^T - 2 rho_j I."""
+    n = rho.size
     eye = np.eye(3)
-    half_omega = 0.5 * frame.omega_y_mid
-    left = half_omega - eye / frame.h
-    right = half_omega + eye / frame.h
-    c, s = math.cos(2.0 * math.pi * frame.a), math.sin(2.0 * math.pi * frame.a)
+    half_omega = 0.5 * omega_y_mid
+    left = half_omega - eye / h
+    right = half_omega + eye / h
+    c, s = math.cos(2.0 * math.pi * a), math.sin(2.0 * math.pi * a)
     right[-1, :, 1:] = right[-1, :, 1:] @ np.array([[c, s], [-s, c]])
-    sigma = np.stack([frame.sigma_x, frame.sigma_y], 1)
-    factors = np.concatenate([left, np.roll(right, 1, 0), frame.omega_x,
-                              sigma], 1)
+    sigma = np.stack([sigma_x, sigma_y], 1)
+    factors = np.concatenate([left, np.roll(right, 1, 0), omega_x, sigma], 1)
     diag = (np.einsum("nki,nkj->nij", factors, factors)
-            - 2.0 * frame.rho[:, None, None] * eye)
+            - 2.0 * rho[:, None, None] * eye)
     coupling = np.einsum("nki,nkj->nij", left, right)
     place = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
     place_next = np.roll(place, -1)
@@ -366,16 +352,16 @@ def _mode_parts(frame: _GridFrame) -> _ModeParts:
     band[coupling_at] = coupling
     band[coupling_t_at] = coupling.transpose(0, 2, 1)
     skew[diag_at[0] - (_BAND - 2), diag_at[1]] = (
-        frame.omega_x.transpose(0, 2, 1) - frame.omega_x)
+        omega_x.transpose(0, 2, 1) - omega_x)
     for where in (diag_at, coupling_at, coupling_t_at):
         blocks[where] = True
-    return _ModeParts(band, skew,
+    return _ModeParts(a, float(np.max(rho)), band, skew,
                       tuple(i[-1].copy() for i in coupling_at),
                       tuple(i[-1].copy() for i in coupling_t_at),
                       _band_pattern(blocks))
 
 
-def _mode_matrix(frame: _GridFrame, l: int) -> np.ndarray:
+def _mode_matrix(parts: _ModeParts, l: int) -> np.ndarray:
     """Hermitian form of the mode-l second variation, mass = identity, as
     the band ab[_BAND + i - j, j] = K[i, j] of _mode_parts' node order;
     ab[:_BAND + 1] is LAPACK's upper band storage.  The x-derivative
@@ -384,13 +370,12 @@ def _mode_matrix(frame: _GridFrame, l: int) -> np.ndarray:
     and the wrap R_{n-1} carries e^{-2 pi i l a}, which multiplies its
     coupling and leaves R_{n-1}^H R_{n-1} as it is.  Mode 0 has neither,
     and its form is returned as real."""
-    parts = frame.parts
     if l == 0:
         return parts.band.copy()
     ab = parts.band.astype(complex)
     ab[_BAND] += 4.0 * math.pi**2 * l * l
     ab[_BAND - 2:_BAND + 3] += 2j * math.pi * l * parts.skew
-    phase = np.exp(-2j * math.pi * l * frame.a)
+    phase = np.exp(-2j * math.pi * l * parts.a)
     ab[parts.wrap_at] *= phase
     ab[parts.wrap_t_at] *= phase.conjugate()
     return ab
@@ -452,7 +437,7 @@ def _band_inertia(ab: np.ndarray, sigma: float, pattern: tuple) -> int:
     return int(np.count_nonzero(pivots.real < 0.0))
 
 
-def _mode_spectrum(frame: _GridFrame, l: int, coarse_lowest=None):
+def _mode_spectrum(parts: _ModeParts, l: int, coarse_lowest=None):
     """The lowest eigenvalues of the mode-l form, as many as lie below
     +_DELTA (at least one), and its inertia (nu(-_DELTA), nu(+_DELTA)).
 
@@ -473,10 +458,9 @@ def _mode_spectrum(frame: _GridFrame, l: int, coarse_lowest=None):
     ||R||_2, nu(-_DELTA) is the number of theta below -_DELTA.  Only where
     that bound cannot decide is K + _DELTA I factored; k = 0 gives
     nu(-_DELTA) = 0, as nu is monotone."""
-    ab = _mode_matrix(frame, l)
-    pattern = frame.parts.pattern
-    below_plus = _band_inertia(ab, _DELTA, pattern)
-    bounds = [-2.0 * float(np.max(frame.rho)) - 1.0]
+    ab = _mode_matrix(parts, l)
+    below_plus = _band_inertia(ab, _DELTA, parts.pattern)
+    bounds = [-2.0 * parts.rho_max - 1.0]
     if not below_plus:
         bounds.append(_DELTA)
     if coarse_lowest is not None:
@@ -517,7 +501,7 @@ def _mode_spectrum(frame: _GridFrame, l: int, coarse_lowest=None):
     elif vals[-1] + radius < _DELTA and np.all(np.abs(vals + _DELTA) > radius):
         inertia = (int(np.count_nonzero(vals < -_DELTA)), below_plus)
     else:
-        inertia = (_band_inertia(ab, -_DELTA, pattern), below_plus)
+        inertia = (_band_inertia(ab, -_DELTA, parts.pattern), below_plus)
     return vals, inertia
 
 
@@ -555,7 +539,7 @@ def index_nullity_estimate(point: ModuliPoint) -> IndexNullity:
     profiles = build_profiles(tau, params, point)
     tau_sum = tau.tau2 + tau.tau3 - tau.tau1
     l_positive = math.floor(math.sqrt(tau_sum)) + 2
-    frame_lo, frame_hi = _grid_frames(profiles, RESOLUTIONS)
+    parts_lo, parts_hi = _grid_frames(profiles, RESOLUTIONS)
     # second-order scheme: Richardson with ratio s removes the h^2 term
     s2 = (n_hi / n_lo) ** 2
 
@@ -563,8 +547,8 @@ def index_nullity_estimate(point: ModuliPoint) -> IndexNullity:
     converged = True
     per_mode = {}
     for l in range(l_positive + 1):
-        lo, inertia_lo = _mode_spectrum(frame_lo, l)
-        hi, inertia_hi = _mode_spectrum(frame_hi, l, lo[0])
+        lo, inertia_lo = _mode_spectrum(parts_lo, l)
+        hi, inertia_hi = _mode_spectrum(parts_hi, l, lo[0])
         counts_match = inertia_lo == inertia_hi
         vals = (s2 * hi - lo) / (s2 - 1.0) if counts_match else hi
         neg, below_plus = inertia_hi

@@ -104,12 +104,12 @@ class ModuliPoint:
 
     a: float
     b: float
-    a_exact: Fraction = field(repr=False, default=None)  # type: ignore[assignment]
+    a_exact: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.b > 0:
             raise ValueError(f"lattice height b={self.b!r} must be positive")
-        frac = _as_fraction(self.a if self.a_exact is None else self.a_exact)
+        frac = _as_fraction(self.a)
         object.__setattr__(self, "a_exact", frac)
         object.__setattr__(self, "a", float(frac))
         object.__setattr__(self, "b", float(self.b))

@@ -147,6 +147,19 @@ class TestSpectral:
         for mode in doc["modes"]:
             assert mode.keys() == {"l", "count", "eigenvalues", "at_threshold"}
 
+    def test_flags_large_certificate(self, run):
+        # the l = 1 certificate at (0.3, 4.4) reads 9.1e-4, above the 1e-7
+        # bound: the exit code stays 0, and one warning names mode 1 and
+        # ends in the value
+        code, out, _ = run("spectral", "--a", "0.3", "--b", "4.4",
+                           "--p", "1", "--q", "1", "--r", "0")
+        doc = json.loads(out)
+        assert code == 0
+        [warning] = doc["warnings"]
+        assert warning.startswith("l = 1: trace residual ")
+        assert float(warning.rsplit(" ", 1)[1]) == pytest.approx(
+            doc["trace_certificates"]["1"], rel=1e-2)
+
     def test_grid_points_flag_removed(self, run):
         with pytest.raises(SystemExit):
             run("spectral", "--a", "0.3", "--b", "1.4", "--p", "1", "--q", "1",

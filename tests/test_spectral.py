@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -15,6 +16,7 @@ from eqtorus import maps
 from eqtorus.maps import PERIOD_TOL, ProfileSet, build_profiles
 from eqtorus.spectral import (
     AT_THRESHOLD_TOL,
+    CERTIFICATE_TOL,
     FOURIER_CUT,
     GAUSS,
     SLProblem,
@@ -31,11 +33,16 @@ from eqtorus.spectral import (
     n2_lower_bound,
     sl_problem,
 )
-from eqtorus.tau_solver import ModuliPoint, classify_params, solve_tau
+from eqtorus.tau_solver import (
+    InfeasibleParametersError,
+    ModuliPoint,
+    classify_params,
+    solve_tau,
+)
 
 
 def _const_problem(c=1.0, b=1.0, l=0, phase=0.0):
-    return SLProblem(l=l, coef=np.array([c]), b=b, bc_phase=phase, rho_max=c)
+    return SLProblem(l=l, coef=np.array([c]), b=b, bc_phase=phase)
 
 
 def _cosine_sum(problem, y):
@@ -178,6 +185,32 @@ def _assert_matches_sequential(M, M_seq):
     assert np.max(np.abs(M - M_seq) / scale) <= 1e-12
 
 
+def _assert_near_long_double(M, steps, h, k2, lam, rho):
+    """M, a float64 product of the (2, 2, n) step matrices `steps` over
+    P = n h = 1, against their sequential product in long double (a 64-bit
+    mantissa on x86-64, so its own rounding is 2^-11 of the bound).
+
+    A 2x2 product rounds each entry by at most gamma_2 ~ 2u of |A||B|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).  Where
+    the steps turn, in the frame diag(omega, 1) each is a rotation and
+    |A||B| has entries at most 2, so each of the n - 1 products of either
+    order adds at most 4u and none grows: the phase errs by at most 4u n.
+    The entry -omega sin(phi) carries that times omega, at most the total
+    step angle Theta = n h sqrt(max |k2 - lam rho|).  So every entry lies
+    within 4u n max(1, Theta) of the product, relative to the larger of 1
+    and its size; where the steps grow, the entries grow with the error."""
+    assert np.finfo(np.longdouble).nmant >= 63
+    ref = steps[:, :, 0].astype(np.longdouble)
+    for i in range(1, steps.shape[2]):
+        ref = steps[:, :, i].astype(np.longdouble) @ ref
+    n = steps.shape[2]
+    theta = n * h * math.sqrt(max(abs(k2 - lam * rho.min()),
+                                  abs(k2 - lam * rho.max())))
+    bound = 4.0 * (np.finfo(float).eps / 2.0) * n * max(1.0, theta)
+    err = np.abs((M - ref).astype(float))
+    assert np.max(err / np.maximum(np.abs(ref.astype(float)), 1.0)) <= bound
+
+
 @st.composite
 def _sweep_cases(draw):
     """(rho, h, k2, lams): a positive trig-polynomial rho over P = 1 at the
@@ -238,13 +271,21 @@ class TestBlockedSweep:
 
     @settings(max_examples=100, deadline=None)
     @given(_sweep_cases())
+    # a rotation through 41 turns at omega = 258: at lambda = 66 364.32
+    # the two float64 orders differ by 5.9e-12 in an entry of size 0.55,
+    # omega times their phase rounding
+    @example((np.ones((3, 391)), 1.0 / 391, 0.0,
+              np.array([66360.0, 66364.32])))
     def test_random_blocks_match_sequential(self, case):
-        # the product tree of the step matrices against the step-by-step
-        # sweep, for any resolving mesh
+        # the product tree of the step matrices and the step-by-step
+        # sweep, each against the long-double product, for any resolving
+        # mesh
         rho, h, k2, lams = case
         for lam in lams:
-            _assert_matches_sequential(_period_sweep(rho, h, k2, lam),
-                                       _sequential_sweep(rho, h, k2, lam))
+            steps = _magnus_step(rho, h, k2, lam)
+            for M in (_period_sweep(rho, h, k2, lam),
+                      _sequential_sweep(rho, h, k2, lam)):
+                _assert_near_long_double(M, steps, h, k2, lam, rho)
 
     def test_rejects_unresolved_mesh(self):
         # step angle h sqrt(max |k2 - lambda rho|) = 1.1 from lambda, or
@@ -501,7 +542,7 @@ def _trig_problems(draw):
     cos_c = np.array(draw(st.lists(unit, min_size=terms, max_size=terms)))
     # sum |2 c_k| <= 0.9 c0 keeps rho >= 0.1 c0 > 0
     coef = np.concatenate([[c0], (0.45 * c0 / terms) * cos_c])
-    return SLProblem(l=0, coef=coef, b=b, bc_phase=0.0, rho_max=1.9 * c0, q=q)
+    return SLProblem(l=0, coef=coef, b=b, bc_phase=0.0, q=q)
 
 
 class TestCoefficientMesh:
@@ -535,6 +576,43 @@ class TestCoefficientMesh:
     def test_strict_series_matches_rho(self, instance):
         point, params, cert = instance
         _assert_series_matches_rho(build_profiles(cert["tau"], params, point))
+
+
+# ten (p, q, r) families with feasible points below b = 2.8
+FAMILIES = [(1, 1, 0), (1, 2, 0), (1, 2, 1), (2, 2, 1), (2, 3, 0),
+            (2, 3, 1), (2, 4, 0), (2, 4, 1), (3, 4, 1), (3, 5, 2)]
+
+
+@st.composite
+def _feasible_maps(draw):
+    """The map at a feasible (a, b, p, q, r), exact a (0 and 1/2 among the
+    draws), b at most 2.8, where the float tau solve is sound."""
+    p, q, r = draw(st.sampled_from(FAMILIES))
+    a = draw(st.one_of(st.sampled_from([Fraction(0), Fraction(1, 2)]),
+                       st.fractions(Fraction(-1, 2), Fraction(1, 2),
+                                    max_denominator=1000)))
+    assume(2 * abs(r + a) <= q)
+    b_min = math.sqrt(max(p * p - float(r + a) ** 2, 0.0)) + 0.01
+    assume(b_min < 2.8)
+    point = ModuliPoint(a, draw(st.floats(b_min, 2.8)))
+    try:
+        params = classify_params(point, p, q, r)
+    except InfeasibleParametersError:
+        assume(False)
+    return build_profiles(solve_tau(point, params), params, point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_feasible_maps())
+def test_rho_max_read_off_series(prof):
+    # a map's c_k are positive, so c_0 + 2 sum |c_k| is rho(0), the maximum
+    # 2 pi^2 (tau2 + tau3 - tau1).  Both sides are sums of positive terms,
+    # each made in a handful of roundings from the same taus and K, E: 16
+    # ulps (over 14 827 draws the largest gap read 1.1e-15, 10 ulps)
+    tau = prof.tau
+    want = 2.0 * math.pi**2 * (tau.tau2 + tau.tau3 - tau.tau1)
+    got = sl_problem(prof, 0).rho_max
+    assert abs(got - want) <= 16 * (np.finfo(float).eps / 2.0) * want
 
 
 def _assert_series_matches_rho(prof):
@@ -723,6 +801,25 @@ class TestAssembleN2:
         assert rep.n2 == expected
         assert rep.n2 == rep.bound_rhs
         assert rep.equality
+
+    def test_flags_certificate_above_bound(self):
+        # (1,1,0) at (0.3, 4.4), where rho's float m leaves the l = 1
+        # certificate at 9.1e-4 (ROADMAP item 2): one warning, in mode 1,
+        # ending in the value
+        point, params, tau, _ = _profiles(0.3, 4.4, 1, 1, 0)
+        rep = assemble_N2(tau, params, point)
+        cert = rep.trace_certificates[1]
+        assert cert > 1e-4 and rep.trace_certificates[0] <= CERTIFICATE_TOL
+        assert rep.warnings == [f"l = 1: trace residual {cert:.2e}"]
+        assert [mc.warnings for mc in rep.counts_below_2[:2]] == [
+            [], rep.warnings]
+        assert float(rep.warnings[0].rsplit(" ", 1)[1]) == pytest.approx(
+            cert, rel=1e-2)
+
+    @pytest.mark.parametrize("case", CRITERION_4)
+    def test_criterion_4_instances_not_flagged(self, case):
+        point, params, tau, _ = _profiles(*case)
+        assert assemble_N2(tau, params, point).warnings == []
 
     def test_bound_formula(self):
         pt_a = ModuliPoint(0.25, 2.1)

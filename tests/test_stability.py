@@ -1,7 +1,6 @@
 """Jacobi-operator diagnostics: blocks, kernel fields, second variation,
 index/nullity counts."""
 
-import dataclasses
 import functools
 import math
 import re
@@ -17,8 +16,8 @@ from eqtorus.stability import (
     _band_pattern,
     _frame_coefficients,
     _grid_frames,
-    _GridFrame,
     _mode_matrix,
+    _mode_parts,
     _mode_spectrum,
     _quaternion_j,
     hersch_closed_form,
@@ -237,10 +236,10 @@ class TestModeMatrix:
         # lcm(12, 15, 16, 32) = 480; n = 15 is odd
         prof = _profiles_110(a, b)
         sizes = (12, 15, 16, 32)
-        for n, frame in zip(sizes, _grid_frames(prof, sizes)):
+        for n, parts in zip(sizes, _grid_frames(prof, sizes)):
             idx = _interleaved_index(n)
             for l in (0, 1, 2):
-                ab = _mode_matrix(frame, l)
+                ab = _mode_matrix(parts, l)
                 assert ab.shape == (17, 3 * n)
                 assert np.isrealobj(ab) == (l == 0)
                 ref = _reference_mode_matrix(prof, l, n)[np.ix_(idx, idx)]
@@ -256,8 +255,8 @@ class TestModeMatrix:
         rng = np.random.default_rng(7)
         n = 8
         w = rng.normal(size=(3, 3))
-        frame = _GridFrame(
-            a=0.0, h=0.1,
+        coefficients = dict(
+            h=0.1,
             omega_x=np.tile(w - w.T, (n, 1, 1)),
             sigma_x=np.tile(rng.normal(size=3), (n, 1)),
             sigma_y=np.tile(rng.normal(size=3), (n, 1)),
@@ -268,14 +267,13 @@ class TestModeMatrix:
             jn = (j + 1) % n
             return K[3 * j:3 * j + 3, 3 * jn:3 * jn + 3]
 
-        K0 = _natural(_mode_matrix(frame, 0))
+        K0 = _natural(_mode_matrix(_mode_parts(0.0, **coefficients), 0))
         interior = coupling(K0, 0)
         for j in range(1, n):
             assert np.array_equal(coupling(K0, j), interior)
         assert np.abs(K0.imag).max() == 0.0
 
-        frame_a = dataclasses.replace(frame, a=0.3)
-        K1 = _natural(_mode_matrix(frame_a, 1))
+        K1 = _natural(_mode_matrix(_mode_parts(0.3, **coefficients), 1))
         interior = coupling(K1, 0)
         assert np.allclose(coupling(K1, n - 1),
                            interior @ _twist(0.3) * np.exp(-2j * math.pi * 0.3),
@@ -283,8 +281,8 @@ class TestModeMatrix:
 
         # at a = 1/2 the twist negates the E_1 and E_2 columns of the wrap,
         # and the opposite turn is a different form
-        frame_half = dataclasses.replace(frame, a=0.5)
-        wrap = coupling(_natural(_mode_matrix(frame_half, 0)), n - 1)
+        wrap = coupling(
+            _natural(_mode_matrix(_mode_parts(0.5, **coefficients), 0)), n - 1)
         ref = coupling(K0, n - 1)
         assert np.array_equal(wrap[:, 0], ref[:, 0])
         assert np.allclose(wrap[:, 1:], -ref[:, 1:], rtol=0.0, atol=1e-12)
@@ -372,14 +370,15 @@ class TestResolutions:
         # eigenvalues with a pure h^2 error: extrapolation recovers them;
         # six zeros, the fewest a converged estimate may have
         exact = np.array([-2.5, -1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0])
+        point = ModuliPoint(0.3, 1.4)
 
-        def fake_spectrum(frame, l, coarse_lowest=None):
+        def fake_spectrum(parts, l, coarse_lowest=None):
             if l > 0:
                 return np.array([50.0]), (0, 0)
-            return exact + 40.0 * frame.h**2, (2, 8)
+            h = point.b / (parts.band.shape[1] // 3)  # three rows a node
+            return exact + 40.0 * h**2, (2, 8)
 
         monkeypatch.setattr(stability, "_mode_spectrum", fake_spectrum)
-        point = ModuliPoint(0.3, 1.4)
         for res in ((64, 192), (48, 80), (64, 128)):
             monkeypatch.setattr(stability, "RESOLUTIONS", res)
             est = index_nullity_estimate(point)
@@ -407,22 +406,22 @@ class TestSpectrumSlicing:
         ids=lambda pt: f"a={pt.a:.3f},b={pt.b:.3f}")
     def test_inertia_and_lowest_values_match_dense(self, point):
         prof = _profiles_110(point.a, point.b)
-        for n, frame in zip((16, 32, 64), _grid_frames(prof, (16, 32, 64))):
-            sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+        for n, parts in zip((16, 32, 64), _grid_frames(prof, (16, 32, 64))):
+            sigma_low = -2.0 * parts.rho_max - 1.0
             # the form's own pattern, every entry of its 3x3 blocks, holds
             # all of its nonzeros
             off_pattern = np.ones((17, 3 * n), dtype=bool)
-            off_pattern.flat[frame.parts.pattern[0]] = False
+            off_pattern.flat[parts.pattern[0]] = False
             for l in (0, 1, 2):
-                assert not np.any(_mode_matrix(frame, l)[off_pattern])
-                K = _band_dense(_mode_matrix(frame, l))
+                assert not np.any(_mode_matrix(parts, l)[off_pattern])
+                K = _band_dense(_mode_matrix(parts, l))
                 dense = np.linalg.eigvalsh(K)
                 ab = _dense_band(K)
                 pattern = _band_pattern(ab != 0.0)
                 for sigma in (-1e-2, 1e-2, -1.0, 1.0, sigma_low):
                     below = _band_inertia(ab, sigma, pattern)
                     assert below == int(np.sum(dense < sigma)), (n, l, sigma)
-                vals, inertia = _mode_spectrum(frame, l)
+                vals, inertia = _mode_spectrum(parts, l)
                 assert inertia == (int(np.sum(dense < -1.0)),
                                    int(np.sum(dense < 1.0)))
                 assert vals.size == max(inertia[1], 1)
@@ -435,7 +434,7 @@ class TestSpectrumSlicing:
         # and one eigsh call: the Ritz residual decides nu(-delta), at
         # modes 0 and 1 here, and nu(+delta) = 0 decides it at mode 2; the
         # finer mesh shifts from the coarser one's lowest value
-        frames = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
+        meshes = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
         shifts, routines, solves = [], [], []
         band_inertia = stability._band_inertia
         get_lapack_funcs = stability.get_lapack_funcs
@@ -460,11 +459,11 @@ class TestSpectrumSlicing:
         below_plus = []
         for l in (0, 1, 2):
             coarse_lowest = None
-            for frame in frames:
+            for parts in meshes:
                 shifts.clear()
                 routines.clear()
                 solves.clear()
-                vals, inertia = _mode_spectrum(frame, l, coarse_lowest)
+                vals, inertia = _mode_spectrum(parts, l, coarse_lowest)
                 assert shifts == [delta]
                 assert routines.count("pbtrf") == 1 and len(solves) == 1
                 if coarse_lowest is not None:
@@ -475,29 +474,38 @@ class TestSpectrumSlicing:
         assert below_plus[0] > 0 and below_plus[1] > 0 and below_plus[2] == 0
 
     def test_mode_parts_built_once_per_frame(self, monkeypatch):
-        # the l-independent parts are memoized on the frame: modes 0-3 of
-        # two meshes build them twice, once per _GridFrame
-        frames = _grid_frames(_profiles_110(0.3, 1.4), (16, 32))
-        built = []
+        # the l-independent parts are built once per mesh, when the meshes
+        # are made: modes 0-3 of two meshes build them twice, and every
+        # mode form is made from the parts of its mesh
+        built, used = [], []
         mode_parts = stability._mode_parts
+        mode_matrix = stability._mode_matrix
 
-        def spy_parts(frame):
-            built.append(frame)
-            return mode_parts(frame)
+        def spy_parts(*args):
+            built.append(mode_parts(*args))
+            return built[-1]
+
+        def spy_matrix(parts, l):
+            used.append(parts)
+            return mode_matrix(parts, l)
 
         monkeypatch.setattr(stability, "_mode_parts", spy_parts)
-        for l in range(4):
-            for frame in frames:
-                _mode_spectrum(frame, l)
+        monkeypatch.setattr(stability, "_mode_matrix", spy_matrix)
+        meshes = _grid_frames(_profiles_110(0.3, 1.4), (16, 32))
         assert len(built) == 2
-        assert all(a is b for a, b in zip(built, frames))
+        assert all(a is b for a, b in zip(built, meshes))
+        for l in range(4):
+            for parts in meshes:
+                _mode_spectrum(parts, l)
+                assert used[-1] is parts
+        assert len(built) == 2
 
     def test_eigsh_sees_the_form(self, monkeypatch):
         # eigsh's A is the band product K x, the one the Ritz residual
         # uses, and OPinv solves (K - sigma I) y = x for eigsh's sigma,
         # through the banded Cholesky factor, at sigma_low, at +delta (mode
         # 2) and at a shift from a coarser mesh's lowest value
-        frame = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
+        parts = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
         seen = []
         eigsh = stability.eigsh
 
@@ -508,14 +516,14 @@ class TestSpectrumSlicing:
         monkeypatch.setattr(stability, "eigsh", spy_eigsh)
         eye = np.eye(48)
         x = np.random.default_rng(3).standard_normal(48)
-        sigma_low = -2.0 * float(np.max(frame.rho)) - 1.0
+        sigma_low = -2.0 * parts.rho_max - 1.0
         for l, coarse_lowest, sigma in (
                 (0, None, sigma_low), (1, None, sigma_low),
                 (2, None, stability._DELTA), (0, -30.0, -34.0),
                 (2, 35.0, 30.5)):
             seen.clear()
-            _mode_spectrum(frame, l, coarse_lowest)
-            K = _band_dense(_mode_matrix(frame, l))
+            _mode_spectrum(parts, l, coarse_lowest)
+            K = _band_dense(_mode_matrix(parts, l))
             A, kwargs = seen[0]
             assert kwargs["sigma"] == sigma
             dense = A @ eye.astype(K.dtype)
@@ -528,14 +536,14 @@ class TestSpectrumSlicing:
         # a form with a value below its shift, sigma_low = -2 max rho - 1
         # or, on a finer mesh, one from a coarser mesh's lowest value, has
         # no Cholesky factor of K - sigma I, and the error names the mode
-        frame_lo, frame_hi = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
-        sigma_low = -2.0 * float(np.max(frame_lo.rho)) - 1.0
-        coarse = {l: _mode_spectrum(frame_lo, l)[0][0] for l in (0, 1, 2)}
+        parts_lo, parts_hi = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
+        sigma_low = -2.0 * parts_lo.rho_max - 1.0
+        coarse = {l: _mode_spectrum(parts_lo, l)[0][0] for l in (0, 1, 2)}
         mode_matrix = stability._mode_matrix
         sink = {}
 
-        def sunk(frame, l):
-            ab = mode_matrix(frame, l)
+        def sunk(parts, l):
+            ab = mode_matrix(parts, l)
             # the Rayleigh quotient of e_7 drops below the shift
             ab[stability._BAND, 7] = sink[l]
             return ab
@@ -545,14 +553,14 @@ class TestSpectrumSlicing:
             sink[l] = sigma_low - 1.0
             with pytest.raises(RuntimeError,
                                match=f"mode {l}: .*not positive definite"):
-                _mode_spectrum(frame_lo, l)
+                _mode_spectrum(parts_lo, l)
         for l in (0, 1, 2):
             shift = float(coarse[l] - (1.0 + 0.1 * abs(coarse[l])))
             sink[l] = shift - 1.0
             with pytest.raises(RuntimeError,
                                match=f"mode {l}: .*not positive definite "
                                      f"at sigma = {re.escape(repr(shift))} "):
-                _mode_spectrum(frame_hi, l, coarse[l])
+                _mode_spectrum(parts_hi, l, coarse[l])
 
     def test_band_inertia_where_the_bound_cannot_decide(self, monkeypatch):
         # the lowest value moved to 1e-7 below -delta, and eigsh's Ritz
@@ -560,15 +568,15 @@ class TestSpectrumSlicing:
         # bound cannot place that value against -delta, so K + delta I is
         # factored, and the counts are the dense form's.  ARPACK keeps
         # 2k + 2 vectors for the k values wanted
-        frame = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
+        parts = _grid_frames(_profiles_110(0.3, 1.4), (16,))[0]
         delta = stability._DELTA
         mode_matrix = stability._mode_matrix
         band_inertia = stability._band_inertia
         eigsh = stability.eigsh
         moved, shifts, spaces = {}, [], []
 
-        def moved_form(frame, l):
-            ab = mode_matrix(frame, l)
+        def moved_form(parts, l):
+            ab = mode_matrix(parts, l)
             ab[stability._BAND] += moved[l]
             return ab
 
@@ -583,17 +591,17 @@ class TestSpectrumSlicing:
             return vals, vecs + 1e-6 * rng.standard_normal(vecs.shape)
 
         for l in (0, 1):
-            lowest = np.linalg.eigvalsh(_band_dense(mode_matrix(frame, l)))[0]
+            lowest = np.linalg.eigvalsh(_band_dense(mode_matrix(parts, l)))[0]
             moved[l] = -delta - 1e-7 - lowest
         monkeypatch.setattr(stability, "_mode_matrix", moved_form)
         monkeypatch.setattr(stability, "_band_inertia", spy_inertia)
         monkeypatch.setattr(stability, "eigsh", spy_eigsh)
         for l in (0, 1):
-            dense = np.linalg.eigvalsh(_band_dense(moved_form(frame, l)))
+            dense = np.linalg.eigvalsh(_band_dense(moved_form(parts, l)))
             assert -delta - 2e-7 < dense[0] < -delta < dense[1]
             shifts.clear()
             spaces.clear()
-            _, inertia = _mode_spectrum(frame, l)
+            _, inertia = _mode_spectrum(parts, l)
             assert inertia == (int(np.sum(dense < -delta)),
                                int(np.sum(dense < delta)))
             assert shifts == [delta, -delta]
@@ -673,8 +681,8 @@ class TestIndexNullity:
         assert row["negative"] == 0 and row["zero"] == 0
         assert row["smallest"] > stability.ZERO_TOL
         # the bound holds for the discretized form at the first such mode
-        frame = _grid_frames(build_profiles(tau, params, point), (256,))[0]
-        vals, _ = _mode_spectrum(frame, l_positive)
+        parts = _grid_frames(build_profiles(tau, params, point), (256,))[0]
+        vals, _ = _mode_spectrum(parts, l_positive)
         bound = 4.0 * math.pi**2 * ((l_positive - 1) ** 2 - tau_sum)
         assert vals[0] >= bound > 0.0
 
@@ -733,7 +741,7 @@ class TestIndexNullity:
         # map reads mismatched counts there, so a fake _mode_spectrum
         # replays that reading; the six rotational Jacobi fields force
         # nullity >= 6, so the estimate must not certify itself
-        def fake_spectrum(frame, l, coarse_lowest=None):
+        def fake_spectrum(parts, l, coarse_lowest=None):
             return {0: (np.array([-5.0, 3.0]), (1, 1)),
                     1: (np.array([-4.0, -3.0, -2.0]), (3, 3))}.get(
                         l, (np.array([50.0]), (0, 0)))

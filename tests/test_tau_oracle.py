@@ -51,6 +51,9 @@ CASES = (
     + [(0.5, b, (1, 2, 0)) for b in (2.4, 2.7)]
     # the minimal torus of winding ratio 99/197, at m1 = 1.2e-6
     + [OTSUKI_CASE]
+    # the rest of the (1,1,0) grid a in {0, 0.3, 1/2}, b in {1.4, 2, 2.8}
+    + [(0.0, 1.4, (1, 1, 0)), (0.5, 1.4, (1, 1, 0)), (0.3, 2.0, (1, 1, 0)),
+       (0.3, 2.8, (1, 1, 0))]
 )
 
 

@@ -65,6 +65,14 @@ class TestModuliPoint:
         assert pt.a == 0.25
         assert pt.a_exact == Fraction(1, 4)
 
+    def test_a_exact_read_off_a(self):
+        # a_exact is derived from a, never passed
+        assert ModuliPoint(Fraction(1, 3), 1.5).a_exact == Fraction(1, 3)
+        with pytest.raises(TypeError):
+            ModuliPoint(0.25, 1.5, Fraction(1, 4))
+        with pytest.raises(TypeError):
+            ModuliPoint(0.25, 1.5, a_exact=Fraction(1, 4))
+
     def test_b_positive(self):
         with pytest.raises(ValueError):
             ModuliPoint(0.0, 0.0)
