@@ -2,10 +2,10 @@
 mesh.  All commands print JSON (schema "1") except scan, which streams CSV.
 
 Exit codes: 0 success, 2 infeasible parameters (with the violated inequality
-named on stderr), 1 internal error.  The --a flag accepts exact rationals
-("1/4") as well as decimals; the distinction matters because the limit-case
-classification is discontinuous in a.  No tolerance is settable: every one
-is a constant of the module that uses it.
+named on stderr), 1 internal error, solve-tau's residual gate included.  The
+--a flag accepts exact rationals ("1/4") as well as decimals; the distinction
+matters because the limit-case classification is discontinuous in a.  No
+tolerance is settable: every one is a constant of the module that uses it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from eqtorus.tau_solver import (
 )
 
 SCHEMA = "1"
+# solve-tau exits 1, naming the integral, when a residual of the solved
+# triple exceeds this
+RESIDUAL_TOL = 1e-9
 
 
 def _numpy_to_python(o):
@@ -66,7 +69,13 @@ def _require_positive(*flags) -> None:
 
 def cmd_solve_tau(args) -> int:
     point, params, tau = _solve(args)
-    res = integral_residuals(tau, point, params)
+    res = dict(zip(("b_integral", "p_integral", "r_integral"),
+                   integral_residuals(tau, point, params)))
+    over = [f"{name} {value:.3g}" for name, value in res.items()
+            if not value <= RESIDUAL_TOL]
+    if over:
+        raise RuntimeError(f"integral residual above {RESIDUAL_TOL:g}: "
+                           + ", ".join(over))
     _emit({
         "a": point.a, "b": point.b,
         "p": params.p, "q": params.q, "r": params.r,
@@ -74,8 +83,7 @@ def cmd_solve_tau(args) -> int:
         "tau1": tau.tau1, "tau2": tau.tau2, "tau3": tau.tau3,
         "m": tau.m, "n0": None if tau.n0 == -math.inf else tau.n0,
         "n1": tau.n1, "A": tau.A, "c": tau.c, "d": tau.d,
-        "residuals": {"b_integral": res[0], "p_integral": res[1],
-                      "r_integral": res[2]},
+        "residuals": res,
     })
     return 0
 

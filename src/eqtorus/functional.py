@@ -19,11 +19,8 @@ an independent check of the closed form.  Scans print the closed form only.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from eqtorus.elliptic import complete_E, complete_K
 from eqtorus.maps import ProfileSet, build_profiles, hopf_constants
@@ -32,6 +29,7 @@ from eqtorus.tau_solver import (
     MapParams,
     ModuliPoint,
     TauTriple,
+    _gauss_legendre,
     classify_params,
     solve_n,
     solve_tau,
@@ -53,11 +51,6 @@ __all__ = [
 ]
 
 PETRIDES_FLOOR = 8.0 * math.pi
-
-# lambda_bar_quadrature's stopping tolerances on one period's integral, and
-# the most panels it tries before giving up
-_QUAD_ABS, _QUAD_REL = 1e-11, 1e-12
-_QUAD_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,43 +83,16 @@ def lambda_bar_closed_form(tau: TauTriple, params: MapParams,
             + 8.0 * math.pi * params.q * math.sqrt(t3 - t1) * complete_E(tau.m))
 
 
-@functools.cache
-def _gauss_legendre_01():
-    """16-point Gauss-Legendre nodes and weights on [0, 1].
-
-    Computed on first use, not at import: leggauss runs a LAPACK
-    eigensolver that adds about 0.75 MB to the peak memory of a process,
-    and most processes (scan among them) never integrate.
-    """
-    x, w = np.polynomial.legendre.leggauss(16)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def lambda_bar_quadrature(profiles: ProfileSet) -> float:
-    """2 * int_0^b rho dy by composite 16-point Gauss-Legendre.
+    """2 * int_0^b rho dy by composite 16-point Gauss-Legendre
+    (tau_solver._gauss_legendre) over one latitude period b/q.
 
-    rho is analytic and periodic in y, so over one latitude period b/q the
-    rule converges geometrically in the number of panels.  The panels are
-    doubled from 1 until two successive estimates agree to
-    max(1e-11, 1e-12 |value|); each level evaluates rho once, on all of its
-    nodes.  Raises RuntimeError if 4096 panels do not settle.
+    rho is analytic and periodic in y, so the rule converges geometrically
+    in the number of panels; it raises RuntimeError if 4096 panels do not
+    settle.
     """
-    nodes, weights = _gauss_legendre_01()
     per = profiles.point.b / profiles.params.q
-    prev = math.nan  # no estimate to agree with at one panel
-    panels = 1
-    while panels <= _QUAD_MAX_PANELS:
-        h = per / panels
-        y = h * (np.arange(panels)[:, None] + nodes)
-        val = h * float(np.sum(profiles.rho(y) @ weights))
-        diff = abs(val - prev)
-        if diff <= max(_QUAD_ABS, _QUAD_REL * abs(val)):
-            return 2.0 * val * profiles.params.q
-        prev = val
-        panels *= 2
-    raise RuntimeError(
-        f"Gauss-Legendre quadrature of rho did not settle within "
-        f"{_QUAD_MAX_PANELS} panels (last two estimates differ by {diff:.3g})")
+    return 2.0 * _gauss_legendre(profiles.rho, 0.0, per) * profiles.params.q
 
 
 def functional_value(tau: TauTriple, params: MapParams, point: ModuliPoint,

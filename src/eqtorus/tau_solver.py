@@ -31,11 +31,16 @@ limit case; the alpha branch by n1 = m + (1-m) s^2 with s algebraic in u
 is evaluated in nu0 on the theta branch, by the addition theorem for the
 third-kind integral, so the first limit case is the ordinary point t = 0 of
 the same formula.
+
+lattice_integrals checks a triple independently of the solve: a quadrature
+of the three integrals by _gauss_legendre, the rule that
+functional.lambda_bar_quadrature uses too.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -605,34 +610,77 @@ def third_limit_asymptote(point: ModuliPoint, p: int, q: int, r: int):
 
 
 # --------------------------------------------------------------------------
-# quadrature oracle for the three defining integrals
+# the package's one quadrature rule, and the oracle of the defining integrals
 # --------------------------------------------------------------------------
+
+# _gauss_legendre's stopping tolerances, and the most panels it tries
+_QUAD_ABS, _QUAD_REL = 1e-11, 1e-12
+_QUAD_MAX_PANELS = 4096
+
+
+@functools.cache
+def _gauss_legendre_01():
+    """16-point Gauss-Legendre nodes and weights on [0, 1], made on first
+    use: leggauss's LAPACK eigensolver adds about 0.75 MB to a process's
+    peak memory, and most processes (scan among them) never integrate."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _gauss_legendre(f, a: float, b: float) -> float:
+    """int_a^b f by composite 16-point Gauss-Legendre, f analytic on [a, b]
+    and evaluated on an array of nodes; the package's one quadrature rule.
+
+    The panels are doubled from 1 until two successive estimates agree to
+    max(1e-11, 1e-12 |value|), each level evaluating f once on all of its
+    nodes; RuntimeError if 4096 panels do not settle.
+    """
+    nodes, weights = _gauss_legendre_01()
+    prev = math.nan  # no estimate to agree with at one panel
+    panels = 1
+    while panels <= _QUAD_MAX_PANELS:
+        h = (b - a) / panels
+        x = a + h * (np.arange(panels)[:, None] + nodes)
+        val = h * float(np.sum(f(x) @ weights))
+        diff = abs(val - prev)
+        if diff <= max(_QUAD_ABS, _QUAD_REL * abs(val)):
+            return val
+        prev = val
+        panels *= 2
+    raise RuntimeError(
+        f"Gauss-Legendre quadrature did not settle within "
+        f"{_QUAD_MAX_PANELS} panels (last two estimates differ by {diff:.3g})")
 
 
 def lattice_integrals(tau: TauTriple) -> tuple[float, float, float]:
-    """Adaptive quadrature of the three defining integrals of
-    weight(t) / sqrt((t-tau1)(tau2-t)(tau3-t)) over [tau1, tau2], by
-    t = tau1 + D sin^2 s, D = tau2 - tau1, which removes both endpoint
-    roots.  1 - t = gap2 + D cos^2 s, tau3 - t = gap3 + (1 - t) and the third
-    weight sqrt((1-tau1) gap2 gap3) / (1-t) come from the carried gaps, free
-    of the taus' cancellation near 1.  The second (third) integrand is
-    improper at tau1 = 0 (tau2 = 1) and is returned as its limit, pi.
-    scipy.integrate is imported here, so that only this oracle loads it.
-    """
-    from scipy.integrate import quad
+    """Quadrature of the three defining integrals of
+    weight(t) / sqrt((t-tau1)(tau2-t)(tau3-t)) over [tau1, tau2].
 
+    t = tau1 + D sin^2 s, D = tau2 - tau1, removes both endpoint roots and
+    leaves layers of width sqrt(tau1/D) at s = 0 and sqrt(gap2/D) at
+    s = pi/2, which the double-exponential substitution s = (pi/2) / (1 +
+    exp(-pi sinh v)) (Takahasi & Mori, Publ. RIMS 9, 1974) spreads over
+    v in [-4, 4] for _gauss_legendre; there both ends lie within 1e-37.
+    s and pi/2 - s are each formed directly, so sin s, cos s and ds/dv =
+    2 cosh v s (pi/2 - s) carry no cancellation.  1 - t = gap2 + D cos^2 s,
+    tau3 - t = gap3 + (1 - t) and the third weight sqrt((1-tau1) gap2 gap3)
+    / (1-t) come from the carried gaps.  The second (third) integrand is
+    improper at tau1 = 0 (tau2 = 1) and is returned as its limit, pi.
+    """
     t1, gap2, gap3, D = tau.tau1, tau.gap2, tau.gap3, tau.tau2 - tau.tau1
     w2 = math.sqrt(t1 * tau.tau2 * tau.tau3)
     w3 = math.sqrt((1.0 - t1) * gap2 * gap3)
 
-    def integral(weight) -> float:  # weight(t, 1 - t)
-        def g(s: float) -> float:
-            one_t = gap2 + D * math.cos(s) ** 2
-            return (2.0 * weight(t1 + D * math.sin(s) ** 2, one_t)
-                    / math.sqrt(gap3 + one_t))
+    def integral(weight):  # weight(t, 1 - t)
+        def g(v):
+            x = math.pi * np.sinh(v)  # |x| <= 85.7: exp(+-x) stays finite
+            s, rest = 0.5 * math.pi / (1.0 + np.exp([-x, x]))  # rest = pi/2 - s
+            one_t = gap2 + D * np.sin(rest) ** 2
+            return (4.0 * np.cosh(v) * s * rest
+                    * weight(t1 + D * np.sin(s) ** 2, one_t)
+                    / np.sqrt(gap3 + one_t))
 
-        return quad(g, 0.0, math.pi / 2, epsabs=1e-12, epsrel=1e-13,
-                    limit=200)[0]
+        return _gauss_legendre(g, -4.0, 4.0)
 
     return (integral(lambda t, one_t: 1.0),
             math.pi if t1 == 0.0 else integral(lambda t, one_t: w2 / t),

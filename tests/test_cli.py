@@ -3,11 +3,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqtorus.cli import _emit, build_parser, main
+import eqtorus
+from eqtorus import tau_solver
+from eqtorus.cli import RESIDUAL_TOL, _emit, build_parser, main
 from eqtorus.config import Tolerances, tolerances
 from eqtorus.functional import lambda_bar_quadrature, moduli_scan
 from eqtorus.stability import index_nullity_estimate
@@ -113,6 +119,41 @@ class TestSolveTau:
         assert code == 2
         assert "beyond m = 1 - 1.8e-12;" in err
         assert out == ""
+
+    def test_endpoint_layer_writes_no_stderr(self):
+        # 1 - tau2 = 1e-11 here; an adaptive rule printed an r residual of
+        # 1.88 and a raw IntegrationWarning, so run a fresh interpreter
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(eqtorus.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqtorus.cli", "solve-tau", "--a", "0.3",
+             "--b", "4.4", "--p", "1", "--q", "1", "--r", "0"],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert max(json.loads(proc.stdout)["residuals"].values()) <= 1e-13
+
+    @pytest.mark.parametrize("index,name", enumerate(
+        ["b_integral", "p_integral", "r_integral"]))
+    def test_residual_gate(self, run, monkeypatch, index, name):
+        # a residual above RESIDUAL_TOL = 1e-9 exits 1 naming its integral;
+        # one just below it passes
+        real = tau_solver.lattice_integrals
+        args = ("solve-tau", "--a", "1/4", "--b", "2.1",
+                "--p", "2", "--q", "3", "--r", "0")
+        for offset, want in ((0.5 * RESIDUAL_TOL, 0), (2.0 * RESIDUAL_TOL, 1)):
+            def shifted(tau, offset=offset):
+                values = list(real(tau))
+                values[index] += offset
+                return tuple(values)
+
+            monkeypatch.setattr(tau_solver, "lattice_integrals", shifted)
+            code, out, err = run(*args)
+            assert code == want
+            if want:
+                assert out == ""
+                assert f"above 1e-09: {name} 2e-09" in err
+            else:
+                assert json.loads(out)["residuals"][name] <= RESIDUAL_TOL
 
     def test_deterministic_output(self, run):
         args = ("solve-tau", "--a", "1/4", "--b", "2.1",

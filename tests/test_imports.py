@@ -1,6 +1,7 @@
-"""What a cold start loads: scipy.integrate, scipy.optimize and scipy.fft
-are imported only where they run (the quadrature oracle, solve_otsuki),
-so the package and the commands that use neither never load them."""
+"""What a cold start loads: scipy.optimize and scipy.fft are imported only
+where they run (solve_otsuki), and nothing in the package imports
+scipy.integrate, so the package and every command but otsuki load none of
+the three."""
 
 import json
 import subprocess
@@ -14,6 +15,8 @@ import eqtorus
 SRC = str(Path(eqtorus.__file__).resolve().parents[1])
 LAZY = ("scipy.integrate", "scipy.optimize", "scipy.fft")
 COMMANDS = {
+    "solve-tau": ["solve-tau", "--a", "0.3", "--b", "4.4",
+                  "--p", "1", "--q", "1", "--r", "0"],
     "spectral": ["spectral", "--a", "0.3", "--b", "1.4",
                  "--p", "1", "--q", "1", "--r", "0"],
     "value --with-n2": ["value", "--a", "0", "--b", "2",

@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,15 @@ from eqtorus.tau_solver import (
 NONLIMIT = (ModuliPoint(0.25, 2.1), (2, 3, 0))
 FIRST = (ModuliPoint(0.25, 1.25), (1, 2, 0))
 SECOND = (ModuliPoint(0.5, 2.0), (2, 3, 1))
+# points with an endpoint layer that an adaptive quadrature of the
+# s-integrand misses: the (1,1,0) grid towards the end of the Psi table,
+# where 1 - tau2 falls to 1e-11 (gap2 = 0 at a = 1/2, gap3 = 0 at a = 0), an
+# alpha root 6.7e-12 from n1 = 1, and the hypothesis draw of
+# test_random_feasible_residuals
+LAYERED = ([(ModuliPoint(a, b), (1, 1, 0))
+            for a in (0.0, 0.3, 0.5) for b in (3.0, 4.0, 4.4)]
+           + [(ModuliPoint(0.49999, 1.4), (1, 1, 0)),
+              (ModuliPoint(0.001953125, 3.749999364217055), (3, 1, 0))])
 
 
 def solve(point, pqr):
@@ -242,11 +252,12 @@ class TestPsi:
 
 
 class TestSolveTau:
-    @pytest.mark.parametrize("point,pqr", [NONLIMIT, FIRST, SECOND])
+    @pytest.mark.parametrize("point,pqr", [NONLIMIT, FIRST, SECOND, *LAYERED])
     def test_residuals(self, point, pqr):
+        # an adaptive quadrature read 1.88 in the r-integral at (0.3, 4.4)
         params, tau = solve(point, pqr)
         res = integral_residuals(tau, point, params)
-        assert max(res) <= 1e-9
+        assert max(res) <= 1e-13
 
     def test_limit_cases_exact(self):
         _, tau = solve(*FIRST)
@@ -396,6 +407,48 @@ class TestSolveTau:
         params = classify_params(point, p, q, r)
         tau = solve_tau(point, params)
         assert max(integral_residuals(tau, point, params)) < 1e-8
+
+
+def mp_lattice_integrals(tau) -> list:
+    """lattice_integrals of the same float triple by 40-digit mp.quad in s,
+    t = tau1 + D sin^2 s, with 1 - t and tau3 - t from the carried gaps."""
+    with mp.workdps(40):
+        t1, t2, t3, gap2, gap3 = (mp.mpf(v) for v in (
+            tau.tau1, tau.tau2, tau.tau3, tau.gap2, tau.gap3))
+        D = t2 - t1
+        w2, w3 = mp.sqrt(t1 * t2 * t3), mp.sqrt((1 - t1) * gap2 * gap3)
+
+        def integral(weight):
+            def g(s):
+                one_t = gap2 + D * mp.cos(s) ** 2
+                return (2 * weight(t1 + D * mp.sin(s) ** 2, one_t)
+                        / mp.sqrt(gap3 + one_t))
+            return mp.quad(g, [0, mp.pi / 4, mp.pi / 2])
+
+        return [integral(lambda t, one_t: 1),
+                mp.pi if t1 == 0 else integral(lambda t, one_t: w2 / t),
+                mp.pi if gap2 == 0 else integral(lambda t, one_t: w3 / one_t)]
+
+
+class TestLatticeIntegrals:
+    @pytest.mark.parametrize("point,pqr", [LAYERED[5], *LAYERED[-2:]])
+    def test_matches_mp_quad_of_the_same_triple(self, point, pqr):
+        _, tau = solve(point, pqr)
+        want = mp_lattice_integrals(tau)
+        for got, ref in zip(lattice_integrals(tau), want):
+            assert abs(got - ref) <= 1e-14, (got, ref)
+
+    def test_one_rule_for_both_quadratures(self, monkeypatch):
+        # lambda_bar_quadrature's Gauss-Legendre rule, in v over [-4, 4]
+        from eqtorus import functional
+
+        assert functional._gauss_legendre is tau_solver._gauss_legendre
+        ranges, real = [], tau_solver._gauss_legendre
+        monkeypatch.setattr(tau_solver, "_gauss_legendre",
+                            lambda f, a, b: ranges.append((a, b)) or real(f, a, b))
+        _, tau = solve(ModuliPoint(0.3, 1.4), (1, 1, 0))
+        lattice_integrals(tau)
+        assert ranges == [(-4.0, 4.0)] * 3
 
 
 FAMILIES = [(1, 1, 0), (1, 2, 0), (2, 3, 1), (2, 3, 0)]
