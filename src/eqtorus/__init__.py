@@ -37,6 +37,7 @@ from eqtorus.tau_solver import (
     MapParams,
     ModuliPoint,
     Regime,
+    ResolutionLimitError,
     TauTriple,
     classify_params,
     phi_fn,
@@ -50,8 +51,8 @@ __all__ = [
     "complete_K", "complete_E", "complete_Pi", "incomplete_Pi",
     "jacobi_sn_cn_dn_am", "jacobi_am",
     "ModuliPoint", "MapParams", "TauTriple", "Regime",
-    "InfeasibleParametersError", "classify_params", "phi_fn", "solve_n",
-    "psi_fn", "solve_tau", "third_limit_asymptote",
+    "InfeasibleParametersError", "ResolutionLimitError", "classify_params",
+    "phi_fn", "solve_n", "psi_fn", "solve_tau", "third_limit_asymptote",
     "build_profiles",
     "harmonicity_residual", "hopf_constants", "export_mesh",
     "sl_problem", "count_below", "assemble_N2", "construct_strict_instance",

@@ -2,7 +2,8 @@
 mesh.  All commands print JSON (schema "1") except scan, which streams CSV.
 
 Exit codes: 0 success, 2 infeasible parameters (with the violated inequality
-named on stderr), 1 internal error, solve-tau's residual gate included.  The
+named on stderr), 1 internal error, solve-tau's residual gate and a point
+past the tau solve's resolution limit included.  The
 --a flag accepts exact rationals ("1/4") as well as decimals; the distinction
 matters because the limit-case classification is discontinuous in a.  No
 tolerance is settable: every one is a constant of the module that uses it.

@@ -28,6 +28,7 @@ from eqtorus.tau_solver import (
     InfeasibleParametersError,
     MapParams,
     ModuliPoint,
+    ResolutionLimitError,
     TauTriple,
     _gauss_legendre,
     classify_params,
@@ -264,6 +265,9 @@ def _scan_column(a: float, b_values: list[float], p: int, q: int, r: int,
             if isinstance(tau, InfeasibleParametersError):
                 row["status"] = f"infeasible: {tau}"
                 continue
+            if isinstance(tau, ResolutionLimitError):
+                row["status"] = f"resolution_limit: {tau}"
+                continue
             hc = hopf_constants(tau)
             row.update(tau1=tau.tau1, tau2=tau.tau2, tau3=tau.tau3, m=tau.m,
                        lambda_bar=lambda_bar_closed_form(tau, params, point),
@@ -279,7 +283,8 @@ def _scan_column(a: float, b_values: list[float], p: int, q: int, r: int,
 
 def moduli_scan(a_values, b_values, p: int, q: int, r: int,
                 with_n2: bool = False, jobs: int = 1) -> list[dict]:
-    """Grid scan over (a, b); infeasible points are reported per row.
+    """Grid scan over (a, b); infeasible points, and points past the tau
+    solve's resolution limit, are reported per row.
 
     The unit of work is one a-column: its rows share the branch targets, so
     solve_taus solves them together, and jobs > 1 hands each column to a

@@ -57,6 +57,7 @@ __all__ = [
     "MapParams",
     "TauTriple",
     "InfeasibleParametersError",
+    "ResolutionLimitError",
     "classify_params",
     "circle_gap",
     "require_circle_boundary",
@@ -77,6 +78,13 @@ CIRCLE_TOL = 1e-9
 
 class InfeasibleParametersError(ValueError):
     """Raised when (a, b, p, q, r) violate the defining inequalities."""
+
+
+class ResolutionLimitError(RuntimeError):
+    """Raised at a feasible point whose root of Psi lies past the end of the
+    table, m1 = 1 - m below _TABLE_M1[-1]: the float solve cannot reach it
+    (about b = 4.5 for (1,1,0)).  It is a limit of the solver, not of the
+    parameters, so it is not an InfeasibleParametersError."""
 
 
 class Regime(enum.Enum):
@@ -198,7 +206,8 @@ MAX_NEWTON_STEPS = 100
 # its residual finds that residual at its rounding floor: the variable is done
 _STALL_STEP = 1e-4
 # m1 = 1 - m of the bracket table: m = 4^-19, ..., 1/4, then 1/2,
-# then m1 = 1/4, ..., 2^-39.  Its ends decide the two infeasible cases.
+# then m1 = 1/4, ..., 2^-39.  Its first end decides the infeasible case,
+# its last the resolution limit.
 _TABLE_M1 = np.array([1.0 - 4.0**-k for k in range(19, 0, -1)] + [0.5]
                      + [2.0**-k for k in range(2, 40)])
 
@@ -512,7 +521,8 @@ def solve_taus(points, params: MapParams) -> list:
 
     ``points`` share one a (exactly) and ``params`` holds for all of them;
     the result has, per point, its TauTriple or the
-    InfeasibleParametersError that solve_tau would raise there.  The branch
+    InfeasibleParametersError or ResolutionLimitError that solve_tau would
+    raise there.  The branch
     targets pi p/q and pi |r+a|/q are the column's, so Psi(m) is one
     function of m for the whole column and only its target pi^2 b^2/q^2
     varies by row.  A table of Psi at the fixed m of _TABLE_M1 (the
@@ -552,7 +562,7 @@ def solve_taus(points, params: MapParams) -> list:
             "Psi(m) exceeds the target down to m ~ 0; parameters violate "
             "(r+a)^2 + b^2 > p^2")
     for i in np.flatnonzero(j == psi_table.size):
-        out[i] = InfeasibleParametersError(
+        out[i] = ResolutionLimitError(
             f"root of Psi(m) lies beyond m = 1 - {_TABLE_M1[-1]:.2g}; b is "
             "too large to resolve")
     rows = np.flatnonzero((psi_table[0] <= goal) & (j < psi_table.size))
@@ -581,10 +591,11 @@ def solve_taus(points, params: MapParams) -> list:
 
 def solve_tau(point: ModuliPoint, params: MapParams) -> TauTriple:
     """Solve the three integral conditions for (tau1, tau2, tau3): the
-    one-row case of solve_taus, whose InfeasibleParametersError it raises.
+    one-row case of solve_taus, whose InfeasibleParametersError or
+    ResolutionLimitError it raises.
     """
     (tau,) = solve_taus([point], params)
-    if isinstance(tau, InfeasibleParametersError):
+    if isinstance(tau, Exception):
         raise tau
     return tau
 

@@ -112,12 +112,16 @@ class TestSolveTau:
         assert "b^2" in err
         assert out == ""
 
-    def test_root_past_the_psi_table_exit_2(self, run):
-        # the message names where the table of Psi ends, m1 = 2^-39
+    def test_root_past_the_psi_table_exit_1(self, run):
+        # a feasible point past the resolution limit is an error of the
+        # solver, not infeasible parameters; the message names where the
+        # table of Psi ends, m1 = 2^-39
         code, out, err = run("solve-tau", "--a", "0.3", "--b", "5",
                              "--p", "1", "--q", "1", "--r", "0")
-        assert code == 2
+        assert code == 1
+        assert err.startswith("error: ")
         assert "beyond m = 1 - 1.8e-12;" in err
+        assert "infeasible" not in err
         assert out == ""
 
     def test_endpoint_layer_writes_no_stderr(self):
@@ -219,6 +223,21 @@ class TestScan:
         assert lines[0].startswith("a,b,")
         assert len(lines) == 5
         assert all(line.endswith("ok") for line in lines[1:])
+
+    def test_resolution_limit_rows(self, run, tmp_path):
+        # rows past the end of the Psi table say so, and are not infeasible
+        target = tmp_path / "scan.csv"
+        code, _, _ = run("scan", "--p", "1", "--q", "1", "--r", "0",
+                         "--a-min", "0.3", "--a-max", "0.3", "--a-steps", "1",
+                         "--b-min", "4", "--b-max", "5", "--b-steps", "3",
+                         "--out", str(target))
+        assert code == 0
+        status = [line.rsplit(",", 1)[1]
+                  for line in target.read_text().splitlines()[1:]]
+        assert status[0] == "ok"
+        assert status[1] == "ok"
+        assert status[2].startswith("resolution_limit: root of Psi(m) lies "
+                                    "beyond m = 1 - 1.8e-12;")
 
     @pytest.mark.parametrize("flag,steps", [("--a-steps", "0"),
                                             ("--b-steps", "0"),

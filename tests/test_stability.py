@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.integrate import quad
 
 from eqtorus import stability
@@ -433,11 +434,13 @@ class TestSpectrumSlicing:
         # on each mesh a mode form makes one LDL^H, at +delta, one ?pbtrf
         # and one eigsh call: the Ritz residual decides nu(-delta), at
         # modes 0 and 1 here, and nu(+delta) = 0 decides it at mode 2; the
-        # finer mesh shifts from the coarser one's lowest value
+        # finer mesh shifts from the coarser one's lowest value.  The count
+        # imports get_lapack_funcs from scipy.linalg.lapack where it runs,
+        # so the spy sits there
         meshes = _grid_frames(_profiles_110(0.3, 1.4), (32, 64))
         shifts, routines, solves = [], [], []
         band_inertia = stability._band_inertia
-        get_lapack_funcs = stability.get_lapack_funcs
+        get_lapack_funcs = scipy.linalg.lapack.get_lapack_funcs
         eigsh = stability.eigsh
 
         def spy_inertia(ab, sigma, pattern):
@@ -453,7 +456,8 @@ class TestSpectrumSlicing:
             return eigsh(A, **kwargs)
 
         monkeypatch.setattr(stability, "_band_inertia", spy_inertia)
-        monkeypatch.setattr(stability, "get_lapack_funcs", spy_lapack)
+        monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs",
+                            spy_lapack)
         monkeypatch.setattr(stability, "eigsh", spy_eigsh)
         delta = stability._DELTA
         below_plus = []

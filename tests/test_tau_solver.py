@@ -17,6 +17,7 @@ from eqtorus.tau_solver import (
     InfeasibleParametersError,
     ModuliPoint,
     Regime,
+    ResolutionLimitError,
     _phi_theta,
     circle_gap,
     classify_params,
@@ -377,6 +378,19 @@ class TestSolveTau:
         params = classify_params(pt, 1, 2, 1)
         with pytest.raises(InfeasibleParametersError):
             solve_tau(pt, params)
+
+    def test_root_past_the_table_is_a_resolution_limit(self):
+        # (1,1,0) at (0.3, 4.8) is feasible, but its root of Psi lies past
+        # m1 = 2^-39: an error of its own, not InfeasibleParametersError,
+        # and the column's other rows still solve
+        points = [ModuliPoint(0.3, 4.8), ModuliPoint(0.3, 4.4)]
+        params = classify_params(points[0], 1, 1, 0)
+        with pytest.raises(ResolutionLimitError, match="beyond m = 1 - "):
+            solve_tau(points[0], params)
+        assert not issubclass(ResolutionLimitError, InfeasibleParametersError)
+        past, tau = solve_taus(points, params)
+        assert isinstance(past, ResolutionLimitError)
+        assert tau.m > 1.0 - 1e-9
 
     def test_runtime_under_a_second(self):
         import time
