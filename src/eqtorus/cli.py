@@ -2,8 +2,10 @@
 mesh.  All commands print JSON (schema "1") except scan, which streams CSV.
 
 Exit codes: 0 success, 2 infeasible parameters (with the violated inequality
-named on stderr), 1 internal error, solve-tau's residual gate and a point
-past the tau solve's resolution limit included.  The
+named on stderr), 1 internal error, the residual gate of solve-tau, value
+and mesh and a point past the tau solve's resolution limit included; scan
+exits 0 when a row solves, else 2 when every row is infeasible and 1
+otherwise.  The
 --a flag accepts exact rationals ("1/4") as well as decimals; the distinction
 matters because the limit-case classification is discontinuous in a.  No
 tolerance is settable: every one is a constant of the module that uses it.
@@ -28,8 +30,8 @@ from eqtorus.tau_solver import (
 )
 
 SCHEMA = "1"
-# solve-tau exits 1, naming the integral, when a residual of the solved
-# triple exceeds this
+# solve-tau, value and mesh exit 1, naming the integral, when a residual of
+# the solved triple exceeds this
 RESIDUAL_TOL = 1e-9
 
 
@@ -56,6 +58,19 @@ def _solve(args):
     return point, params, tau
 
 
+def _residuals(point, params, tau) -> dict:
+    """The solved triple's integral residuals by name; RuntimeError, naming
+    each one, where one exceeds RESIDUAL_TOL."""
+    res = dict(zip(("b_integral", "p_integral", "r_integral"),
+                   integral_residuals(tau, point, params)))
+    over = [f"{name} {value:.3g}" for name, value in res.items()
+            if not value <= RESIDUAL_TOL]
+    if over:
+        raise RuntimeError(f"integral residual above {RESIDUAL_TOL:g}: "
+                           + ", ".join(over))
+    return res
+
+
 def _require_positive(*flags) -> None:
     """Reject a count below 1, naming its flag: (flag, value) pairs."""
     for flag, value in flags:
@@ -70,13 +85,7 @@ def _require_positive(*flags) -> None:
 
 def cmd_solve_tau(args) -> int:
     point, params, tau = _solve(args)
-    res = dict(zip(("b_integral", "p_integral", "r_integral"),
-                   integral_residuals(tau, point, params)))
-    over = [f"{name} {value:.3g}" for name, value in res.items()
-            if not value <= RESIDUAL_TOL]
-    if over:
-        raise RuntimeError(f"integral residual above {RESIDUAL_TOL:g}: "
-                           + ", ".join(over))
+    res = _residuals(point, params, tau)
     _emit({
         "a": point.a, "b": point.b,
         "p": params.p, "q": params.q, "r": params.r,
@@ -93,6 +102,7 @@ def cmd_value(args) -> int:
     from eqtorus.functional import functional_value
 
     point, params, tau = _solve(args)
+    _residuals(point, params, tau)
     fv = functional_value(tau, params, point, with_n2=args.with_n2)
     _emit({
         "a": point.a, "b": point.b,
@@ -147,8 +157,11 @@ def cmd_scan(args) -> int:
             write_scan_csv(rows, fh)
     else:
         write_scan_csv(rows, sys.stdout)
-    failed = sum(1 for row in rows if row["status"] != "ok")
-    return 0 if failed < len(rows) else 2
+    if any(row["status"] == "ok" for row in rows):
+        return 0
+    # no row solved: infeasible only where no row is at the resolution limit
+    return 2 if all(row["status"].startswith("infeasible: ")
+                    for row in rows) else 1
 
 
 def cmd_otsuki(args) -> int:
@@ -229,6 +242,7 @@ def cmd_mesh(args) -> int:
 
     _require_positive(("--nx", args.nx), ("--ny", args.ny))
     point, params, tau = _solve(args)
+    _residuals(point, params, tau)
     prof = build_profiles(tau, params, point)
     with open(args.out, "w", encoding="utf-8") as fh:
         count = export_mesh(prof, args.nx, args.ny, fh)

@@ -13,21 +13,23 @@ they reduce to Phi(n0 | m) = pi*p/q, Phi(n1 | m) = pi*|r+a|/q and
 Psi(m) = pi^2 b^2 / q^2, with Phi and Psi defined below.  Phi is monotone on
 each characteristic branch and Psi is monotone in m.  The branch targets
 depend on (a, p, q, r) only, so every b of an a-column inverts the same
-functions and solve_taus solves the column at once: one safeguarded Newton
-iteration on numpy arrays in the state (m1 = 1 - m, t, u) of each row, no
-loop nested in another, every derivative in closed form (DLMF 19.4(i),
-19.25.1).  Every iterate stays inside a box or bracket known in advance: t
-and u in boxes whose ends have Phi known in closed form or bounded below,
-and m1 in the bracket a table of Psi at fixed m gives each row.  The
-table, psi_fn and solve_n are the fixed-m case of the iteration, solve_tau
-its one-row case.
+functions, and solve_taus solves each row by one safeguarded Newton
+iteration in Python floats in the state (m1 = 1 - m, t, u), every
+derivative in closed form (DLMF 19.4(i), 19.25.1).  Every iterate stays
+inside a box or bracket known in advance: t and u in boxes whose ends have
+Phi known in closed form or bounded below, and m1 in the bracket a table of
+Psi at fixed m gives each row; a table entry is solved only when a row's
+bisection reads it.  The table, psi_fn and solve_n are the fixed-m case of
+the iteration, solve_tau its one-row case.  Each row is its own float
+iteration, so a later log step in m1 would be bit-stable too: no numpy SIMD
+log rounds differently with the array length.
 
 Limit cases are detected exactly from the integer data (and from `a` when it
 is given as an exact rational): p/q = 1/2 forces tau1 = 0 (n0 = -inf) and
 |r+a|/q = 1/2 forces tau2 = 1 (n1 = 1).  The theta branch is parametrized
 internally by nu0 = m/n0 = -t^2 <= 0, which stays bounded through the first
 limit case; the alpha branch by n1 = m + (1-m) s^2 with s algebraic in u
-(_Branches), which has no square-root end at n1 = m or n1 = 1.  Phi itself
+(_branches), which has no square-root end at n1 = m or n1 = 1.  Phi itself
 is evaluated in nu0 on the theta branch, by the addition theorem for the
 third-kind integral, so the first limit case is the ordinary point t = 0 of
 the same formula.
@@ -196,7 +198,7 @@ def require_circle_boundary(point: ModuliPoint, p: int, r: int,
 
 
 # --------------------------------------------------------------------------
-# the monotone functions Phi, Psi and their batched Newton inversion
+# the monotone functions Phi, Psi and their Newton inversion
 # --------------------------------------------------------------------------
 
 # iteration cap of the Newton iteration below; a row that reaches it raises
@@ -207,9 +209,9 @@ MAX_NEWTON_STEPS = 100
 _STALL_STEP = 1e-4
 # m1 = 1 - m of the bracket table: m = 4^-19, ..., 1/4, then 1/2,
 # then m1 = 1/4, ..., 2^-39.  Its first end decides the infeasible case,
-# its last the resolution limit.
-_TABLE_M1 = np.array([1.0 - 4.0**-k for k in range(19, 0, -1)] + [0.5]
-                     + [2.0**-k for k in range(2, 40)])
+# its last the resolution limit.  Every entry m1 has 1 - (1 - m1) == m1.
+_TABLE_M1 = tuple([1.0 - 4.0**-k for k in range(19, 0, -1)] + [0.5]
+                  + [2.0**-k for k in range(2, 40)])
 
 
 def _phi_theta(nu: float, m: float) -> float:
@@ -254,29 +256,26 @@ def _carlson(m1):
     return elliprf(0.0, m1, 1.0), elliprd(0.0, m1, 1.0), elliprd(0.0, 1.0, m1)
 
 
-_TABLE_CARLSON = _carlson(_TABLE_M1)  # the same for every column
+# (K, Ra, D) of every table entry, the same for every column
+_TABLE_CARLSON = tuple(zip(*(v.tolist() for v in _carlson(np.array(_TABLE_M1)))))
 
 
-class _Branches:
-    """Rows at arrays m, m1 = 1 - m, t and u: nu0 = m/n0 = -t^2, and
-    n1 = m + m1 s^2 with s = sin psi = 2u/d, c = cos psi = (1-u)(1+u)/d,
-    d = 1 + u^2.  s and c are algebraic in u, so n1 - m = m1 s^2 and
-    1 - n1 = m1 c^2 carry no cancellation, and u = 0, 1 give n1 = m, 1."""
-
-    def __init__(self, m, m1, t, u):
-        self.m, self.m1, self.t, self.u, self.d = m, m1, t, u, 1.0 + u * u
-        self.s, self.c = 2.0 * u / self.d, (1.0 - u) * (1.0 + u) / self.d
-        self.n1 = m + m1 * self.s * self.s
-        self.nu0, self.nu1 = -t * t, m / self.n1
-
-    def psi(self, K) -> np.ndarray:
-        """Psi = (nu1 - nu0) K^2."""
-        return (self.nu1 - self.nu0) * K * K
+def _branches(m: float, m1: float, t: float, u: float) -> tuple:
+    """(d, s, c, n1, nu0, nu1) at m, m1 = 1 - m, t and u: nu0 = m/n0 = -t^2,
+    and n1 = m + m1 s^2 with s = sin psi = 2u/d, c = cos psi = (1-u)(1+u)/d,
+    d = 1 + u^2; nu1 = m/n1.  s and c are algebraic in u, so n1 - m = m1 s^2
+    and 1 - n1 = m1 c^2 carry no cancellation, and u = 0, 1 give n1 = m, 1.
+    Psi = (nu1 - nu0) K^2."""
+    d = 1.0 + u * u
+    s, c = 2.0 * u / d, (1.0 - u) * (1.0 + u) / d
+    n1 = m + m1 * s * s
+    return d, s, c, n1, -t * t, m / n1
 
 
-def _newton(targets, X, where, fixed=None, goal=None, bracket=None):
-    """(m1, t, u) of every row at its root by one safeguarded Newton
-    iteration on arrays, from the starts X; where(rows) names rows.
+def _row_newton(targets, m1, t, u, where, fixed=None, goal=None, lo=None,
+                hi=None) -> tuple[float, float, float]:
+    """(m1, t, u) of one row at its root by a safeguarded Newton iteration
+    in Python floats from the start (m1, t, u); where() names the row.
 
     A step evaluates each branch once (_phi_theta; DLMF 19.25.1): with
     g = sqrt((t^2+m)(1+t^2)), a0 = m Ra/3 + t^2 K, a1 = n1 D/3 + c^2 K,
@@ -298,10 +297,10 @@ def _newton(targets, X, where, fixed=None, goal=None, bracket=None):
     (3 pi/2)/(sqrt p (sqrt p + 1)), p = 1 + t^2, so Phi - pi/2 >= (pi/2)
     (sqrt(1 + t^2) - 1) for every m, tight as m -> 0 (hence the factor 2).
     u stays in [0, 1].  A step leaving its box bisects towards the end it
-    crossed.  m1 stays in its bracket, which narrows by the sign of dm's
-    numerator only where both inner steps are at most 1e-9 relative, as
-    only there is it the sign at the inner roots; a step leaving it holds
-    m1 until they are, then bisects the bracket.
+    crossed.  m1 stays in its bracket [lo, hi], which narrows by the sign
+    of dm's numerator only where both inner steps are at most 1e-9
+    relative, as only there is it the sign at the inner roots; a step
+    leaving it holds m1 until they are, then bisects the bracket.
 
     A variable is done at a Newton step of at most Tolerances.solver in m1
     (or a bracket of a few ulps) or 1e-9 relative in t and u, or when a
@@ -309,114 +308,116 @@ def _newton(targets, X, where, fixed=None, goal=None, bracket=None):
     halve its residual, which is then at its rounding floor.  That step
     counts for m1 only where the inner steps are done, and for t and u only
     where m1's is, so that no other variable's move held the residual up.
-    A row with all three done keeps its stepped-to values, which stay
-    consistent where m1 is at its own floor, and leaves the batch, so no
-    row depends on the others; one still running after MAX_NEWTON_STEPS
-    raises RuntimeError.
+    The row returns its stepped-to values once all three are done, which
+    stay consistent where m1 is at its own floor; one still running after
+    MAX_NEWTON_STEPS raises RuntimeError.
+
+    Every operation is a correctly rounded IEEE one or a scipy Carlson
+    kernel, which gives a float the value it gives an array element, in
+    the order the formulas above are written: t * t, never t ** 2.
     """
     if targets[0] < math.pi / 2 or not 0.0 <= targets[1] <= math.pi / 2:
         raise InfeasibleParametersError(
             f"branch targets {targets} outside [pi/2, inf) x [0, pi/2]")
     excess = targets[0] - math.pi / 2
     x = 2.0 * excess / math.pi
-    top = np.array([[math.sqrt(2.0 * x * (2.0 + x))], [1.0]])  # of t and u
-    # the rows' m1, t, u, their residuals after a small step (else inf),
-    # and the rows' data; a finished row leaves Z
-    Z = np.vstack([X, np.full((3, len(X[0])), np.inf),
-                   *(fixed if goal is None else (goal, *bracket))])
-    out, idx = np.empty((3, Z.shape[1])), np.arange(Z.shape[1])
+    t_top = math.sqrt(2.0 * x * (2.0 + x))
+    theta, alpha = excess > 0.0, 0.0 < targets[1] < math.pi / 2
+    # the residuals after a small step, else inf
+    r_m = r_t = r_u = math.inf
+    if goal is None:
+        m, K, Ra, D = fixed
     for _ in range(MAX_NEWTON_STEPS):
-        X, R_prev = Z[0:3], Z[3:6]
-        m1, t, u = X
-        if goal is None:
-            m, K, Ra, D = Z[6:]
-        else:
-            goal_r, lo, hi = Z[6:]
+        if goal is not None:
             m = 1.0 - m1
-            K, Ra, D = _carlson(m1)
-        br = _Branches(m, m1, t, u)
-        t2, cc, mm1 = t * t, br.c * br.c, m * m1
+            K, Ra, D = (float(v) for v in _carlson(m1))
+        d, s, c, n1, nu0, nu1 = _branches(m, m1, t, u)
+        t2, cc, mm1 = t * t, c * c, m * m1
         a0 = m * Ra / 3.0 + t2 * K
-        a1 = br.n1 * D / 3.0 + cc * K
-        F, S = np.zeros((2, *X.shape))  # residuals and their steps
-        if excess > 0.0:
-            g = np.sqrt((t2 + m) * (1.0 + t2))
-            F[1] = t * g * elliprj(0.0, m1, 1.0, 1.0 + t2) / 3.0 - excess
-            S[1] = -F[1] * g / a0
-        if 0.0 < targets[1] < math.pi / 2:
-            rn = np.sqrt(br.n1)
-            F[2] = (m1 * br.s * br.c / rn
-                    * (K + br.n1 * elliprj(0.0, m1, 1.0, m1 * cc) / 3.0)
-                    - targets[1])
-            S[2] = -F[2] * br.n1 * rn * br.d / (2.0 * mm1 * a1)
-        conv = np.abs(S) <= 1e-9 * X  # rows 1 and 2: the inner steps
-        inner = conv[1] & conv[2]
+        a1 = n1 * D / 3.0 + cc * K
+        f_m = f_t = f_u = s_m = s_t = s_u = 0.0  # residuals and their steps
+        if theta:
+            g = math.sqrt((t2 + m) * (1.0 + t2))
+            f_t = (t * g * float(elliprj(0.0, m1, 1.0, 1.0 + t2)) / 3.0
+                   - excess)
+            s_t = -f_t * g / a0
+        if alpha:
+            rn = math.sqrt(n1)
+            f_u = (m1 * s * c / rn
+                   * (K + n1 * float(elliprj(0.0, m1, 1.0, m1 * cc)) / 3.0)
+                   - targets[1])
+            s_u = -f_u * n1 * rn * d / (2.0 * mm1 * a1)
+        inner = abs(s_t) <= 1e-9 * t and abs(s_u) <= 1e-9 * u
+        conv_m = True
         if goal is not None:
             K2, D3 = K * K, D / 3.0
-            F[0] = (goal_r - br.psi(K) - K2 * (
-                2.0 * t * S[1]
-                - 4.0 * mm1 * br.s * br.c * S[2] / (br.d * br.n1 * br.n1)))
-            dpsi = ((br.s * br.s * D3 / (br.n1 * a1)
-                     - t2 * (1.0 + t2) * D3 / a0) * K2
-                    + (br.nu1 - br.nu0) * K * D3)
-            if inner.any():
-                np.copyto(lo, m1, where=inner & (F[0] < 0.0))
-                np.copyto(hi, m1, where=inner & (F[0] > 0.0))
-            m1n = m1 - F[0] / dpsi
-            newton_m = (m1n >= lo) & (m1n <= hi)
-            if not newton_m.all():
-                m1n = np.where(newton_m, m1n,
-                               np.where(inner, 0.5 * (lo + hi), m1))
-            S[0] = m1n - m1  # dm = -S[0]
-            S[1] += t * (1.0 + t2) * (D / 6.0) / a0 * S[0]
-            S[2] -= br.c * br.s * K * br.d / (4.0 * mm1 * a1) * S[0]
-            conv = np.abs(S) <= 1e-9 * X  # t and u with their tangent
-            conv[0] = ((newton_m & (np.abs(S[0]) <= Tolerances.solver))
-                       | (hi - lo <= 4.5e-16 * m1))
-        Xn = X + S
-        ok = (Xn[1:] >= 0.0) & (Xn[1:] <= top)
-        if not ok.all():
-            Xn[1:] = np.where(ok, Xn[1:], 0.5 * (
-                X[1:] + np.where(Xn[1:] < 0.0, 0.0, top)))
-        R = np.abs(F)
-        stalled = R >= 0.5 * R_prev
-        done = (conv | stalled).all(axis=0)
-        small = np.abs(Xn - X) <= _STALL_STEP * X
-        small[1:] &= ok & conv[0]
+            f_m = (goal - (nu1 - nu0) * K * K - K2 * (
+                2.0 * t * s_t - 4.0 * mm1 * s * c * s_u / (d * n1 * n1)))
+            dpsi = ((s * s * D3 / (n1 * a1) - t2 * (1.0 + t2) * D3 / a0) * K2
+                    + (nu1 - nu0) * K * D3)
+            if inner and f_m < 0.0:
+                lo = m1
+            elif inner and f_m > 0.0:
+                hi = m1
+            m1n = m1 - f_m / dpsi
+            newton_m = lo <= m1n <= hi
+            if not newton_m:
+                m1n = 0.5 * (lo + hi) if inner else m1
+            s_m = m1n - m1  # dm = -s_m
+            s_t += t * (1.0 + t2) * (D / 6.0) / a0 * s_m
+            s_u -= c * s * K * d / (4.0 * mm1 * a1) * s_m
+            conv_m = ((newton_m and abs(s_m) <= Tolerances.solver)
+                      or hi - lo <= 4.5e-16 * m1)
+            small_m = newton_m and inner and (
+                abs(s_m) <= _STALL_STEP * min(m, m1))
+        # t and u with their tangent
+        conv_t, conv_u = abs(s_t) <= 1e-9 * t, abs(s_u) <= 1e-9 * u
+        t_new, u_new = t + s_t, u + s_u
+        ok_t, ok_u = 0.0 <= t_new <= t_top, 0.0 <= u_new <= 1.0
+        if not ok_t:
+            t_new = 0.5 * (t + (0.0 if t_new < 0.0 else t_top))
+        if not ok_u:
+            u_new = 0.5 * (u + (0.0 if u_new < 0.0 else 1.0))
+        done = ((conv_m or abs(f_m) >= 0.5 * r_m)
+                and (conv_t or abs(f_t) >= 0.5 * r_t)
+                and (conv_u or abs(f_u) >= 0.5 * r_u))
         if goal is not None:
-            small[0] = newton_m & inner & (
-                np.abs(S[0]) <= _STALL_STEP * np.minimum(m, m1))
-        Z[3:6] = np.where(small, R, np.inf)
-        Z[0:3] = Xn
-        if done.any():
-            out[:, idx[done]] = Xn[:, done]
-            Z, idx = Z[:, ~done], idx[~done]
-            if not idx.size:
-                return out
+            r_m = abs(f_m) if small_m else math.inf
+        r_t = (abs(f_t) if ok_t and conv_m
+               and abs(t_new - t) <= _STALL_STEP * t else math.inf)
+        r_u = (abs(f_u) if ok_u and conv_m
+               and abs(u_new - u) <= _STALL_STEP * u else math.inf)
+        m1, t, u = m1 + s_m, t_new, u_new
+        if done:
+            return m1, t, u
     raise RuntimeError(f"Newton solve not converged in {MAX_NEWTON_STEPS} "
-                       f"steps at {where(idx)}")
+                       f"steps at {where()}")
 
 
-def _start(targets: tuple[float, float], m) -> list[np.ndarray]:
+def _start(targets: tuple[float, float], m: float) -> tuple[float, float]:
     """Starting t and u at m: their roots as m -> 0, where Phi - pi/2 =
     (pi/2) (sqrt(1 + t^2) - 1) on the theta branch and Phi = (pi/2)
     s/sqrt(m + s^2) on the alpha branch (u = 1 at a target of pi/2)."""
     x = 2.0 * (targets[0] - math.pi / 2) / math.pi
-    t0 = np.full(m.shape, math.sqrt(max(x, 0.0) * (2.0 + x)))
+    t0 = math.sqrt(max(x, 0.0) * (2.0 + x))
     if targets[1] == math.pi / 2:
-        return [t0, np.ones_like(m)]
+        return t0, 1.0
     g = min(2.0 * targets[1] / math.pi, 1.0 - 1e-6)
-    s = np.minimum(np.sqrt(m) * (g / math.sqrt(1.0 - g * g)), 1.0 - 1e-6)
-    return [t0, s / (1.0 + np.sqrt((1.0 - s) * (1.0 + s)))]
+    s = min(math.sqrt(m) * (g / math.sqrt(1.0 - g * g)), 1.0 - 1e-6)
+    return t0, s / (1.0 + math.sqrt((1.0 - s) * (1.0 + s)))
 
 
-def _fixed_m(targets: tuple[float, float], m: float) -> tuple[_Branches, float]:
-    """Both branches solved at the one given m, and K(m)."""
-    m = np.array([float(m)])
-    fixed = (m, *_carlson(1.0 - m))
-    _, t, u = _newton(targets, [1.0 - m, *_start(targets, m)],
-                      lambda rows: f"m = {m[0]!r}", fixed=fixed)
-    return _Branches(m, 1.0 - m, t, u), float(fixed[1][0])
+def _fixed_m(targets: tuple[float, float], m: float, where,
+             carlson=None) -> tuple[float, float, float, float, float]:
+    """(t, u, n1, nu0, Psi) with both branches solved at the one given m,
+    from carlson = _carlson(1 - m), made here unless given."""
+    m1 = 1.0 - m
+    K, Ra, D = (carlson if carlson is not None
+                else (float(v) for v in _carlson(m1)))
+    _, t, u = _row_newton(targets, m1, *_start(targets, m), where,
+                          fixed=(m, K, Ra, D))
+    _, _, _, n1, nu0, nu1 = _branches(m, m1, t, u)
+    return t, u, n1, nu0, (nu1 - nu0) * K * K
 
 
 def solve_n(target: float, branch: str, m: float) -> float:
@@ -424,17 +425,18 @@ def solve_n(target: float, branch: str, m: float) -> float:
 
     branch='theta' solves on n < 0 (target >= pi/2, value -inf iff target is
     exactly pi/2); branch='alpha' solves on [m, 1] (target in [0, pi/2],
-    value m at 0 and 1 at pi/2).  The one-row, fixed-m case of the Newton
-    iteration of solve_taus (_newton); no target is clamped.
+    value m at 0 and 1 at pi/2).  The fixed-m case of the Newton iteration
+    of solve_taus (_row_newton); no target is clamped.
     """
     if branch not in ("theta", "alpha"):
         raise ValueError(f"unknown branch {branch!r}")
     target = float(target)
+    m = float(m)
     targets = (target, 0.0) if branch == "theta" else (math.pi / 2, target)
-    br, _ = _fixed_m(targets, m)
+    t, _, n1, nu0, _ = _fixed_m(targets, m, lambda: f"m = {m!r}")
     if branch == "alpha":
-        return float(br.n1[0])
-    return float(br.m[0] / br.nu0[0]) if br.t[0] > 0.0 else -math.inf
+        return n1
+    return m / nu0 if t > 0.0 else -math.inf
 
 
 def _branch_targets(point: ModuliPoint,
@@ -455,8 +457,9 @@ def psi_fn(m: float, point: ModuliPoint, params: MapParams) -> float:
     Strictly increasing on (0, 1), with Psi(0+) = pi^2 (p^2 - (r+a)^2)/q^2
     and Psi(1-) = +inf; solve_tau roots Psi(m) = pi^2 b^2 / q^2.
     """
-    br, K = _fixed_m(_branch_targets(point, params), m)
-    return float(br.psi(K)[0])
+    m = float(m)
+    return _fixed_m(_branch_targets(point, params), m,
+                    lambda: f"m = {m!r}")[4]
 
 
 @dataclass(frozen=True)
@@ -516,6 +519,21 @@ def _tau_triple(m: float, nu0: float, nu1: float, den: float, gap2: float,
     return TauTriple(tau1, tau2, tau3, m, n0, n1, A, c, d, gap2, gap3)
 
 
+def _lower_bound(goal: float, psi) -> int:
+    """The least k with psi(k) >= goal, len(_TABLE_M1) if there is none:
+    np.searchsorted(table, goal) on the table of Psi along _TABLE_M1, whose
+    entry k is psi(k), by numpy's lower-bound bisection, which reads 6 or 7
+    entries."""
+    lo, hi = 0, len(_TABLE_M1)
+    while lo < hi:
+        mid = lo + (hi - lo) // 2
+        if psi(mid) < goal:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def solve_taus(points, params: MapParams) -> list:
     """Solve the three integral conditions at every point of one a-column.
 
@@ -525,13 +543,17 @@ def solve_taus(points, params: MapParams) -> list:
     raise there.  The branch
     targets pi p/q and pi |r+a|/q are the column's, so Psi(m) is one
     function of m for the whole column and only its target pi^2 b^2/q^2
-    varies by row.  A table of Psi at the fixed m of _TABLE_M1 (the
-    fixed-m case of _newton) gives every row its bracket and start; then
-    all rows run one safeguarded Newton iteration on (m1 = 1 - m, t, u),
-    no loop nested in another (_newton), and a row that does not converge
-    raises RuntimeError.  Every operation is elementwise, so a row's triple
-    is bit-identical whatever the other rows of the call.  Limit cases give
-    tau1 = 0 / tau2 = 1 exactly.
+    varies by row.  Each row finds its bracket in the table of Psi at the
+    fixed m of _TABLE_M1 by np.searchsorted's lower-bound bisection, and
+    starts from the linear interpolation between the bracket's ends; then
+    it runs its own safeguarded Newton iteration on (m1 = 1 - m, t, u)
+    (_row_newton), and a row that does not converge raises RuntimeError
+    naming it.  A table entry is solved (the fixed-m case of _row_newton,
+    from its own start) when a row's search first reads it, and kept for
+    the rest of the call; one that does not converge names every row.  No
+    value depends on another, so a row's triple is bit-identical whatever
+    the other rows of the call.  Limit cases give tau1 = 0 / tau2 = 1
+    exactly.
     """
     points = list(points)
     if not points:
@@ -548,44 +570,46 @@ def solve_taus(points, params: MapParams) -> list:
         return "; ".join(f"(a, b) = ({points[i].a!r}, {points[i].b!r})"
                          for i in rows)
 
-    table_m = 1.0 - _TABLE_M1
-    table = _Branches(table_m, _TABLE_M1, *_newton(
-        targets, [_TABLE_M1, *_start(targets, table_m)],
-        lambda rows: where(range(len(points))),
-        fixed=(table_m, *_TABLE_CARLSON))[1:])
-    psi_table = table.psi(_TABLE_CARLSON[0])
-    goal = np.array([(math.pi * pt.b / params.q) ** 2 for pt in points])
-    out: list = [None] * len(points)
-    j = np.searchsorted(psi_table, goal)
-    for i in np.flatnonzero(psi_table[0] > goal):
-        out[i] = InfeasibleParametersError(
-            "Psi(m) exceeds the target down to m ~ 0; parameters violate "
-            "(r+a)^2 + b^2 > p^2")
-    for i in np.flatnonzero(j == psi_table.size):
-        out[i] = ResolutionLimitError(
-            f"root of Psi(m) lies beyond m = 1 - {_TABLE_M1[-1]:.2g}; b is "
-            "too large to resolve")
-    rows = np.flatnonzero((psi_table[0] <= goal) & (j < psi_table.size))
-    if rows.size:
+    @functools.cache  # for this call: a knot is solved when first read
+    def knot(k: int) -> tuple[float, float, float]:
+        """(t, u, Psi) at the table's entry k."""
+        t, u, _, _, psi = _fixed_m(targets, 1.0 - _TABLE_M1[k],
+                                   lambda: where(range(len(points))),
+                                   _TABLE_CARLSON[k])
+        return t, u, psi
+
+    sgn_rpa = float(np.sign(params.r_plus_a(points[0])))
+    out: list = []
+    for i, pt in enumerate(points):
+        goal = (math.pi * pt.b / params.q) ** 2
+        if knot(0)[2] > goal:
+            out.append(InfeasibleParametersError(
+                "Psi(m) exceeds the target down to m ~ 0; parameters violate "
+                "(r+a)^2 + b^2 > p^2"))
+            continue
+        j = _lower_bound(goal, lambda k: knot(k)[2])
+        if j == len(_TABLE_M1):
+            out.append(ResolutionLimitError(
+                f"root of Psi(m) lies beyond m = 1 - {_TABLE_M1[-1]:.2g}; b "
+                "is too large to resolve"))
+            continue
         # Psi rises along the table: its entry hi >= goal, lo < goal
-        hi = np.maximum(j[rows], 1)
+        hi = max(j, 1)
         lo = hi - 1
-        goal_r = goal[rows]
-        w = (goal_r - psi_table[lo]) / (psi_table[hi] - psi_table[lo])
-        start = [v[lo] + w * (v[hi] - v[lo])
-                 for v in (_TABLE_M1, table.t, table.u)]
-        m1, t, u = _newton(targets, start, lambda i: where(rows[i]),
-                           goal=goal_r, bracket=(_TABLE_M1[hi], _TABLE_M1[lo]))
-        br = _Branches(1.0 - m1, m1, t, u)
-        den = br.nu1 - br.nu0
+        (t_lo, u_lo, psi_lo), (t_hi, u_hi, psi_hi) = knot(lo), knot(hi)
+        w = (goal - psi_lo) / (psi_hi - psi_lo)
+        start = [v_lo + w * (v_hi - v_lo) for v_lo, v_hi in (
+            (_TABLE_M1[lo], _TABLE_M1[hi]), (t_lo, t_hi), (u_lo, u_hi))]
+        m1, t, u = _row_newton(targets, *start, lambda i=i: where([i]),
+                               goal=goal, lo=_TABLE_M1[hi], hi=_TABLE_M1[lo])
+        m = 1.0 - m1
+        _, s, c, n1, nu0, nu1 = _branches(m, m1, t, u)
+        den = nu1 - nu0
         # 1 - tau2 = (nu1 - m)/den and tau3 - 1 = (1 - nu1)/den, where
         # nu1 - m = m m1 c^2/n1 and 1 - nu1 = m1 s^2/n1 carry no cancellation
-        gap2 = br.m * br.m1 * br.c * br.c / (br.n1 * den)
-        gap3 = br.m1 * br.s * br.s / (br.n1 * den)
-        sgn_rpa = float(np.sign(params.r_plus_a(points[0])))
-        for k, i in enumerate(rows):
-            out[i] = _tau_triple(*(float(v[k]) for v in (
-                br.m, br.nu0, br.nu1, den, gap2, gap3)), sgn_rpa)
+        gap2 = m * m1 * c * c / (n1 * den)
+        gap3 = m1 * s * s / (n1 * den)
+        out.append(_tau_triple(m, nu0, nu1, den, gap2, gap3, sgn_rpa))
     return out
 
 

@@ -136,14 +136,22 @@ class TestSolveTau:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert max(json.loads(proc.stdout)["residuals"].values()) <= 1e-13
 
-    @pytest.mark.parametrize("index,name", enumerate(
-        ["b_integral", "p_integral", "r_integral"]))
-    def test_residual_gate(self, run, monkeypatch, index, name):
+    @pytest.mark.parametrize("command,index,name", [
+        pytest.param(command, index, name, id="-".join(
+            [str(index), name] if command == "solve-tau"
+            else [command, str(index), name]))
+        for command in ("solve-tau", "value", "mesh")
+        for index, name in enumerate(["b_integral", "p_integral", "r_integral"])])
+    def test_residual_gate(self, run, monkeypatch, tmp_path, command, index,
+                           name):
         # a residual above RESIDUAL_TOL = 1e-9 exits 1 naming its integral;
         # one just below it passes
         real = tau_solver.lattice_integrals
-        args = ("solve-tau", "--a", "1/4", "--b", "2.1",
+        args = (command, "--a", "1/4", "--b", "2.1",
                 "--p", "2", "--q", "3", "--r", "0")
+        if command == "mesh":
+            args += ("--nx", "3", "--ny", "5",
+                     "--out", str(tmp_path / "map.jsonl"))
         for offset, want in ((0.5 * RESIDUAL_TOL, 0), (2.0 * RESIDUAL_TOL, 1)):
             def shifted(tau, offset=offset):
                 values = list(real(tau))
@@ -156,7 +164,7 @@ class TestSolveTau:
             if want:
                 assert out == ""
                 assert f"above 1e-09: {name} 2e-09" in err
-            else:
+            elif command == "solve-tau":
                 assert json.loads(out)["residuals"][name] <= RESIDUAL_TOL
 
     def test_deterministic_output(self, run):
@@ -238,6 +246,26 @@ class TestScan:
         assert status[1] == "ok"
         assert status[2].startswith("resolution_limit: root of Psi(m) lies "
                                     "beyond m = 1 - 1.8e-12;")
+
+    def test_no_row_solved(self, run, tmp_path):
+        # a column with no ok row exits 2 only when every row is
+        # infeasible; rows at the resolution limit make it exit 1
+        target = tmp_path / "scan.csv"
+        column = ("scan", "--p", "1", "--q", "1", "--r", "0",
+                  "--a-min", "0.3", "--a-max", "0.3", "--a-steps", "1",
+                  "--out", str(target))
+        code, _, _ = run(*column, "--b-min", "4.8", "--b-max", "5",
+                         "--b-steps", "2")
+        assert code == 1
+        status = [line.rsplit(",", 1)[1]
+                  for line in target.read_text().splitlines()[1:]]
+        assert all(s.startswith("resolution_limit: ") for s in status)
+        code, _, _ = run(*column, "--b-min", "0.1", "--b-max", "5",
+                         "--b-steps", "2")
+        assert code == 1
+        code, _, _ = run(*column, "--b-min", "0.1", "--b-max", "0.5",
+                         "--b-steps", "2")
+        assert code == 2
 
     @pytest.mark.parametrize("flag,steps", [("--a-steps", "0"),
                                             ("--b-steps", "0"),

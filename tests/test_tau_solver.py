@@ -334,34 +334,42 @@ class TestSolveTau:
         assert tau1s[-1] == 0.0
 
     @staticmethod
-    def elliprj_calls(monkeypatch) -> list:
-        """The array size of every elliprj call the solver makes from now."""
-        calls = []
-        real = tau_solver.elliprj
+    def solve_spies(monkeypatch) -> tuple[list, list]:
+        """The arguments of every elliprj call and the m of every fixed-m
+        knot solve the solver makes from now."""
+        calls, knots = [], []
+        real_rj, real_fixed = tau_solver.elliprj, tau_solver._fixed_m
 
-        def spy(*args):
-            calls.append(np.size(args[-1]))
-            return real(*args)
+        def rj(*args):
+            calls.append(args)
+            return real_rj(*args)
 
-        monkeypatch.setattr(tau_solver, "elliprj", spy)
-        return calls
+        def fixed(targets, m, *args):
+            knots.append(m)
+            return real_fixed(targets, m, *args)
 
-    def test_column_solved_as_one_batch(self, monkeypatch):
-        # a 15-row column costs 20 elliprj calls (each on an array), two per
-        # Newton step; solved one row at a time it costs about 270
-        calls = self.elliprj_calls(monkeypatch)
-        points = [ModuliPoint(0.3, b) for b in np.linspace(1.4, 3.0, 15)]
-        solve_taus(points, classify_params(points[0], 1, 1, 0))
-        assert len(calls) <= 24
-        assert max(calls) == len(tau_solver._TABLE_M1)
+        monkeypatch.setattr(tau_solver, "elliprj", rj)
+        monkeypatch.setattr(tau_solver, "_fixed_m", fixed)
+        return calls, knots
 
-    def test_one_row_newton_steps(self, monkeypatch):
-        # one Newton iteration on (m1, t, u), no loop nested in another:
-        # 18 elliprj calls at (0.3, 1.4), 10 of them on the table
-        calls = self.elliprj_calls(monkeypatch)
+    def test_one_row_reads_few_knots(self, monkeypatch):
+        # a row reads knot 0 and the knots of its bisection and bracket,
+        # 7 of the 58 at (0.3, 1.4), and makes 66 scalar elliprj calls
+        calls, knots = self.solve_spies(monkeypatch)
         point = ModuliPoint(0.3, 1.4)
         solve_tau(point, classify_params(point, 1, 1, 0))
-        assert len(calls) <= 22
+        assert len(knots) <= 9
+        assert len(calls) <= 70
+        assert all(np.ndim(arg) == 0 for args in calls for arg in args)
+
+    def test_column_solves_each_knot_once(self, monkeypatch):
+        # the rows of a column share the knots read so far
+        calls, knots = self.solve_spies(monkeypatch)
+        points = [ModuliPoint(0.3, b) for b in np.linspace(1.4, 3.0, 15)]
+        solve_taus(points, classify_params(points[0], 1, 1, 0))
+        assert len(knots) == len(set(knots))
+        assert set(knots) <= {1.0 - m1 for m1 in tau_solver._TABLE_M1}
+        assert all(np.ndim(arg) == 0 for args in calls for arg in args)
 
     def test_iteration_cap_raises_naming_the_rows(self, monkeypatch):
         # an unconverged solve is an error, never a returned m
@@ -522,6 +530,79 @@ class TestBatchInvariance:
                 == [rows[i] for i in order])
         k = data.draw(st.integers(1, len(points)))
         assert solve_column(points[:k], pqr) == rows[:k]
+
+
+# per regime, a family (p, q, r) and the a that put it there
+REGIME_COLUMNS = {
+    Regime.NONLIMIT: ((2, 3, 0), st.fractions(Fraction(-1, 2), Fraction(1, 2),
+                                              max_denominator=1000)),
+    Regime.FIRST_LIMIT: ((1, 2, 0), st.fractions(
+        Fraction(-1, 2), Fraction(1, 2), max_denominator=1000)),
+    Regime.SECOND_LIMIT: ((1, 1, 0), st.sampled_from(
+        [Fraction(-1, 2), Fraction(1, 2)])),
+    Regime.HYBRID_LIMIT: ((1, 2, 1), st.just(Fraction(0))),
+    Regime.CIRCLE_FAMILY: ((1, 1, 0), st.fractions(
+        Fraction(-1, 2), Fraction(1, 2), max_denominator=1000)),
+}
+
+
+class TestLazyTable:
+    @given(st.sampled_from(list(Regime)), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_search_agrees_with_the_full_table(self, regime, data):
+        # a row reads the knots of its bisection only; the bracket, the
+        # infeasible and the resolution-limit verdicts are np.searchsorted's
+        # on all 58 knots, solved here by the same fixed-m solve
+        (p, q, r), a_values = REGIME_COLUMNS[regime]
+        a = data.draw(a_values)
+        edge = math.sqrt(p * p - float(r + a) ** 2)
+        at = ModuliPoint(a, edge if regime is Regime.CIRCLE_FAMILY else edge + 0.5)
+        params = classify_params(at, p, q, r)
+        assert params.regime is regime
+        targets = tau_solver._branch_targets(at, params)
+        psi = np.array([
+            tau_solver._fixed_m(targets, 1.0 - m1, lambda: "a knot", carlson)[4]
+            for m1, carlson in zip(tau_solver._TABLE_M1,
+                                   tau_solver._TABLE_CARLSON)])
+        # every knot's Psi exactly, the midpoints and both ends' outsides
+        for goal in [*psi, *(0.5 * (psi[1:] + psi[:-1])),
+                     0.5 * psi[0], 2.0 * psi[-1], 0.0, math.inf]:
+            want = np.searchsorted(psi, goal)
+            assert tau_solver._lower_bound(goal, psi.__getitem__) == want
+
+        # through solve_taus: b below the feasible edge, b past the table's
+        # end, and b between
+        bs = data.draw(st.lists(st.floats(0.05, 6.0), min_size=1, max_size=8))
+        bs += [0.5 * edge or 0.01, 100.0]
+        brackets = []
+        real = tau_solver._row_newton
+
+        def spy(*args, **kw):  # a row's solve, not a knot's
+            if kw.get("goal") is not None:
+                brackets.append((kw["lo"], kw["hi"]))
+            return real(*args, **kw)
+
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(tau_solver, "_row_newton", spy)
+            results = solve_taus([ModuliPoint(a, b) for b in bs], params)
+        if regime is Regime.CIRCLE_FAMILY:
+            assert all(isinstance(res, InfeasibleParametersError)
+                       for res in results)
+            return
+        solved = iter(brackets)
+        for b, res in zip(bs, results):
+            goal = (math.pi * b / q) ** 2
+            j = int(np.searchsorted(psi, goal))
+            if psi[0] > goal:
+                assert isinstance(res, InfeasibleParametersError)
+            elif j == psi.size:
+                assert isinstance(res, ResolutionLimitError)
+            else:
+                hi = max(j, 1)
+                assert isinstance(res, tau_solver.TauTriple)
+                assert next(solved) == (tau_solver._TABLE_M1[hi],
+                                        tau_solver._TABLE_M1[hi - 1])
+        assert next(solved, None) is None
 
 
 class TestThirdLimit:
