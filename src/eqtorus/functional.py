@@ -235,9 +235,9 @@ def _scan_column(a: float, b_values: list[float], p: int, q: int, r: int,
 
     Every row that classifies gets its tau triple from one solve_taus call
     per distinct MapParams (the regime is the column's, except on the
-    circle-family boundary), whose rows share the Psi table entries read.  lambda_bar is the closed form: the quadrature
-    cross-check of functional_value is not a scan column, so it is not
-    computed here.
+    circle-family boundary), whose rows share the Psi table entries read.
+    lambda_bar is the closed form: the quadrature cross-check of
+    functional_value is not a scan column, so it is not computed here.
     """
     from eqtorus.spectral import assemble_N2, n2_lower_bound, ratio_condition
 
@@ -288,10 +288,10 @@ def moduli_scan(a_values, b_values, p: int, q: int, r: int,
 
     The unit of work is one a-column: its rows share the branch targets, so
     one solve_taus call solves them, each row by its own Newton iteration
-    from the Psi table entries its search reads, and jobs > 1 hands each column to a
-    worker process.  Row order follows the grid index (a major, b minor)
-    regardless of how work is scheduled, and every row is bit-identical
-    whatever the grid around it.
+    from the Psi table entries its search reads, and jobs > 1 hands each
+    column to a worker process.  Row order follows the grid index (a major,
+    b minor) regardless of how work is scheduled, and every row is
+    bit-identical whatever the grid around it.
     """
     a_values = [float(a) for a in a_values]
     b_values = [float(b) for b in b_values]

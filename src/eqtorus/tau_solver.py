@@ -41,6 +41,7 @@ functional.lambda_bar_quadrature uses too.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -407,15 +408,16 @@ def _start(targets: tuple[float, float], m: float) -> tuple[float, float]:
     return t0, s / (1.0 + math.sqrt((1.0 - s) * (1.0 + s)))
 
 
-def _fixed_m(targets: tuple[float, float], m: float, where,
+def _fixed_m(targets: tuple[float, float], m: float, where=None,
              carlson=None) -> tuple[float, float, float, float, float]:
     """(t, u, n1, nu0, Psi) with both branches solved at the one given m,
-    from carlson = _carlson(1 - m), made here unless given."""
+    from carlson = _carlson(1 - m), made here unless given; an unconverged
+    solve names where(), "m = ..." unless given."""
     m1 = 1.0 - m
     K, Ra, D = (carlson if carlson is not None
                 else (float(v) for v in _carlson(m1)))
-    _, t, u = _row_newton(targets, m1, *_start(targets, m), where,
-                          fixed=(m, K, Ra, D))
+    _, t, u = _row_newton(targets, m1, *_start(targets, m),
+                          where or (lambda: f"m = {m!r}"), fixed=(m, K, Ra, D))
     _, _, _, n1, nu0, nu1 = _branches(m, m1, t, u)
     return t, u, n1, nu0, (nu1 - nu0) * K * K
 
@@ -433,7 +435,7 @@ def solve_n(target: float, branch: str, m: float) -> float:
     target = float(target)
     m = float(m)
     targets = (target, 0.0) if branch == "theta" else (math.pi / 2, target)
-    t, _, n1, nu0, _ = _fixed_m(targets, m, lambda: f"m = {m!r}")
+    t, _, n1, nu0, _ = _fixed_m(targets, m)
     if branch == "alpha":
         return n1
     return m / nu0 if t > 0.0 else -math.inf
@@ -458,8 +460,7 @@ def psi_fn(m: float, point: ModuliPoint, params: MapParams) -> float:
     and Psi(1-) = +inf; solve_tau roots Psi(m) = pi^2 b^2 / q^2.
     """
     m = float(m)
-    return _fixed_m(_branch_targets(point, params), m,
-                    lambda: f"m = {m!r}")[4]
+    return _fixed_m(_branch_targets(point, params), m)[4]
 
 
 @dataclass(frozen=True)
@@ -519,33 +520,18 @@ def _tau_triple(m: float, nu0: float, nu1: float, den: float, gap2: float,
     return TauTriple(tau1, tau2, tau3, m, n0, n1, A, c, d, gap2, gap3)
 
 
-def _lower_bound(goal: float, psi) -> int:
-    """The least k with psi(k) >= goal, len(_TABLE_M1) if there is none:
-    np.searchsorted(table, goal) on the table of Psi along _TABLE_M1, whose
-    entry k is psi(k), by numpy's lower-bound bisection, which reads 6 or 7
-    entries."""
-    lo, hi = 0, len(_TABLE_M1)
-    while lo < hi:
-        mid = lo + (hi - lo) // 2
-        if psi(mid) < goal:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def solve_taus(points, params: MapParams) -> list:
     """Solve the three integral conditions at every point of one a-column.
 
     ``points`` share one a (exactly) and ``params`` holds for all of them;
     the result has, per point, its TauTriple or the
     InfeasibleParametersError or ResolutionLimitError that solve_tau would
-    raise there.  The branch
-    targets pi p/q and pi |r+a|/q are the column's, so Psi(m) is one
-    function of m for the whole column and only its target pi^2 b^2/q^2
-    varies by row.  Each row finds its bracket in the table of Psi at the
-    fixed m of _TABLE_M1 by np.searchsorted's lower-bound bisection, and
-    starts from the linear interpolation between the bracket's ends; then
+    raise there.  The branch targets pi p/q and pi |r+a|/q are the
+    column's, so Psi(m) is one function of m for the whole column and only
+    its target pi^2 b^2/q^2 varies by row.  Each row finds its bracket in
+    the table of Psi at the fixed m of _TABLE_M1 by bisect.bisect_left
+    (np.searchsorted's lower bound), and starts from the linear
+    interpolation between the bracket's ends; then
     it runs its own safeguarded Newton iteration on (m1 = 1 - m, t, u)
     (_row_newton), and a row that does not converge raises RuntimeError
     naming it.  A table entry is solved (the fixed-m case of _row_newton,
@@ -587,7 +573,9 @@ def solve_taus(points, params: MapParams) -> list:
                 "Psi(m) exceeds the target down to m ~ 0; parameters violate "
                 "(r+a)^2 + b^2 > p^2"))
             continue
-        j = _lower_bound(goal, lambda k: knot(k)[2])
+        # np.searchsorted's lower bound on the table, reading 6 or 7 knots
+        j = bisect.bisect_left(range(len(_TABLE_M1)), goal,
+                               key=lambda k: knot(k)[2])
         if j == len(_TABLE_M1):
             out.append(ResolutionLimitError(
                 f"root of Psi(m) lies beyond m = 1 - {_TABLE_M1[-1]:.2g}; b "

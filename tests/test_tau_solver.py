@@ -363,10 +363,13 @@ class TestSolveTau:
         assert all(np.ndim(arg) == 0 for args in calls for arg in args)
 
     def test_column_solves_each_knot_once(self, monkeypatch):
-        # the rows of a column share the knots read so far
+        # the rows of a column share the knots read so far: this column
+        # reads 22 of the 58 and makes 322 scalar elliprj calls
         calls, knots = self.solve_spies(monkeypatch)
         points = [ModuliPoint(0.3, b) for b in np.linspace(1.4, 3.0, 15)]
         solve_taus(points, classify_params(points[0], 1, 1, 0))
+        assert len(knots) <= 24
+        assert len(calls) <= 340
         assert len(knots) == len(set(knots))
         assert set(knots) <= {1.0 - m1 for m1 in tau_solver._TABLE_M1}
         assert all(np.ndim(arg) == 0 for args in calls for arg in args)
@@ -546,6 +549,18 @@ REGIME_COLUMNS = {
 }
 
 
+def b_at(goal: float, q: int):
+    """A b whose row target (pi b/q)^2 is goal exactly, or None."""
+    b = q * math.sqrt(goal) / math.pi
+    for _ in range(4):
+        b = np.nextafter(b, -math.inf)
+    for _ in range(9):
+        if (math.pi * float(b) / q) ** 2 == goal:
+            return float(b)
+        b = np.nextafter(b, math.inf)
+    return None
+
+
 class TestLazyTable:
     @given(st.sampled_from(list(Regime)), st.data())
     @settings(max_examples=25, deadline=None)
@@ -561,26 +576,31 @@ class TestLazyTable:
         assert params.regime is regime
         targets = tau_solver._branch_targets(at, params)
         psi = np.array([
-            tau_solver._fixed_m(targets, 1.0 - m1, lambda: "a knot", carlson)[4]
+            tau_solver._fixed_m(targets, 1.0 - m1, carlson=carlson)[4]
             for m1, carlson in zip(tau_solver._TABLE_M1,
                                    tau_solver._TABLE_CARLSON)])
-        # every knot's Psi exactly, the midpoints and both ends' outsides
-        for goal in [*psi, *(0.5 * (psi[1:] + psi[:-1])),
-                     0.5 * psi[0], 2.0 * psi[-1], 0.0, math.inf]:
-            want = np.searchsorted(psi, goal)
-            assert tau_solver._lower_bound(goal, psi.__getitem__) == want
-
-        # through solve_taus: b below the feasible edge, b past the table's
-        # end, and b between
+        # rows at b below the feasible edge, past the table's end, drawn
+        # between, at every knot's Psi exactly (where a b within a few ulps
+        # of q sqrt(Psi)/pi gives that goal) and at the knots' midpoints
         bs = data.draw(st.lists(st.floats(0.05, 6.0), min_size=1, max_size=8))
         bs += [0.5 * edge or 0.01, 100.0]
+        exact = [b_at(psi_k, q) for psi_k in psi]
+        assert sum(b is not None for b in exact) >= psi.size // 6
+        bs += [b for b in exact if b is not None]
+        bs += [q * math.sqrt(mid) / math.pi
+               for mid in 0.5 * (psi[1:] + psi[:-1])]
+        # solve_taus takes no circle-family row with another regime's params
+        if regime is not Regime.CIRCLE_FAMILY:
+            bs = [b for b in bs if not circle_gap(ModuliPoint(a, b), p, r)[1]]
         brackets = []
         real = tau_solver._row_newton
 
-        def spy(*args, **kw):  # a row's solve, not a knot's
-            if kw.get("goal") is not None:
-                brackets.append((kw["lo"], kw["hi"]))
-            return real(*args, **kw)
+        def spy(targets, m1, t, u, where, **kw):
+            if kw.get("goal") is None:  # a knot's solve
+                return real(targets, m1, t, u, where, **kw)
+            # a row's: its bracket is under test here, not its iteration
+            brackets.append((kw["lo"], kw["hi"]))
+            return m1, t, u
 
         with pytest.MonkeyPatch.context() as mp_:
             mp_.setattr(tau_solver, "_row_newton", spy)
