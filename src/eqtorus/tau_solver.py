@@ -258,7 +258,8 @@ def _carlson(m1):
 
 
 # (K, Ra, D) of every table entry, the same for every column
-_TABLE_CARLSON = tuple(zip(*(v.tolist() for v in _carlson(np.array(_TABLE_M1)))))
+_TABLE_CARLSON = tuple(zip(*(v.tolist()
+                             for v in _carlson(np.array(_TABLE_M1)))))
 
 
 def _branches(m: float, m1: float, t: float, u: float) -> tuple:
